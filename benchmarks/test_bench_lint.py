@@ -1,9 +1,9 @@
-"""Benchmark: repro-lint over the whole package, serial vs parallel walker.
+"""Benchmark: repro-lint over the whole package, serial vs parallel driver.
 
-Asserts the two runs produce identical violation lists (the walker's
-determinism guarantee), that the package is clean, and records both
-wall-clocks in ``bench_results/lint.txt``.  As with the crawl benchmarks,
-the speedup assertion only binds on multi-core machines.
+Asserts the two runs produce identical reports (the driver's determinism
+guarantee), that the package is clean, and records both wall-clocks in
+``bench_results/lint.txt``.  As with the crawl benchmarks, the speedup
+assertion only binds on multi-core machines.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import pathlib
 import time
 
 import repro
-from repro.devtools.lint import lint_paths
+from repro.devtools.lint import lint_project
 
 from .conftest import emit
 
@@ -23,23 +23,24 @@ JOBS = 4
 
 def _timed_lint(jobs: int):
     started = time.perf_counter()
-    violations, files_checked = lint_paths([PACKAGE_DIR], jobs=jobs)
-    return violations, files_checked, time.perf_counter() - started
+    report = lint_project([PACKAGE_DIR], jobs=jobs)
+    return report, time.perf_counter() - started
 
 
 def test_bench_lint_walker():
-    serial_violations, files_checked, serial_seconds = _timed_lint(jobs=1)
-    parallel_violations, _, parallel_seconds = _timed_lint(jobs=JOBS)
+    serial, serial_seconds = _timed_lint(jobs=1)
+    parallel, parallel_seconds = _timed_lint(jobs=JOBS)
 
-    assert serial_violations == parallel_violations
-    assert serial_violations == [], [v.format() for v in serial_violations]
-    assert files_checked > 100
+    assert serial == parallel
+    assert serial.violations == [], [v.format() for v in serial.violations]
+    assert serial.files_checked > 100
 
     ratio = serial_seconds / parallel_seconds if parallel_seconds else float("inf")
     lines = [
-        f"files checked        : {files_checked}",
-        f"serial walker        : {serial_seconds:.3f}s",
-        f"parallel walker (x{JOBS}): {parallel_seconds:.3f}s",
+        f"files checked        : {serial.files_checked}",
+        f"program rules        : {', '.join(serial.program_rules_run)}",
+        f"serial driver        : {serial_seconds:.3f}s",
+        f"parallel driver (x{JOBS}): {parallel_seconds:.3f}s",
         f"speedup              : {ratio:.2f}x",
         f"cpu cores            : {os.cpu_count()}",
     ]

@@ -26,6 +26,7 @@ from .blocklist import build_filter_list, generate_easylist
 from .browser import BrowserEngine, PAPER_PROFILES, profile_by_name
 from .bundle import Bundle
 from .crawler import Commander, MeasurementStore, RetryPolicy, sample_paper_buckets
+from .errors import ReproError
 from . import export as export_mod
 from .experiments import ALL_EXPERIMENTS, ExperimentConfig
 from .obs import (
@@ -395,4 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2

@@ -4,8 +4,9 @@ The reproduction guarantees byte-identical output across worker counts
 and machines; that guarantee rests on code-level invariants (seeded RNG
 streams, sorted iteration, the ReproError hierarchy, schema-consistent
 SQL) that this subpackage enforces statically.  See ``framework`` for
-the rule/suppression machinery, ``rules`` for the rule pack, ``walker``
-for the parallel driver, and ``cli`` for the command-line front end.
+the rule/suppression machinery, ``rules`` for the rule pack, ``program``
+for the one (parallel, two-pass) driver, and ``cli`` for the command-line
+front end.
 
 Typical use::
 
@@ -14,8 +15,9 @@ Typical use::
 
 or programmatically::
 
-    from repro.devtools.lint import lint_paths
-    violations, files_checked = lint_paths(["src/repro"], jobs=4)
+    from repro.devtools.lint import lint_project
+    report = lint_project(["src/repro"], jobs=4)
+    report.violations, report.files_checked
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from .framework import (
     registered_rule_ids,
     rule_summaries,
 )
-from .program import ProjectReport, git_changed_files, lint_project
-from .reporters import render_json, render_sarif, render_text
-from .walker import collect_files, lint_files, lint_paths
+from .program import ProjectReport, lint_project
+from .reporters import render_json, render_text
+from .walker import collect_files
 
 __all__ = [
     "LintRule",
@@ -48,9 +50,6 @@ __all__ = [
     "build_program_rules",
     "build_rules",
     "collect_files",
-    "git_changed_files",
-    "lint_files",
-    "lint_paths",
     "lint_project",
     "lint_source",
     "program_rule_summaries",
@@ -59,7 +58,6 @@ __all__ = [
     "registered_program_rule_ids",
     "registered_rule_ids",
     "render_json",
-    "render_sarif",
     "render_text",
     "rule_summaries",
 ]

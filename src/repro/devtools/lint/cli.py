@@ -2,13 +2,10 @@
 
 Exit codes: 0 — clean; 1 — violations found; 2 — usage or I/O error.
 
-The CLI always runs the two-pass driver (``program``): per-file rules
-stream over the walker as before, and ``--program`` additionally runs
-the whole-program rules (DET101/DET103/CONC001/CONC002) over the linked
-symbol table.  Per-file parses and summaries are cached under
-``.repro-lint-cache/`` keyed by content hash (``--no-cache`` opts out);
-``--changed [REF]`` lints only files changed versus a git ref, which
-together with the cache gives sub-second incremental runs.
+Every run is the full two-pass ``lint_project``: per-file rules, the
+whole-program rules (DET101/DET103/CONC001/CONC002) over the linked
+symbol table, and the SUP002 stale-suppression audit.  ``--select`` and
+``--ignore`` narrow both passes alike.
 """
 
 from __future__ import annotations
@@ -19,10 +16,9 @@ import sys
 from typing import List, Optional
 
 from ...errors import LintError
-from .cache import CACHE_DIR_NAME
 from .framework import program_rule_summaries, rule_summaries
-from .program import git_changed_files, lint_project
-from .reporters import render_json, render_sarif, render_text
+from .program import lint_project
+from .reporters import render_json, render_text
 
 
 def _split_ids(raw: str) -> List[str]:
@@ -44,7 +40,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="report format (default: text)",
     )
@@ -52,7 +48,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--jobs",
         type=int,
         default=os.cpu_count() or 1,
-        help="worker processes for the file walker (default: all cores)",
+        help="worker processes for the per-file pass (default: all cores)",
     )
     parser.add_argument(
         "--select",
@@ -65,41 +61,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=str,
         default="",
         help="comma-separated rule ids to skip",
-    )
-    parser.add_argument(
-        "--program",
-        action="store_true",
-        help=(
-            "also run the whole-program pass (interprocedural seed "
-            "provenance, shared-state and ordering rules)"
-        ),
-    )
-    parser.add_argument(
-        "--changed",
-        nargs="?",
-        const="HEAD",
-        default=None,
-        metavar="REF",
-        help=(
-            "lint only files changed vs the given git ref (default when "
-            "the flag is bare: HEAD); untracked files count as changed"
-        ),
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=str,
-        default=CACHE_DIR_NAME,
-        help=f"parse/summary cache directory (default: {CACHE_DIR_NAME})",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the content-hash cache for this run",
-    )
-    parser.add_argument(
-        "--no-stale-suppressions",
-        action="store_true",
-        help="do not report SUP002 for suppressions that no longer fire",
     )
     parser.add_argument(
         "--list-rules",
@@ -120,24 +81,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     try:
-        changed = (
-            git_changed_files(args.changed) if args.changed is not None else None
-        )
         report = lint_project(
             args.paths,
             select=_split_ids(args.select) or None,
             ignore=_split_ids(args.ignore),
             jobs=args.jobs,
-            program=args.program,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            changed_files=changed,
-            stale_check=not args.no_stale_suppressions,
         )
     except LintError as exc:
         print(f"repro-lint: error: {exc}", file=sys.stderr)
         return 2
 
-    renderers = {"text": render_text, "json": render_json, "sarif": render_sarif}
+    renderers = {"text": render_text, "json": render_json}
     try:
         print(renderers[args.format](report.violations, report.files_checked))
         sys.stdout.flush()

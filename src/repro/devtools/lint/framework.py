@@ -363,8 +363,7 @@ def stale_suppression_violations(
 
     A suppressed id only counts as stale when that rule actually *ran*
     (``active_rule_ids``): ``--select DET001`` must not flag a DET002
-    suppression as stale, and DET101-family markers are only audited when
-    the program pass is enabled.
+    suppression as stale, nor ``--ignore DET101`` a DET101 marker.
     """
     stale: List[Violation] = []
     for line in sorted(suppressions):

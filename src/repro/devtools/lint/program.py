@@ -1,16 +1,17 @@
-"""The two-pass whole-program lint driver.
+"""The lint driver: per-file rules, then the whole-program pass.
 
-Pass 1 (parallel, cached): every file is read with tokenize-style
-encoding detection, hashed, and — on cache miss — parsed once, run
-through the per-file rules, and summarized into a
-:class:`~.symbols.ModuleSummary`.  Pass 2 (in-process): the summaries
-link into a :class:`~.callgraph.ProjectIndex` and the registered
-:class:`~.framework.ProgramRule` pack runs over it.
+Pass 1 (parallel): every file is read with tokenize-style encoding
+detection, parsed once, run through the per-file rules, and summarized
+into a :class:`~.symbols.ModuleSummary`.  Pass 2 (in-process): the
+summaries link into a :class:`~.callgraph.ProjectIndex` and the
+registered :class:`~.framework.ProgramRule` pack runs over it.  Both
+passes always run; ``ignore`` (or ``select``) the program rule ids to
+skip pass 2.
 
 Suppression accounting spans both passes: ``# repro: ok[DET101] reason``
-silences a program finding exactly like a per-file one, and — unless
-disabled — every suppression whose rule *ran but did not fire* on its
-line is reported as ``SUP002`` (stale suppression).
+silences a program finding exactly like a per-file one, and every
+suppression whose rule *ran but did not fire* on its line is reported as
+``SUP002`` (stale suppression).
 
 Unparseable files degrade, never abort: a syntax error yields ``SYN001``
 and the file is skipped by the program pass; a file deleted between
@@ -21,17 +22,17 @@ are unaffected.
 from __future__ import annotations
 
 import io
-import subprocess
 import tokenize
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ...errors import LintError
-from .cache import CACHE_DIR_NAME, SummaryCache, cache_key
 from .callgraph import ProjectIndex
 from .framework import (
     IO_RULE_ID,
+    SYNTAX_RULE_ID,
     Suppression,
     Violation,
     apply_suppressions,
@@ -43,11 +44,6 @@ from .framework import (
 )
 from .symbols import ModuleSummary, summarize_module
 from .walker import collect_files
-
-try:  # ProcessPoolExecutor is optional at import time for frozen envs
-    from concurrent.futures import ProcessPoolExecutor
-except ImportError:  # pragma: no cover - CPython always has it
-    ProcessPoolExecutor = None  # type: ignore[assignment]
 
 
 def decode_python_source(data: bytes) -> str:
@@ -65,135 +61,51 @@ class FileAnalysis:
     suppressions: Dict[int, Suppression] = field(default_factory=dict)
     summary: Optional[ModuleSummary] = None
     parse_failed: bool = False
-    unreadable: bool = False
-    cache_hit: bool = False
 
 
-def _serialize(analysis: FileAnalysis) -> dict:
-    return {
-        "raw": [
-            {
-                "path": v.path,
-                "line": v.line,
-                "col": v.col,
-                "rule_id": v.rule_id,
-                "message": v.message,
-            }
-            for v in analysis.raw
-        ],
-        "suppressions": [
-            {
-                "line": s.line,
-                "col": s.col,
-                "rule_ids": list(s.rule_ids),
-                "reason": s.reason,
-            }
-            for s in analysis.suppressions.values()
-        ],
-        "summary": analysis.summary.to_dict() if analysis.summary else None,
-        "parse_failed": analysis.parse_failed,
-    }
+def _unanalyzable(path: str, rule_id: str, message: str) -> FileAnalysis:
+    violation = Violation(path=path, line=1, col=0, rule_id=rule_id, message=message)
+    return FileAnalysis(path=path, raw=[violation], parse_failed=True)
 
 
-def _deserialize(path: str, payload: dict) -> FileAnalysis:
-    suppressions = {
-        entry["line"]: Suppression(
-            line=entry["line"],
-            col=entry["col"],
-            rule_ids=tuple(entry["rule_ids"]),
-            reason=entry["reason"],
-        )
-        for entry in payload.get("suppressions", [])
-    }
-    summary_data = payload.get("summary")
-    return FileAnalysis(
-        path=path,
-        raw=[Violation(**entry) for entry in payload.get("raw", [])],
-        suppressions=suppressions,
-        summary=ModuleSummary.from_dict(summary_data) if summary_data else None,
-        parse_failed=bool(payload.get("parse_failed", False)),
-        cache_hit=True,
-    )
+def _analyze_one(task: Tuple[str, Optional[Tuple[str, ...]]]) -> FileAnalysis:
+    """Pass-1 analysis for one file; module-level so workers can pickle it.
 
-
-def _analyze_one(
-    task: Tuple[str, Optional[Tuple[str, ...]], Optional[str]]
-) -> FileAnalysis:
-    """Pass-1 analysis for one file; module-level so workers can pickle it."""
-    path, rule_ids, cache_dir = task
+    A file that vanishes (or loses read permission) between discovery
+    and parse is *reported* as ``IO001`` rather than aborting the run:
+    races against concurrent editors must not cost the findings from
+    every other file.
+    """
+    path, rule_ids = task
     try:
-        data = Path(path).read_bytes()
+        source = decode_python_source(Path(path).read_bytes())
     except OSError as exc:
-        return FileAnalysis(
-            path=path,
-            raw=[
-                Violation(
-                    path=path,
-                    line=1,
-                    col=0,
-                    rule_id=IO_RULE_ID,
-                    message=f"file vanished or unreadable: {exc}",
-                )
-            ],
-            parse_failed=True,
-            unreadable=True,
-        )
-    rules = build_rules(select=rule_ids)
-    effective_ids = tuple(rule.rule_id for rule in rules)
-    cache = SummaryCache(cache_dir)
-    key = cache_key(data, effective_ids)
-    cached = cache.load(key)
-    if cached is not None:
-        try:
-            restored = _deserialize(path, cached)
-        except (KeyError, TypeError, ValueError):
-            restored = None
-        if restored is not None:
-            return restored
-    try:
-        source = decode_python_source(data)
+        return _unanalyzable(path, IO_RULE_ID, f"file vanished or unreadable: {exc}")
     except (SyntaxError, UnicodeDecodeError, LookupError) as exc:
-        analysis = FileAnalysis(
-            path=path,
-            raw=[
-                Violation(
-                    path=path,
-                    line=1,
-                    col=0,
-                    rule_id="SYN001",
-                    message=f"file does not decode: {exc}",
-                )
-            ],
-            parse_failed=True,
-        )
-        cache.store(key, _serialize(analysis))
-        return analysis
-    checked = check_source(source, path=path, rules=rules)
+        return _unanalyzable(path, SYNTAX_RULE_ID, f"file does not decode: {exc}")
+    checked = check_source(source, path=path, rules=build_rules(select=rule_ids))
     summary = None
     if checked.tree is not None:
         summary = summarize_module(path, checked.tree)
-    analysis = FileAnalysis(
+    return FileAnalysis(
         path=path,
         raw=checked.raw,
         suppressions=checked.suppressions,
         summary=summary,
         parse_failed=checked.tree is None,
     )
-    cache.store(key, _serialize(analysis))
-    return analysis
 
 
 def analyze_paths(
     files: Sequence[Path],
     rule_ids: Optional[Tuple[str, ...]] = None,
     jobs: int = 1,
-    cache_dir: Optional[str] = None,
 ) -> List[FileAnalysis]:
     """Run pass 1 over ``files``, fanning out across ``jobs`` processes."""
     if jobs < 1:
         raise LintError(f"jobs must be >= 1, got {jobs}")
-    tasks = [(str(path), rule_ids, cache_dir) for path in files]
-    if jobs == 1 or len(tasks) < 2 or ProcessPoolExecutor is None:
+    tasks = [(str(path), rule_ids) for path in files]
+    if jobs == 1 or len(tasks) < 2:
         return [_analyze_one(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_analyze_one, tasks, chunksize=4))
@@ -205,47 +117,7 @@ class ProjectReport:
 
     violations: List[Violation]
     files_checked: int
-    cache_hits: int
-    cache_misses: int
     program_rules_run: Tuple[str, ...] = ()
-
-
-def git_changed_files(
-    base: str = "HEAD", cwd: Optional[str] = None
-) -> Set[str]:
-    """Absolute paths of ``.py`` files changed vs ``base`` (plus untracked)."""
-    root = Path(cwd) if cwd else Path.cwd()
-    changed: Set[str] = set()
-    commands = [
-        ["git", "diff", "--name-only", "-z", base, "--"],
-        ["git", "ls-files", "--others", "--exclude-standard", "-z"],
-    ]
-    for command in commands:
-        try:
-            result = subprocess.run(
-                command,
-                cwd=str(root),
-                capture_output=True,
-                text=True,
-                check=True,
-            )
-        except (OSError, subprocess.CalledProcessError) as exc:
-            detail = getattr(exc, "stderr", "") or str(exc)
-            raise LintError(
-                f"--changed needs a git checkout: {detail.strip()}"
-            ) from exc
-        top = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            cwd=str(root),
-            capture_output=True,
-            text=True,
-            check=False,
-        ).stdout.strip()
-        base_dir = Path(top) if top else root
-        for name in result.stdout.split("\0"):
-            if name.endswith(".py"):
-                changed.add(str((base_dir / name).resolve()))
-    return changed
 
 
 def lint_project(
@@ -253,31 +125,17 @@ def lint_project(
     select: Optional[Sequence[str]] = None,
     ignore: Sequence[str] = (),
     jobs: int = 1,
-    program: bool = False,
-    cache_dir: Optional[str] = None,
-    changed_files: Optional[Set[str]] = None,
-    stale_check: bool = True,
 ) -> ProjectReport:
-    """Lint ``paths`` with the two-pass driver.
+    """Lint ``paths``: per-file rules, the program pass, and SUP002.
 
-    ``program=True`` enables the whole-program pass; ``cache_dir``
-    enables the content-hash cache (``CACHE_DIR_NAME`` is the
-    conventional location); ``changed_files`` (absolute paths) restricts
-    *reported* files — the program pass still parses the whole project
-    so cross-module findings in changed files stay sound.
+    ``select``/``ignore`` filter per-file and program rules alike; output
+    is byte-identical at any ``jobs`` value (files are collected in
+    sorted order and the combined report is re-sorted).
     """
     per_file_rules = build_rules(select=select, ignore=ignore)
-    program_rules = (
-        build_program_rules(select=select, ignore=ignore) if program else []
-    )
+    program_rules = build_program_rules(select=select, ignore=ignore)
     rule_ids = tuple(rule.rule_id for rule in per_file_rules)
-
-    files = collect_files(paths)
-    if changed_files is not None and not program:
-        files = [f for f in files if str(f.resolve()) in changed_files]
-    analyses = analyze_paths(
-        files, rule_ids=rule_ids, jobs=jobs, cache_dir=cache_dir
-    )
+    analyses = analyze_paths(collect_files(paths), rule_ids=rule_ids, jobs=jobs)
 
     program_raw: Dict[str, List[Violation]] = {}
     if program_rules:
@@ -291,13 +149,7 @@ def lint_project(
     active_ids.update(rule.rule_id for rule in program_rules)
 
     reported: List[Violation] = []
-    files_checked = 0
     for analysis in analyses:
-        if changed_files is not None and (
-            str(Path(analysis.path).resolve()) not in changed_files
-        ):
-            continue
-        files_checked += 1
         if analysis.parse_failed:
             reported.extend(analysis.raw)
             continue
@@ -306,41 +158,27 @@ def lint_project(
             analysis.raw, analysis.suppressions, analysis.path
         )
         kept.extend(filter_suppressed(extra, analysis.suppressions))
-        if stale_check:
-            fired_by_line: Dict[int, Set[str]] = {}
-            for violation in list(analysis.raw) + extra:
-                fired_by_line.setdefault(violation.line, set()).add(
-                    violation.rule_id
-                )
-            kept.extend(
-                stale_suppression_violations(
-                    analysis.suppressions,
-                    fired_by_line,
-                    active_ids,
-                    analysis.path,
-                )
+        fired_by_line: Dict[int, Set[str]] = {}
+        for violation in list(analysis.raw) + extra:
+            fired_by_line.setdefault(violation.line, set()).add(violation.rule_id)
+        kept.extend(
+            stale_suppression_violations(
+                analysis.suppressions, fired_by_line, active_ids, analysis.path
             )
+        )
         reported.extend(kept)
 
-    cache_hits = sum(1 for a in analyses if a.cache_hit)
-    cache_misses = sum(
-        1 for a in analyses if not a.cache_hit and not a.unreadable
-    )
     return ProjectReport(
         violations=sorted(reported, key=lambda violation: violation.sort_key),
-        files_checked=files_checked,
-        cache_hits=cache_hits,
-        cache_misses=cache_misses,
+        files_checked=len(analyses),
         program_rules_run=tuple(rule.rule_id for rule in program_rules),
     )
 
 
 __all__ = [
-    "CACHE_DIR_NAME",
     "FileAnalysis",
     "ProjectReport",
     "analyze_paths",
     "decode_python_source",
-    "git_changed_files",
     "lint_project",
 ]

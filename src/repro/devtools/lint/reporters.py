@@ -1,4 +1,4 @@
-"""Reporters: render violations as text, machine-readable JSON, or SARIF.
+"""Reporters: render violations as text or machine-readable JSON.
 
 The JSON document is versioned so CI consumers can detect format drift::
 
@@ -60,86 +60,6 @@ def render_json(violations: Sequence[Violation], files_checked: int) -> str:
                 "message": violation.message,
             }
             for violation in violations
-        ],
-    }
-    return json.dumps(document, indent=2, sort_keys=True)
-
-
-#: The SARIF subset emitted (see README): version 2.1.0, one run, tool
-#: driver metadata with per-rule descriptions, and for each violation a
-#: ``result`` with ``ruleId``, ``level`` (always ``"error"`` — every
-#: repro-lint finding is CI-blocking), ``message.text`` and one physical
-#: location (1-based line, 1-based column).  No ``artifacts``,
-#: ``fixes``, ``codeFlows`` or ``baseline`` support.
-SARIF_VERSION = "2.1.0"
-_SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-
-#: Descriptions for the framework pseudo-rules (not in the registry).
-_PSEUDO_RULE_SUMMARIES = {
-    "SYN001": "file does not parse",
-    "IO001": "file vanished or unreadable between discovery and parse",
-    "SUP001": "suppression comment without a reason",
-    "SUP002": "stale suppression: the suppressed rule no longer fires",
-}
-
-
-def render_sarif(violations: Sequence[Violation], files_checked: int) -> str:
-    """Render violations as a SARIF 2.1.0 log (subset documented above)."""
-    from .framework import program_rule_summaries, rule_summaries
-
-    summaries = dict(rule_summaries())
-    summaries.update(dict(program_rule_summaries()))
-    summaries.update(_PSEUDO_RULE_SUMMARIES)
-    used_ids = sorted({violation.rule_id for violation in violations})
-    rules = [
-        {
-            "id": rule_id,
-            "shortDescription": {
-                "text": summaries.get(rule_id, "(unregistered rule)")
-            },
-        }
-        for rule_id in used_ids
-    ]
-    rule_index = {rule_id: index for index, rule_id in enumerate(used_ids)}
-    results = [
-        {
-            "ruleId": violation.rule_id,
-            "ruleIndex": rule_index[violation.rule_id],
-            "level": "error",
-            "message": {"text": violation.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": violation.path.replace("\\", "/")
-                        },
-                        "region": {
-                            "startLine": violation.line,
-                            "startColumn": violation.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        for violation in violations
-    ]
-    document = {
-        "$schema": _SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "rules": rules,
-                    }
-                },
-                "properties": {"filesChecked": files_checked},
-                "results": results,
-            }
         ],
     }
     return json.dumps(document, indent=2, sort_keys=True)

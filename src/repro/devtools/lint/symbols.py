@@ -1,31 +1,27 @@
 """Per-file symbol summaries for the whole-program pass.
 
 One AST walk per module distills everything the interprocedural rules
-need into a JSON-serializable :class:`ModuleSummary`: module-qualified
-function definitions, resolved import bindings, every call site, worker
-spawn sites, RNG/entropy provenance facts, unordered-return facts,
-ordered-sink feeds, and writes to module-level or instance state.
+need into a :class:`ModuleSummary`: module-qualified function
+definitions, resolved import bindings, every call site, worker spawn
+sites, RNG/entropy provenance facts, unordered-return facts, ordered-sink
+feeds, and writes to module-level or instance state.
 
-Summaries are deliberately *flat data* (dicts, lists, strings): they
-pickle across the walker's worker processes and round-trip through the
-on-disk cache (``cache``) unchanged, which is what makes warm runs skip
-re-parsing entirely.  Everything that needs project-wide knowledge
-(resolving a call to another module's function, reachability, fixpoints)
-lives in ``callgraph`` instead — a summary never looks outside its own
-file.
+Summaries are deliberately *flat data* (dataclasses of dicts, lists and
+strings): they pickle back from the driver's worker processes, so pass 1
+parses each file exactly once.  Everything that needs project-wide
+knowledge (resolving a call to another module's function, reachability,
+fixpoints) lives in ``callgraph`` instead — a summary never looks outside
+its own file.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from .framework import dotted_name
-
-#: Bump when the summary shape changes; part of the cache key.
-SUMMARY_VERSION = 1
 
 #: Wall-clock reads (mirrors DET002's catalogue, fully qualified).
 WALL_CLOCK_CALLS = frozenset(
@@ -187,35 +183,6 @@ class ModuleSummary:
     classes: List[str] = field(default_factory=list)
     module_mutables: Dict[str, List[int]] = field(default_factory=dict)
     singletons: Dict[str, str] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModuleSummary":
-        functions = {}
-        for qualname, raw in data.get("functions", {}).items():
-            raw = dict(raw)
-            raw["calls"] = [CallSite(**c) for c in raw.get("calls", [])]
-            raw["global_writes"] = [WriteSite(**w) for w in raw.get("global_writes", [])]
-            raw["attr_writes"] = [WriteSite(**w) for w in raw.get("attr_writes", [])]
-            raw["self_writes"] = [WriteSite(**w) for w in raw.get("self_writes", [])]
-            raw["sink_feeds"] = [SinkFeed(**s) for s in raw.get("sink_feeds", [])]
-            birth = raw.get("returns_rng")
-            raw["returns_rng"] = RngBirth(**birth) if birth else None
-            functions[qualname] = FunctionSummary(**raw)
-        return cls(
-            module=data["module"],
-            path=data["path"],
-            is_package=data.get("is_package", False),
-            imports=dict(data.get("imports", {})),
-            functions=functions,
-            classes=list(data.get("classes", [])),
-            module_mutables={
-                name: list(site) for name, site in data.get("module_mutables", {}).items()
-            },
-            singletons=dict(data.get("singletons", {})),
-        )
 
 
 def module_name_for(path: Path) -> Tuple[str, bool]:

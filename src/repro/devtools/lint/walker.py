@@ -1,19 +1,16 @@
-"""File collection and the (optionally parallel) lint driver.
+"""File collection for the lint driver.
 
-Output is deterministic by construction: files are collected in sorted
-order, every per-file result is independent, and the combined violation
-list is re-sorted — so ``jobs=8`` and ``jobs=1`` produce byte-identical
-reports (the same property the crawler itself guarantees).
+Files are collected in sorted order and de-duplicated, which is half of
+why ``lint_project`` reports are byte-identical at any ``--jobs`` value
+(the other half: the combined violation list is re-sorted).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from ...errors import LintError
-from .framework import IO_RULE_ID, LintRule, Violation, build_rules, lint_source
 
 
 def collect_files(paths: Sequence[str]) -> List[Path]:
@@ -34,70 +31,3 @@ def collect_files(paths: Sequence[str]) -> List[Path]:
                 seen.add(key)
                 files.append(candidate)
     return files
-
-
-def _lint_one(task: Tuple[str, Optional[Tuple[str, ...]]]) -> List[Violation]:
-    """Lint a single file; module-level so worker processes can pickle it.
-
-    A file that vanishes (or loses read permission) between discovery
-    and parse is *reported* as ``IO001`` rather than aborting the run:
-    races against concurrent editors must not cost the findings from
-    every other file.  BOMs and ``# -*- coding: ... -*-`` declarations
-    are honored via tokenize-style encoding detection.
-    """
-    from .program import decode_python_source  # deferred: avoids a cycle
-
-    path, rule_ids = task
-    rules = build_rules(select=rule_ids)
-    try:
-        source = decode_python_source(Path(path).read_bytes())
-    except OSError as exc:
-        return [
-            Violation(
-                path=path,
-                line=1,
-                col=0,
-                rule_id=IO_RULE_ID,
-                message=f"file vanished or unreadable: {exc}",
-            )
-        ]
-    except (SyntaxError, UnicodeDecodeError, LookupError) as exc:
-        return [
-            Violation(
-                path=path,
-                line=1,
-                col=0,
-                rule_id="SYN001",
-                message=f"file does not decode: {exc}",
-            )
-        ]
-    return lint_source(source, path=path, rules=rules)
-
-
-def lint_files(
-    files: Sequence[Path],
-    rules: Optional[Sequence[LintRule]] = None,
-    jobs: int = 1,
-) -> List[Violation]:
-    """Lint ``files``, fanning out over ``jobs`` worker processes."""
-    if jobs < 1:
-        raise LintError(f"jobs must be >= 1, got {jobs}")
-    rule_ids = tuple(rule.rule_id for rule in rules) if rules is not None else None
-    tasks = [(str(path), rule_ids) for path in files]
-    if jobs == 1 or len(tasks) < 2:
-        results = [_lint_one(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_lint_one, tasks, chunksize=4))
-    violations = [violation for per_file in results for violation in per_file]
-    return sorted(violations, key=lambda violation: violation.sort_key)
-
-
-def lint_paths(
-    paths: Sequence[str],
-    rules: Optional[Sequence[LintRule]] = None,
-    jobs: int = 1,
-) -> Tuple[List[Violation], int]:
-    """Lint files/directories; returns ``(violations, files_checked)``."""
-    files = collect_files(paths)
-    return lint_files(files, rules=rules, jobs=jobs), len(files)

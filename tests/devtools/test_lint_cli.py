@@ -8,6 +8,7 @@ import pytest
 from repro.devtools.lint.cli import main
 
 FIXTURE = str(pathlib.Path(__file__).parent / "fixtures" / "dirty.py")
+TAINTFLOW = str(pathlib.Path(__file__).parent / "fixtures" / "taintflow")
 
 #: The fixture seeds exactly one violation per registered rule.
 EXPECTED_FIXTURE_RULES = ["DET001", "DET002", "DET003", "DET004", "ERR001", "SQL001"]
@@ -48,6 +49,10 @@ class TestOutputModes:
         assert main([FIXTURE, "--select", "SQL001", "--format", "json"]) == 1
         document = json.loads(capsys.readouterr().out)
         assert document["counts"] == {"SQL001": 1}
+
+    def test_select_program_rule_runs_the_program_pass(self, capsys):
+        assert main([TAINTFLOW, "--select", "DET101", "--jobs", "1"]) == 1
+        assert "DET101" in capsys.readouterr().out
 
     def test_ignore_drops_rules(self, capsys):
         argv = [FIXTURE, "--ignore", ",".join(EXPECTED_FIXTURE_RULES)]

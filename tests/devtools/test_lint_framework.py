@@ -1,11 +1,11 @@
-"""Framework tests: suppressions, pseudo-rules, registry and walker."""
+"""Framework tests: suppressions, pseudo-rules, registry and driver."""
 
 import pytest
 
 from repro.devtools.lint import (
     LintRule,
     build_rules,
-    lint_paths,
+    lint_project,
     lint_source,
     register,
     registered_rule_ids,
@@ -112,28 +112,29 @@ class TestRegistry:
 class TestWalker:
     def test_missing_path_raises(self):
         with pytest.raises(LintError, match="no such file"):
-            lint_paths(["tests/devtools/does-not-exist"])
+            lint_project(["tests/devtools/does-not-exist"])
 
     def test_violations_are_sorted_and_jobs_invariant(self, tmp_path):
         (tmp_path / "b.py").write_text("import time\nt = time.time()\n")
         (tmp_path / "a.py").write_text(
             "import random\nx = random.random()\ny = random.random()\n"
         )
-        serial, checked_serial = lint_paths([str(tmp_path)], jobs=1)
-        parallel, checked_parallel = lint_paths([str(tmp_path)], jobs=2)
+        serial = lint_project([str(tmp_path)], jobs=1)
+        parallel = lint_project([str(tmp_path)], jobs=2)
         assert serial == parallel
-        assert checked_serial == checked_parallel == 2
-        assert [v.sort_key for v in serial] == sorted(v.sort_key for v in serial)
-        assert [v.rule_id for v in serial] == ["DET001", "DET001", "DET002"]
+        assert serial.files_checked == 2
+        violations = serial.violations
+        assert [v.sort_key for v in violations] == sorted(v.sort_key for v in violations)
+        assert [v.rule_id for v in violations] == ["DET001", "DET001", "DET002"]
 
     def test_duplicate_inputs_deduplicated(self, tmp_path):
         target = tmp_path / "a.py"
         target.write_text("import time\nt = time.time()\n")
-        violations, checked = lint_paths([str(target), str(tmp_path)])
-        assert checked == 1
-        assert len(violations) == 1
+        report = lint_project([str(target), str(tmp_path)])
+        assert report.files_checked == 1
+        assert len(report.violations) == 1
 
     def test_invalid_jobs_rejected(self, tmp_path):
         (tmp_path / "a.py").write_text("x = 1\n")
         with pytest.raises(LintError, match="jobs"):
-            lint_paths([str(tmp_path)], jobs=0)
+            lint_project([str(tmp_path)], jobs=0)

@@ -19,7 +19,7 @@ def rules_fired(report):
 
 class TestDET101SeedProvenance:
     def test_committed_fixture_caught_across_two_hops(self):
-        report = lint_project([str(TAINTFLOW)], program=True)
+        report = lint_project([str(TAINTFLOW)])
         det = [v for v in report.violations if v.rule_id == "DET101"]
         assert len(det) == 1
         violation = det[0]
@@ -39,7 +39,7 @@ class TestDET101SeedProvenance:
                 ),
             }
         )
-        report = lint_project([str(root)], select=["DET101"], program=True)
+        report = lint_project([str(root)], select=["DET101"])
         assert report.violations == []
 
     def test_does_not_fire_on_seed_derived_rng(self, make_project):
@@ -57,7 +57,7 @@ class TestDET101SeedProvenance:
                 ),
             }
         )
-        report = lint_project([str(root)], select=["DET101"], program=True)
+        report = lint_project([str(root)], select=["DET101"])
         assert report.violations == []
 
     def test_suppression_silences_it_without_going_stale(self, make_project):
@@ -71,9 +71,7 @@ class TestDET101SeedProvenance:
                 ),
             }
         )
-        report = lint_project(
-            [str(root)], select=["DET101"], program=True, stale_check=True
-        )
+        report = lint_project([str(root)], select=["DET101"])
         assert report.violations == []
 
 
@@ -91,7 +89,7 @@ class TestDET103UnorderedFlow:
 
     def test_fires_through_a_call_chain(self, make_project):
         root = make_project(self._sources("return list(wrapper(m))"))
-        report = lint_project([str(root)], program=True)
+        report = lint_project([str(root)])
         det = [v for v in report.violations if v.rule_id == "DET103"]
         assert len(det) == 1
         assert det[0].path.endswith("use.py")
@@ -99,14 +97,14 @@ class TestDET103UnorderedFlow:
 
     def test_sorted_wrapper_sanctions_the_flow(self, make_project):
         root = make_project(self._sources("return list(sorted(wrapper(m)))"))
-        report = lint_project([str(root)], program=True)
+        report = lint_project([str(root)])
         assert "DET103" not in rules_fired(report)
 
     def test_suppression(self, make_project):
         sources = self._sources(
             "return list(wrapper(m))  # repro: ok[DET103] order asserted downstream"
         )
-        report = lint_project([str(make_project(sources))], program=True)
+        report = lint_project([str(make_project(sources))])
         assert report.violations == []
 
 
@@ -126,7 +124,7 @@ class TestCONC001SharedMutableWrite:
 
     def test_fires_for_worker_reachable_write(self, make_project):
         root = make_project(self._sources(spawn=True))
-        report = lint_project([str(root)], program=True)
+        report = lint_project([str(root)])
         conc = [v for v in report.violations if v.rule_id == "CONC001"]
         assert len(conc) == 1
         assert "_SEEN" in conc[0].message
@@ -134,7 +132,7 @@ class TestCONC001SharedMutableWrite:
 
     def test_does_not_fire_without_a_worker_entry(self, make_project):
         root = make_project(self._sources(spawn=False))
-        report = lint_project([str(root)], program=True)
+        report = lint_project([str(root)])
         assert "CONC001" not in rules_fired(report)
 
     def test_suppression(self, make_project):
@@ -151,7 +149,7 @@ class TestCONC001SharedMutableWrite:
                 )
             }
         )
-        report = lint_project([str(root)], program=True)
+        report = lint_project([str(root)])
         assert report.violations == []
 
 
@@ -178,7 +176,7 @@ class TestCONC002SingletonAttrWrite:
         root = make_project(
             self._sources("self.items.append(item)", "SHARED.record(item)")
         )
-        report = lint_project([str(root)], program=True)
+        report = lint_project([str(root)])
         conc = [v for v in report.violations if v.rule_id == "CONC002"]
         assert len(conc) == 1
         assert "SHARED" in conc[0].message
@@ -188,7 +186,7 @@ class TestCONC002SingletonAttrWrite:
         root = make_project(
             self._sources("return len(item)", "SHARED.record(item)")
         )
-        report = lint_project([str(root)], program=True)
+        report = lint_project([str(root)])
         assert "CONC002" not in rules_fired(report)
 
     def test_suppression(self, make_project):
@@ -198,7 +196,7 @@ class TestCONC002SingletonAttrWrite:
                 "SHARED.record(item)  # repro: ok[CONC002] workers get a fork-local copy",
             )
         )
-        report = lint_project([str(root)], program=True)
+        report = lint_project([str(root)])
         assert report.violations == []
 
 
@@ -213,10 +211,12 @@ class TestProgramPassScoping:
                 ),
             }
         )
-        per_file = lint_project([str(root)], program=False)
+        per_file = lint_project(
+            [str(root)], ignore=["CONC001", "CONC002", "DET101", "DET103"]
+        )
         assert per_file.program_rules_run == ()
         assert "DET101" not in rules_fired(per_file)
-        whole = lint_project([str(root)], program=True)
+        whole = lint_project([str(root)])
         assert whole.program_rules_run == ("CONC001", "CONC002", "DET101", "DET103")
         assert "DET101" in rules_fired(whole)
 
@@ -230,6 +230,6 @@ class TestProgramPassScoping:
                 ),
             }
         )
-        report = lint_project([str(root)], select=["DET103"], program=True)
+        report = lint_project([str(root)], select=["DET103"])
         assert report.program_rules_run == ("DET103",)
         assert report.violations == []

@@ -1,4 +1,4 @@
-"""SUP002 stale-suppression detection and its escape hatches."""
+"""SUP002 stale-suppression detection."""
 
 from repro.devtools.lint import lint_project
 from repro.devtools.lint.cli import main
@@ -8,6 +8,7 @@ LIVE = (
     "import time\n"
     "value = time.time()  # repro: ok[DET002] operator-facing timing only\n"
 )
+PROGRAM_RULES = ["CONC001", "CONC002", "DET101", "DET103"]
 
 
 def rules_fired(report):
@@ -17,7 +18,7 @@ def rules_fired(report):
 class TestStaleDetection:
     def test_suppression_without_a_firing_rule_is_stale(self, make_project):
         root = make_project({"mod.py": STALE})
-        report = lint_project([str(root)], stale_check=True)
+        report = lint_project([str(root)])
         assert rules_fired(report) == ["SUP002"]
         (violation,) = report.violations
         assert "DET002" in violation.message
@@ -25,17 +26,12 @@ class TestStaleDetection:
 
     def test_suppression_with_a_firing_rule_is_not_stale(self, make_project):
         root = make_project({"mod.py": LIVE})
-        report = lint_project([str(root)], stale_check=True)
+        report = lint_project([str(root)])
         assert report.violations == []
 
     def test_rule_must_have_run_to_count_as_stale(self, make_project):
         root = make_project({"mod.py": STALE})
-        report = lint_project([str(root)], select=["DET001"], stale_check=True)
-        assert report.violations == []
-
-    def test_stale_check_can_be_disabled(self, make_project):
-        root = make_project({"mod.py": STALE})
-        report = lint_project([str(root)], stale_check=False)
+        report = lint_project([str(root)], select=["DET001"])
         assert report.violations == []
 
     def test_program_rule_suppressions_audited_only_with_program_pass(
@@ -43,34 +39,15 @@ class TestStaleDetection:
     ):
         source = "def f():\n    return 1  # repro: ok[DET101] historical artifact\n"
         root = make_project({"mod.py": source})
-        without = lint_project([str(root)], program=False, stale_check=True)
+        without = lint_project([str(root)], ignore=PROGRAM_RULES)
         assert without.violations == []
-        with_program = lint_project([str(root)], program=True, stale_check=True)
+        with_program = lint_project([str(root)])
         assert rules_fired(with_program) == ["SUP002"]
 
 
 class TestCLI:
-    def test_no_stale_suppressions_flag(self, tmp_path, capsys):
+    def test_cli_reports_stale_suppressions(self, tmp_path, capsys):
         target = tmp_path / "mod.py"
         target.write_text(STALE)
-        assert main([str(target), "--no-cache"]) == 1
+        assert main([str(target)]) == 1
         assert "SUP002" in capsys.readouterr().out
-        assert main([str(target), "--no-cache", "--no-stale-suppressions"]) == 0
-
-
-class TestExistingSuppressionsAudit:
-    def test_package_suppressions_are_all_live(self):
-        """The three committed suppressions in src/ must not be stale.
-
-        Covered end to end by ``tests/test_lint_self.py`` (the program
-        self-test runs with ``stale_check=True``); this asserts the same
-        property through the public API so a stale marker fails close to
-        the SUP002 machinery too.
-        """
-        import pathlib
-
-        import repro
-
-        package = str(pathlib.Path(repro.__file__).parent)
-        report = lint_project([package], jobs=2, stale_check=True)
-        assert rules_fired(report) == []

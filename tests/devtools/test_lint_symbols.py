@@ -1,7 +1,7 @@
 """Unit tests for the per-file symbol summaries (``symbols``)."""
 
 import ast
-import json
+import pickle
 import textwrap
 
 from repro.devtools.lint.symbols import (
@@ -204,7 +204,8 @@ class TestModuleState:
         assert summary.singletons == {"OBS": "ObsContext.disabled"}
         assert "LIMIT" not in summary.module_mutables
 
-    def test_round_trips_through_json(self):
+    def test_round_trips_through_pickle(self):
+        """Pool workers hand summaries back to the driver by pickling."""
         summary = summarize(
             """
             import random
@@ -219,5 +220,5 @@ class TestModuleState:
                 return random.Random(3)
             """
         )
-        restored = ModuleSummary.from_dict(json.loads(json.dumps(summary.to_dict())))
+        restored = pickle.loads(pickle.dumps(summary))
         assert restored == summary

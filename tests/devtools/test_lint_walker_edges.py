@@ -1,4 +1,4 @@
-"""Walker and driver edge cases: report, never crash.
+"""Driver edge cases: report, never crash.
 
 Syntax errors, empty files, BOMs, coding declarations, bogus encodings
 and files that vanish between discovery and parse all degrade to a
@@ -6,12 +6,9 @@ reported pseudo-violation (or a clean pass) without costing the findings
 from any other file.
 """
 
-import pathlib
-
-from repro.devtools.lint import lint_project
+from repro.devtools.lint import lint_project, program
 from repro.devtools.lint.cli import main
 from repro.devtools.lint.program import analyze_paths
-from repro.devtools.lint.walker import _lint_one, lint_files
 
 
 def rules_fired(report):
@@ -49,7 +46,7 @@ class TestSyntaxErrors:
     def test_syntax_error_reports_syn001_not_crash(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text("def f(:\n")
-        assert main([str(bad), "--no-cache"]) == 1
+        assert main([str(bad)]) == 1
         assert "SYN001" in capsys.readouterr().out
 
     def test_program_pass_skips_unparseable_keeps_other_findings(
@@ -65,7 +62,7 @@ class TestSyntaxErrors:
                 ),
             }
         )
-        report = lint_project([str(root)], program=True)
+        report = lint_project([str(root)])
         assert rules_fired(report) == ["DET103", "SYN001"]
         by_rule = {v.rule_id: v.path for v in report.violations}
         assert by_rule["SYN001"].endswith("bad.py")
@@ -75,29 +72,28 @@ class TestSyntaxErrors:
 class TestVanishingFiles:
     def test_walker_reports_io001(self, tmp_path):
         missing = tmp_path / "gone.py"
-        (violation,) = _lint_one((str(missing), None))
+        (analysis,) = analyze_paths([missing])
+        (violation,) = analysis.raw
         assert violation.rule_id == "IO001"
         assert "unreadable" in violation.message
 
-    def test_lint_files_does_not_abort(self, tmp_path):
-        missing = tmp_path / "gone.py"
-        present = tmp_path / "here.py"
-        present.write_text("x = 1\n")
-        violations = lint_files([missing, present])
-        assert [v.rule_id for v in violations] == ["IO001"]
+    def test_lint_files_does_not_abort(self, tmp_path, monkeypatch):
+        gone = tmp_path / "gone.py"
+        gone.write_text("x = 1\n")
+        (tmp_path / "here.py").write_text("import time\nt = time.time()\n")
+        discovered = program.collect_files([str(tmp_path)])
+        gone.unlink()
+        monkeypatch.setattr(program, "collect_files", lambda paths: discovered)
+        report = lint_project([str(tmp_path)], jobs=2)
+        assert rules_fired(report) == ["DET002", "IO001"]
+        assert report.files_checked == 2
 
     def test_program_driver_reports_io001(self, tmp_path):
         missing = tmp_path / "gone.py"
-        (analysis,) = analyze_paths([pathlib.Path(missing)])
-        assert analysis.unreadable
-        assert [v.rule_id for v in analysis.raw] == ["IO001"]
-
-    def test_unreadable_file_does_not_count_as_cache_miss(
-        self, make_project, tmp_path
-    ):
-        root = make_project({"ok.py": "x = 1\n"})
-        analyses = analyze_paths(
-            [root / "ok.py", root / "gone.py"],
-            cache_dir=str(tmp_path / "cache"),
-        )
-        assert [a.unreadable for a in analyses] == [False, True]
+        present = tmp_path / "here.py"
+        present.write_text("import time\nt = time.time()\n")
+        gone, here = analyze_paths([missing, present])
+        assert gone.parse_failed
+        assert [v.rule_id for v in gone.raw] == ["IO001"]
+        assert "unreadable" in gone.raw[0].message
+        assert [v.rule_id for v in here.raw] == ["DET002"]

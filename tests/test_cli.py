@@ -27,6 +27,16 @@ class TestCrawl:
             assert store.visit_count() > 0
             assert len(store.profiles()) == 5
 
+    def test_recrawl_into_same_db_exits_two(self, tmp_path, capsys):
+        argv = ["crawl", "--db", str(tmp_path / "run.sqlite"), "--seed", "5",
+                "--sites-per-bucket", "1", "--pages-per-site", "1"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "duplicate visit id" in err
+
 
 class TestAnalyze:
     def test_selected_experiment(self, crawl_db, capsys):
