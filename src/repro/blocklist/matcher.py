@@ -5,6 +5,7 @@ parsed filters with EasyList semantics: a blocking filter must match and
 no exception filter may match.  Filters anchored to a domain (``||``)
 are indexed by host suffix so that the common case — checking a URL
 against a large list — touches only a handful of candidate filters.
+A list never changes once built, so it also remembers each verdict.
 """
 
 from __future__ import annotations
@@ -20,7 +21,11 @@ from .parser import Filter, parse_filter_list
 
 @dataclass(frozen=True)
 class MatchContext:
-    """Everything besides the URL that filter options may consult."""
+    """Everything besides the URL that filter options may consult.
+
+    :meth:`FilterList.match` keys its memo on every field, so a new field
+    must join that key.
+    """
 
     resource_type: ResourceType = ResourceType.OTHER
     page_url: Optional[str] = None
@@ -41,8 +46,16 @@ class MatchResult:
     exception_filter: Optional[Filter] = None
 
 
+#: The verdict for a URL no blocking filter matches (most URLs), shared.
+_UNLISTED = MatchResult(blocked=False)
+
+
 class FilterList:
-    """A compiled filter list with domain-anchored indexing."""
+    """A compiled filter list with domain-anchored indexing.
+
+    Verdicts are memoized per URL and :class:`MatchContext` fields, for
+    as long as the list lives.
+    """
 
     def __init__(self, filters: Sequence[Filter]) -> None:
         self._anchored_blocking: Dict[str, List[Filter]] = {}
@@ -59,6 +72,7 @@ class FilterList:
             else:
                 generic.append(flt)
         self._size = len(filters)
+        self._verdicts: Dict[Tuple[str, ResourceType, Optional[str]], MatchResult] = {}
 
     def __len__(self) -> int:
         return self._size
@@ -71,19 +85,13 @@ class FilterList:
     # -- matching ----------------------------------------------------------
 
     def match(self, url: str, context: Optional[MatchContext] = None) -> MatchResult:
-        """Full evaluation: blocking filters, then exceptions."""
+        """Full evaluation: blocking filters, then exceptions (memoized)."""
         context = context or MatchContext()
-        blocking = self._first_match(
-            url, context, self._anchored_blocking, self._generic_blocking
-        )
-        if blocking is None:
-            return MatchResult(blocked=False)
-        exception = self._first_match(
-            url, context, self._anchored_exceptions, self._generic_exceptions
-        )
-        if exception is not None:
-            return MatchResult(blocked=False, matched_filter=blocking, exception_filter=exception)
-        return MatchResult(blocked=True, matched_filter=blocking)
+        key = (url, context.resource_type, context.page_url)
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._verdicts[key] = self._evaluate(url, context)
+        return verdict
 
     def is_tracking(
         self,
@@ -98,35 +106,58 @@ class FilterList:
 
     # -- internals ---------------------------------------------------------
 
+    def _evaluate(self, url: str, context: MatchContext) -> MatchResult:
+        # Both hosts are parsed once per verdict, not once per filter tried.
+        host = (urlsplit(url).hostname or "").lower()
+        page_host = context.page_host
+        blocking = self._first_match(
+            url, host, context.resource_type, page_host,
+            self._anchored_blocking, self._generic_blocking,
+        )
+        if blocking is None:
+            return _UNLISTED
+        exception = self._first_match(
+            url, host, context.resource_type, page_host,
+            self._anchored_exceptions, self._generic_exceptions,
+        )
+        if exception is not None:
+            return MatchResult(blocked=False, matched_filter=blocking, exception_filter=exception)
+        return MatchResult(blocked=True, matched_filter=blocking)
+
     def _first_match(
         self,
         url: str,
-        context: MatchContext,
+        host: str,
+        resource_type: ResourceType,
+        page_host: Optional[str],
         anchored: Dict[str, List[Filter]],
         generic: List[Filter],
     ) -> Optional[Filter]:
-        host = (urlsplit(url).hostname or "").lower()
         for candidate_domain in _host_suffixes(host):
             for flt in anchored.get(candidate_domain, ()):
-                if self._filter_matches(flt, url, host, context):
+                if self._filter_matches(flt, url, host, resource_type, page_host):
                     return flt
         for flt in generic:
-            if self._filter_matches(flt, url, host, context):
+            if self._filter_matches(flt, url, host, resource_type, page_host):
                 return flt
         return None
 
     def _filter_matches(
-        self, flt: Filter, url: str, host: str, context: MatchContext
+        self,
+        flt: Filter,
+        url: str,
+        host: str,
+        resource_type: ResourceType,
+        page_host: Optional[str],
     ) -> bool:
         options = flt.options
-        if not options.allows_type(context.resource_type):
+        if not options.allows_type(resource_type):
             return False
         if options.third_party is not None:
-            page_host = context.page_host
             is_third = page_host is not None and not psl.same_site(host, page_host)
             if not options.allows_party(is_third):
                 return False
-        if not options.allows_page_domain(context.page_host):
+        if not options.allows_page_domain(page_host):
             return False
         return flt.matches_url(url)
 

@@ -11,6 +11,7 @@ requests also carry a "stack" whose top is the stylesheet URL.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 
@@ -56,8 +57,13 @@ class CallStack:
         return "\n".join(frame.format() for frame in self.frames)
 
     @classmethod
+    @lru_cache(maxsize=1 << 14)
     def parse(cls, serialized: str) -> "CallStack":
-        """Parse the :meth:`format` representation back into a stack."""
+        """Parse the :meth:`format` representation back into a stack.
+
+        Memoized: stacks are immutable, and a store repeats each one for
+        every request the same script issues.
+        """
         frames = []
         for line in serialized.splitlines():
             line = line.strip()

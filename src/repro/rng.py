@@ -33,12 +33,8 @@ def derive_seed(seed: int, *labels: Label) -> int:
     >>> derive_seed(1, "site", 42) != derive_seed(1, "site", 43)
     True
     """
-    hasher = hashlib.blake2b(digest_size=_SEED_BYTES)
-    hasher.update(str(seed & _MASK64).encode("ascii"))
-    for label in labels:
-        hasher.update(b"/")
-        hasher.update(str(label).encode("utf-8"))
-    return int.from_bytes(hasher.digest(), "big")
+    path = "/".join([str(seed & _MASK64), *map(str, labels)])
+    return stable_hash(path)
 
 
 def child_rng(seed: int, *labels: Label) -> random.Random:

@@ -73,9 +73,11 @@ class TreeNode:
 
     def walk(self) -> Iterator["TreeNode"]:
         """This node and all descendants, depth-first preorder."""
-        yield self
-        for child in self._children.values():
-            yield from child.walk()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node._children.values()))
 
     def ancestors(self) -> Iterator["TreeNode"]:
         """Parent, grandparent, ..., root."""
@@ -102,16 +104,7 @@ class TreeNode:
     @property
     def host(self) -> str:
         """Best-effort host of the node's URL (empty if unparseable)."""
-        key = self.key
-        scheme_sep = key.find("://")
-        if scheme_sep < 0:
-            return ""
-        rest = key[scheme_sep + 3 :]
-        for stop in ("/", "?", "#"):
-            index = rest.find(stop)
-            if index >= 0:
-                rest = rest[:index]
-        return rest.rsplit("@", 1)[-1].split(":", 1)[0].lower()
+        return host_of(self.key)
 
     @property
     def site(self) -> Optional[str]:
@@ -119,6 +112,29 @@ class TreeNode:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TreeNode({self.key!r}, depth={self.depth}, type={self.resource_type.value})"
+
+
+def host_of(url: str) -> str:
+    """Best-effort lower-cased host of ``url``; empty when it has none.
+
+    Node keys are normalized URLs, but unparseable raw URLs stay keys
+    verbatim, so this never raises.  It skips ``userinfo@`` and the
+    ``:port``, and unwraps an IPv6 literal: ``http://u@[::1]:8080/a``
+    gives ``::1``, the host :class:`~repro.web.url.URL` would hold.
+    """
+    scheme_sep = url.find("://")
+    if scheme_sep < 0:
+        return ""
+    authority = url[scheme_sep + 3 :]
+    for stop in "/?#":
+        index = authority.find(stop)
+        if index >= 0:
+            authority = authority[:index]
+    authority = authority.rpartition("@")[2]
+    if authority.startswith("["):
+        end = authority.find("]")
+        return authority[1:end].lower() if end > 0 else ""
+    return authority.partition(":")[0].lower()
 
 
 def node_resource_type(value: str) -> ResourceType:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import islice
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..blocklist.matcher import FilterList
 from ..web import psl
 from ..web.resources import ResourceType
-from .node import TreeNode
+from .node import TreeNode, host_of
 
 
 class DependencyTree:
@@ -18,6 +19,10 @@ class DependencyTree:
     elements the page loaded directly; deeper nodes were loaded by their
     parent element.  Node identity is the normalized URL, so the tree also
     acts as a key → node index.
+
+    Nodes are only ever added, through :meth:`attach`, which keeps the
+    maximum depth current and drops the memoized preorder of
+    :meth:`nodes`.
     """
 
     def __init__(self, page_url: str, profile_name: str, visit_id: int) -> None:
@@ -26,6 +31,9 @@ class DependencyTree:
         self.visit_id = visit_id
         self.root = TreeNode(key=page_url, resource_type=ResourceType.MAIN_FRAME)
         self._nodes: Dict[str, TreeNode] = {page_url: self.root}
+        self._page_host = host_of(page_url)
+        self._max_depth = 0
+        self._preorder: Optional[Tuple[TreeNode, ...]] = None
 
     # -- construction ------------------------------------------------------
 
@@ -50,11 +58,13 @@ class DependencyTree:
                 key=key,
                 resource_type=resource_type,
                 parent=parent,
-                is_third_party=not psl.same_site(_host_of(key), _host_of(self.page_url)),
+                is_third_party=not psl.same_site(host_of(key), self._page_host),
             )
             node.during_interaction = during_interaction
             self._nodes[key] = node
             parent.add_child(node)
+            self._max_depth = max(self._max_depth, node.depth)
+            self._preorder = None
         node.raw_urls.add(raw_url)
         node.request_ids.append(request_id)
         return node
@@ -68,11 +78,10 @@ class DependencyTree:
         return key in self._nodes
 
     def nodes(self, include_root: bool = False) -> Iterator[TreeNode]:
-        """All nodes (depth-first); the root is excluded by default."""
-        for node in self.root.walk():
-            if node.is_root and not include_root:
-                continue
-            yield node
+        """All nodes (depth-first preorder); the root is excluded by default."""
+        if self._preorder is None:
+            self._preorder = tuple(self.root.walk())
+        return iter(self._preorder) if include_root else islice(self._preorder, 1, None)
 
     def keys(self, include_root: bool = False) -> Set[str]:
         return {node.key for node in self.nodes(include_root=include_root)}
@@ -93,7 +102,7 @@ class DependencyTree:
     @property
     def max_depth(self) -> int:
         """Depth of the deepest node (0 for an empty tree)."""
-        return max((node.depth for node in self.nodes()), default=0)
+        return self._max_depth
 
     @property
     def breadth(self) -> int:
@@ -158,15 +167,3 @@ class DependencyTree:
             f"DependencyTree({self.page_url!r}, profile={self.profile_name!r}, "
             f"nodes={self.node_count}, depth={self.max_depth})"
         )
-
-
-def _host_of(url: str) -> str:
-    scheme_sep = url.find("://")
-    if scheme_sep < 0:
-        return ""
-    rest = url[scheme_sep + 3 :]
-    for stop in ("/", "?", "#"):
-        index = rest.find(stop)
-        if index >= 0:
-            rest = rest[:index]
-    return rest.rsplit("@", 1)[-1].split(":", 1)[0].lower()

@@ -13,10 +13,18 @@ The module intentionally mirrors the semantics of the real PSL algorithm:
 * wildcard rules (``*.ck``) match any single extra label;
 * exception rules (``!www.ck``) override a wildcard;
 * if nothing matches, the public suffix is the final label.
+
+IP literals are not domain names: they have neither a public suffix nor a
+registrable domain, and :func:`same_site` compares them (like any host
+without a registrable domain) by equality, as HTML's *schemelessly same
+site* does.  Both lookups are pure functions of the host string and are
+memoized: an analysis asks about the same few dozen hosts again and again.
 """
 
 from __future__ import annotations
 
+import ipaddress
+from functools import lru_cache
 from typing import FrozenSet, Optional, Tuple
 
 #: Plain suffix rules (a pragmatic subset of the real list).
@@ -56,12 +64,26 @@ _WILDCARDS: FrozenSet[str] = frozenset({"ck", "er", "fj", "kawasaki.jp"})
 _EXCEPTIONS: FrozenSet[str] = frozenset({"www.ck", "city.kawasaki.jp"})
 
 
+#: Distinct hosts whose lookups stay memoized (far more than one crawl sees).
+_CACHE_SIZE = 4096
+
+
 def _labels(host: str) -> Tuple[str, ...]:
     return tuple(part for part in host.lower().strip(".").split(".") if part)
 
 
+def _is_ip_literal(labels: Tuple[str, ...]) -> bool:
+    try:
+        ipaddress.ip_address(".".join(labels).strip("[]"))
+    except ValueError:
+        return False
+    return True
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def public_suffix(host: str) -> Optional[str]:
-    """Return the public suffix of ``host`` or ``None`` for empty input.
+    """Return the public suffix of ``host``, or ``None`` for empty input
+    and IP literals.
 
     >>> public_suffix("foo.example.co.uk")
     'co.uk'
@@ -71,7 +93,7 @@ def public_suffix(host: str) -> Optional[str]:
     'tldthatdoesnotexist'
     """
     labels = _labels(host)
-    if not labels:
+    if not labels or _is_ip_literal(labels):
         return None
     # Exception rules beat wildcards: the matched exception's *parent* is the
     # public suffix.
@@ -93,10 +115,12 @@ def public_suffix(host: str) -> Optional[str]:
     return labels[-1]
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def registrable_domain(host: str) -> Optional[str]:
     """Return the eTLD+1 for ``host`` (the paper's *site*), if one exists.
 
-    A bare public suffix has no registrable domain and yields ``None``.
+    A bare public suffix or an IP literal has no registrable domain and
+    yields ``None``.
 
     >>> registrable_domain("tracker.cdn.ads-example.com")
     'ads-example.com'
@@ -122,8 +146,13 @@ def same_site(host_a: str, host_b: str) -> bool:
     """Return True when both hosts share the same registrable domain.
 
     This is the paper's first-party test: a resource is *first party* when
-    its eTLD+1 equals the visited site's eTLD+1.
+    its eTLD+1 equals the visited site's eTLD+1.  A host without one (an IP
+    literal, ``localhost``, a bare public suffix) is same-site only with
+    itself.
     """
     site_a = registrable_domain(host_a)
     site_b = registrable_domain(host_b)
-    return site_a is not None and site_a == site_b
+    if site_a is None or site_b is None:
+        name_a = ".".join(_labels(host_a))
+        return bool(name_a) and name_a == ".".join(_labels(host_b))
+    return site_a == site_b

@@ -12,6 +12,7 @@ and attach the two properties the analysis keys on:
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 from typing import Tuple
 
 
@@ -84,6 +85,7 @@ STATIC_LEAF_TYPES: Tuple[ResourceType, ...] = tuple(
 )
 
 
+@lru_cache(maxsize=256)
 def parse_resource_type(value: str) -> ResourceType:
     """Parse a stored string back into a :class:`ResourceType`.
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import List, Optional, Tuple
 from urllib.parse import quote, unquote, urlsplit
 
@@ -29,7 +30,8 @@ class URL:
 
     Attributes mirror the generic URI components the analysis needs.  The
     fragment is intentionally dropped: fragments never reach the network and
-    OpenWPM does not record them.
+    OpenWPM does not record them.  ``str(url)`` is computed once per
+    instance.
     """
 
     scheme: str
@@ -85,10 +87,14 @@ class URL:
 
     @property
     def origin(self) -> str:
-        """Scheme + host (+ explicit port), RFC 6454-style."""
+        """Scheme + host (+ explicit port), RFC 6454-style.
+
+        An IPv6 host is bracketed, so the origin parses back.
+        """
+        host = f"[{self.host}]" if ":" in self.host else self.host
         if self.port is not None and self.port != _default_port(self.scheme):
-            return f"{self.scheme}://{self.host}:{self.port}"
-        return f"{self.scheme}://{self.host}"
+            return f"{self.scheme}://{host}:{self.port}"
+        return f"{self.scheme}://{host}"
 
     @property
     def decoded_path(self) -> str:
@@ -149,6 +155,10 @@ class URL:
     # -- serialization -----------------------------------------------------
 
     def __str__(self) -> str:
+        return self._serialized
+
+    @cached_property
+    def _serialized(self) -> str:
         query = self.query_string
         suffix = f"?{query}" if query else ""
         # '%' is safe: every '%' in a canonical path already is (part of) a

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.analysis.dataset import AnalysisDataset
+from repro.blocklist import build_filter_list
+from repro.browser.callstack import CallStack
 from repro.errors import AnalysisError
+from repro.trees import normalize
+from repro.web import psl
+from repro.web.resources import parse_resource_type
 
 from ..helpers import make_tree_set
 
@@ -39,6 +44,58 @@ class TestFromStore:
         assert sites
         for entry in dataset:
             assert sites[entry.site] == entry.site_rank
+
+
+def _fingerprint(dataset):
+    return [
+        (
+            entry.site,
+            entry.site_rank,
+            entry.page_url,
+            entry.comparison.profiles,
+            tuple((node.key, node.views) for node in entry.comparison.nodes()),
+        )
+        for entry in dataset.entries
+    ]
+
+
+class TestWarmCaches:
+    """The memos under tree building change no entry and no stat."""
+
+    def test_cold_warm_and_fresh_list_builds_agree(self, store, generator, monkeypatch):
+        for memo in (
+            psl.public_suffix,
+            psl.registrable_domain,
+            normalize._node_key,
+            parse_resource_type,
+            CallStack.parse,
+        ):
+            memo.cache_clear()
+        normalizers = []
+        original_init = normalize.UrlNormalizer.__init__
+
+        def recording_init(self, *args, **kwargs):
+            original_init(self, *args, **kwargs)
+            normalizers.append(self)
+
+        monkeypatch.setattr(normalize.UrlNormalizer, "__init__", recording_init)
+        filter_list = build_filter_list(generator.ecosystem)
+        builds = [
+            AnalysisDataset.from_store(store, filter_list=filter_list),
+            AnalysisDataset.from_store(store, filter_list=filter_list),
+            AnalysisDataset.from_store(
+                store, filter_list=build_filter_list(generator.ecosystem)
+            ),
+        ]
+        fingerprints = [_fingerprint(dataset) for dataset in builds]
+        assert fingerprints[0]
+        assert fingerprints[1] == fingerprints[0]
+        assert fingerprints[2] == fingerprints[0]
+        stats = [(n.stats.total, n.stats.changed, n.stats.unparseable) for n in normalizers]
+        assert len(stats) == 3
+        assert stats[0][0] > 0 and stats[0][1] > 0
+        assert stats[1] == stats[0]
+        assert stats[2] == stats[0]
 
 
 class TestFromTreeSets:

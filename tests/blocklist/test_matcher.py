@@ -1,5 +1,9 @@
 """Tests for the filter-list matching engine."""
 
+from dataclasses import fields
+
+import pytest
+
 from repro.blocklist.matcher import FilterList, MatchContext
 from repro.web.resources import ResourceType
 
@@ -94,3 +98,65 @@ class TestScale:
 
     def test_empty_list_blocks_nothing(self):
         assert not FilterList([]).is_tracking("https://ads.com/x")
+
+
+CONTEXT_LIST = """||typed.com^$script
+||party.com^$third-party
+||scoped.com^$domain=news.com
+"""
+
+
+class TestVerdictMemo:
+    """A memoized verdict is keyed by the whole context, not the URL alone."""
+
+    def test_key_covers_every_context_field(self):
+        # FilterList.match keys on these; a new field must join the key.
+        assert [field.name for field in fields(MatchContext)] == ["resource_type", "page_url"]
+
+    @pytest.mark.parametrize(
+        "url,blocked,allowed",
+        [
+            (
+                "https://typed.com/a.js",
+                MatchContext(resource_type=ResourceType.SCRIPT),
+                MatchContext(resource_type=ResourceType.IMAGE),
+            ),
+            (
+                "https://party.com/a.js",
+                MatchContext(page_url="https://news.com/"),
+                MatchContext(page_url="https://www.party.com/"),
+            ),
+            (
+                "https://scoped.com/a.js",
+                MatchContext(page_url="https://news.com/"),
+                MatchContext(page_url="https://blog.com/"),
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("blocked_first", [True, False])
+    def test_context_changes_the_verdict(self, url, blocked, allowed, blocked_first):
+        flt = FilterList.from_text(CONTEXT_LIST)
+        order = [blocked, allowed] if blocked_first else [allowed, blocked]
+        for _ in range(3):  # the first call, then memoized repeats
+            for context in order:
+                # An equal context built anew must hit the same entry.
+                fresh = MatchContext(context.resource_type, context.page_url)
+                assert flt.match(url, fresh).blocked is (context is blocked)
+
+    def test_memoized_verdict_equals_a_fresh_lists(self):
+        warm = make_list()
+        urls = [
+            "https://ads.com/allowed.js",
+            "https://analytics.com/a.js",
+            "https://anything.org/pixel.gif?uid=1",
+            "https://benign.com/x.js",
+        ]
+        contexts = [
+            MatchContext(),
+            MatchContext(ResourceType.SCRIPT, "https://news.com/"),
+            MatchContext(ResourceType.IMAGE, "https://analytics.com/"),
+        ]
+        for _ in range(2):
+            for url in urls:
+                for context in contexts:
+                    assert warm.match(url, context) == make_list().match(url, context)

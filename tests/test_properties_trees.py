@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.browser.engine import BrowserEngine
 from repro.browser.profile import PAPER_PROFILES, PROFILE_SIM1
 from repro.trees.builder import build_tree
+from repro.trees.tree import DependencyTree
 from repro.web.blueprint import InclusionRule, InitiatorKind, PageBlueprint, ResourceSlot
 from repro.web.resources import ResourceType
 from repro.web.url import URL
@@ -129,3 +130,50 @@ def test_all_profiles_produce_buildable_trees(visit_id):
         if result.success:
             tree = build_tree(result.visit, result.requests)
             assert tree.node_count > 0
+
+
+def _recursive_preorder(node):
+    yield node
+    for child in node.children:
+        yield from _recursive_preorder(child)
+
+
+#: ``("attach", key, parent)`` picks a key from a small pool (so merges
+#: happen) and a parent among the nodes attached so far; ``("read",)``
+#: reads the memoized preorder and depth in between attaches.
+_tree_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("attach"), st.integers(0, 11), st.integers(0, 40)),
+        st.just(("read",)),
+    ),
+    max_size=40,
+)
+
+
+@given(_tree_ops)
+@settings(max_examples=100, deadline=None)
+def test_memoized_preorder_and_depth_track_attach(ops):
+    tree = DependencyTree("https://site.com/", "P", 1)
+    attached = [tree.root]
+
+    def check():
+        expected = list(_recursive_preorder(tree.root))
+        assert list(tree.nodes(include_root=True)) == expected
+        assert list(tree.nodes()) == expected[1:]
+        assert tree.max_depth == max(node.depth for node in expected)
+
+    for request_id, op in enumerate(ops):
+        if op[0] == "read":
+            check()
+            continue
+        _, key, parent = op
+        attached.append(
+            tree.attach(
+                f"https://h{key % 3}.com/{key}.js",
+                ResourceType.SCRIPT,
+                attached[parent % len(attached)],
+                f"https://h{key % 3}.com/{key}.js?r={request_id}",
+                request_id,
+            )
+        )
+    check()

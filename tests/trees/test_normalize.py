@@ -1,6 +1,6 @@
 """Tests for URL normalization (the paper's node-identity step)."""
 
-from repro.trees.normalize import UrlNormalizer, normalize_url
+from repro.trees.normalize import NormalizationStats, UrlNormalizer, normalize_url
 
 
 class TestNormalizeUrl:
@@ -63,3 +63,19 @@ class TestNormalizerStats:
         normalizer = UrlNormalizer()
         assert normalizer.parse("https://e.com/") is not None
         assert normalizer.parse("garbage") is None
+
+    def test_stats_count_per_normalizer(self):
+        # The key mapping is shared process-wide; the counts are not.
+        urls = ["https://e.com/a?x=1", "https://e.com/b", "::garbage::", "https://e.com/a?x=2"]
+        first, second = UrlNormalizer(), UrlNormalizer()
+        keys = [[normalizer.normalize(url) for url in urls] for normalizer in (first, second)]
+        assert keys[0] == keys[1]
+        expected = NormalizationStats(total=4, changed=2, unparseable=1)
+        assert first.stats == expected
+        assert second.stats == expected
+
+    def test_modes_do_not_share_keys(self):
+        url = "https://e.com/a?x=1"
+        assert UrlNormalizer().normalize(url) == "https://e.com/a?x="
+        assert UrlNormalizer(strip_query_values=False).normalize(url) == url
+        assert UrlNormalizer().normalize(url) == "https://e.com/a?x="

@@ -1,6 +1,9 @@
 """Tests for DependencyTree and TreeNode."""
 
+import pytest
+
 from repro.blocklist.matcher import FilterList
+from repro.trees.node import host_of
 from repro.trees.tree import DependencyTree
 from repro.web.resources import ResourceType
 
@@ -116,3 +119,38 @@ class TestTrackingAnnotation:
         node = tree.node("https://trk.com/pixel.gif")
         assert node.host == "trk.com"
         assert node.site == "trk.com"
+
+
+class TestHostOf:
+    @pytest.mark.parametrize(
+        "url,host",
+        [
+            ("https://Site.com/a.js", "site.com"),
+            ("https://site.com", "site.com"),
+            ("https://site.com?q=1", "site.com"),
+            ("https://site.com#frag", "site.com"),
+            ("https://site.com:8443/a", "site.com"),
+            ("https://user:pw@site.com:8443/a", "site.com"),
+            ("http://[::1]:8080/a", "::1"),
+            ("http://[::1]/a", "::1"),
+            ("http://user@[2001:DB8::1]:80/", "2001:db8::1"),
+            ("http://[::1", ""),
+            ("not a url", ""),
+            ("", ""),
+        ],
+    )
+    def test_host_of(self, url, host):
+        assert host_of(url) == host
+
+    def test_node_host_uses_the_same_parser(self):
+        tree = DependencyTree("http://[::1]:8080/", "P", 1)
+        node = tree.attach("http://[::1]:8080/a.js", ResourceType.SCRIPT, tree.root, "raw", 1)
+        assert node.host == "::1"
+        assert node.site is None
+
+    def test_ipv6_party_annotation(self):
+        tree = DependencyTree("http://[::1]:8080/", "P", 1)
+        same = tree.attach("http://[::1]/a.js", ResourceType.SCRIPT, tree.root, "r1", 1)
+        other = tree.attach("http://[::2]/b.js", ResourceType.SCRIPT, tree.root, "r2", 2)
+        assert not same.is_third_party
+        assert other.is_third_party

@@ -32,6 +32,10 @@ class TestPublicSuffix:
     def test_case_and_trailing_dot_insensitive(self):
         assert psl.public_suffix("Example.COM.") == "com"
 
+    @pytest.mark.parametrize("host", ["10.0.0.1", "192.168.0.1", "::1", "[::1]", "2001:db8::1"])
+    def test_ip_literal_has_none(self, host):
+        assert psl.public_suffix(host) is None
+
 
 class TestRegistrableDomain:
     def test_basic(self):
@@ -53,6 +57,11 @@ class TestRegistrableDomain:
     def test_empty(self):
         assert psl.registrable_domain("") is None
 
+    @pytest.mark.parametrize("host", ["10.0.0.1", "192.168.0.1", "::1", "[::1]"])
+    def test_ip_literal_has_none(self, host):
+        # Not "0.1": an address is not a domain name.
+        assert psl.registrable_domain(host) is None
+
 
 class TestSameSite:
     def test_same_host(self):
@@ -64,8 +73,28 @@ class TestSameSite:
     def test_different_sites(self):
         assert not psl.same_site("example.com", "example.org")
 
-    def test_public_suffix_is_never_same_site(self):
-        assert not psl.same_site("co.uk", "co.uk")
+    def test_public_suffix_is_same_site_only_with_itself(self):
+        # HTML's "schemelessly same site": a host without a registrable
+        # domain compares by equality.
+        assert psl.same_site("co.uk", "CO.UK.")
+        assert not psl.same_site("co.uk", "example.co.uk")
+        assert not psl.same_site("co.uk", "org.uk")
+
+    def test_ip_literal_is_same_site_only_with_itself(self):
+        assert psl.same_site("10.0.0.1", "10.0.0.1")
+        assert psl.same_site("::1", "::1")
+        # Both used to map to the "site" 0.1.
+        assert not psl.same_site("10.0.0.1", "192.168.0.1")
+        assert not psl.same_site("::1", "::2")
+        assert not psl.same_site("10.0.0.1", "example.com")
+
+    def test_localhost_is_same_site_with_itself(self):
+        assert psl.same_site("localhost", "localhost")
+        assert not psl.same_site("localhost", "example.com")
+
+    def test_empty_host_is_never_same_site(self):
+        assert not psl.same_site("", "")
+        assert not psl.same_site("", "example.com")
 
     def test_hosting_platform_users_are_different_sites(self):
         # The PSL exists exactly for this: two github.io users are

@@ -145,3 +145,24 @@ class TestSerialization:
     def test_str_parse_fixpoint(self):
         url = URL.parse("https://example.com/x%20y?q=hello%26world")
         assert URL.parse(str(url)) == url
+
+    @pytest.mark.parametrize(
+        "raw",
+        ["http://[::1]:8080/a.js", "https://[2001:db8::1]/x?k=v", "http://[::1]/"],
+    )
+    def test_ipv6_host_roundtrip(self, raw):
+        url = URL.parse(raw)
+        assert str(url) == raw
+        assert URL.parse(str(url)) == url
+
+    def test_ipv6_origin_bracketed(self):
+        assert URL.parse("http://[::1]:8080/a.js").origin == "http://[::1]:8080"
+
+    def test_str_is_stable_and_not_part_of_identity(self):
+        url = URL.parse("https://e.com/a?k=v")
+        assert str(url) is str(url)
+        fresh = URL.parse("https://e.com/a?k=v")
+        assert url == fresh and hash(url) == hash(fresh)
+        assert repr(url) == repr(fresh)
+        # A transformed copy serializes its own fields, not the original's.
+        assert str(url.strip_query_values()) == "https://e.com/a?k="
