@@ -330,10 +330,10 @@ class BrowserEngine:
         slot_phase = "interaction" if gated else "load"
         if phase == "load" and slot_phase == "interaction":
             return  # whole subtree waits for the interaction pass
-        if not state.sampler.is_included(slot):
-            return
-        concrete = state.sampler.concrete_url(slot)
         if slot_phase == phase:
+            if not state.sampler.is_included(slot):
+                return
+            concrete = state.sampler.concrete_url(slot)
             emit_context = _LoadContext(
                 frame_id=context.frame_id,
                 parent_frame_id=context.parent_frame_id,
@@ -374,8 +374,9 @@ class BrowserEngine:
             self._set_cookies(state, slot, concrete)
             state.slot_contexts[slot.slot_id] = child_context
         else:
-            # Interaction pass crossing an already-loaded eager slot: reuse
-            # the child context captured during the load pass.
+            # Interaction pass crossing an eager slot: the load pass cached
+            # a child context exactly when it included the slot, so the
+            # inclusion decision is not made twice.
             cached = state.slot_contexts.get(slot.slot_id)
             if cached is None:
                 return
@@ -416,9 +417,10 @@ class BrowserEngine:
             # and the browser hangs on it until the visit deadline fires.
             state.clock.advance(max(0.0, state.deadline - state.clock.now))
             raise _VisitTimeout()
-        stall_rng = child_rng(state.visit_seed, "stall", slot.slot_id)
-        if state.stall_probability > 0 and stall_rng.random() < state.stall_probability:
-            state.clock.advance(stall_rng.uniform(*_STALL_SECONDS))
+        if state.stall_probability > 0:
+            stall_rng = child_rng(state.visit_seed, "stall", slot.slot_id)
+            if stall_rng.random() < state.stall_probability:
+                state.clock.advance(stall_rng.uniform(*_STALL_SECONDS))
         if state.clock.now > state.deadline:
             raise _VisitTimeout()
         sampled = list(state.sampler.sample_redirects(slot))
@@ -427,7 +429,8 @@ class BrowserEngine:
         else:
             hops = sampled + [concrete]
         previous: Optional[RequestRecord] = None
-        for hop_url in hops:
+        last = len(hops) - 1
+        for index, hop_url in enumerate(hops):
             record = RequestRecord(
                 request_id=state.ids.allocate(),
                 visit_id=state.visit_id,
@@ -442,8 +445,8 @@ class BrowserEngine:
                 during_interaction=context.during_interaction,
             )
             state.requests.append(record)
-            is_final = hop_url is hops[-1]
-            if is_final:
+            # By position: a chain may hold equal or even identical URLs.
+            if index == last:
                 status_rng = child_rng(state.visit_seed, "status", slot.slot_id)
                 status = 404 if status_rng.random() < 0.01 else 200
             else:
@@ -520,27 +523,30 @@ class BrowserEngine:
 
     def _set_cookies(self, state: "_VisitState", slot: ResourceSlot, concrete: URL) -> None:
         for template in slot.cookies:
-            rng = state.sampler.cookie_rng(slot, template.name)
-            if template.set_probability < 1.0 and rng.random() >= template.set_probability:
-                continue
-            secure, http_only = template.secure, template.http_only
-            if template.flaky_attributes and rng.random() < 0.5:
-                secure = not secure
-            value = (
-                token_hex(rng, 8)
-                if template.per_visit_value
-                else f"v-{template.name}"
-            )
-            name = template.name
-            if template.random_name_suffix:
-                name = f"{name}_{token_hex(rng, 3)}"
+            name, value, secure = template.name, f"v-{template.name}", template.secure
+            if (
+                template.set_probability < 1.0
+                or template.flaky_attributes
+                or template.per_visit_value
+                or template.random_name_suffix
+            ):
+                # Only a template with something to draw gets a stream.
+                rng = state.sampler.cookie_rng(slot, template.name)
+                if template.set_probability < 1.0 and rng.random() >= template.set_probability:
+                    continue
+                if template.flaky_attributes and rng.random() < 0.5:
+                    secure = not secure
+                if template.per_visit_value:
+                    value = token_hex(rng, 8)
+                if template.random_name_suffix:
+                    name = f"{name}_{token_hex(rng, 3)}"
             cookie = Cookie(
                 name=name,
                 domain=template.domain,
                 path=template.path,
                 value=value,
                 secure=secure,
-                http_only=http_only,
+                http_only=template.http_only,
                 same_site=template.same_site,
             )
             state.jar.set(cookie)
@@ -564,7 +570,8 @@ _CONTENT_TYPES = {
 def _shuffled(slots, visit_seed: int, label: str):
     """Sibling slots in this visit's network-race order."""
     ordered = list(slots)
-    child_rng(visit_seed, "order", label).shuffle(ordered)
+    if len(ordered) > 1:  # shuffling fewer than two draws nothing
+        child_rng(visit_seed, "order", label).shuffle(ordered)
     return ordered
 
 

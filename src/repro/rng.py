@@ -23,6 +23,7 @@ Label = Union[str, int]
 
 _SEED_BYTES = 8
 _MASK64 = (1 << 64) - 1
+_HEX_DIGITS = "0123456789abcdef"
 
 
 def derive_seed(seed: int, *labels: Label) -> int:
@@ -52,17 +53,29 @@ def stable_fraction(text: str) -> float:
     """Map ``text`` to a stable float in ``[0, 1)``.
 
     Useful for deterministic "coin flips" attached to an identifier, e.g.
-    whether a given synthetic page sets a particular cookie.
+    whether a given synthetic page sets a particular cookie.  Only the top
+    53 bits of the hash are used: a float holds no more, and dividing all
+    64 would round the largest hashes up to exactly ``1.0``.
     """
-    return stable_hash(text) / float(1 << 64)
+    return (stable_hash(text) >> 11) * 2.0**-53
 
 
 def token_hex(rng: random.Random, nbytes: int = 8) -> str:
     """Return a random hex token drawn from ``rng`` (like secrets.token_hex).
 
     Used to synthesize session identifiers embedded in URLs, one of the
-    paper's motivations for stripping query values during analysis.
+    paper's motivations for stripping query values during analysis.  Each
+    digit makes the draws ``rng.choice(_HEX_DIGITS)`` makes — a 5-bit
+    ``getrandbits`` per try, values of 16 and up rejected — so tokens and
+    the stream's state afterwards are the same as with ``choice``.
     """
     if nbytes <= 0:
         raise ValueError(f"nbytes must be >= 1, got {nbytes}")
-    return "".join(rng.choice("0123456789abcdef") for _ in range(nbytes * 2))
+    getrandbits = rng.getrandbits
+    digits = []
+    for _ in range(nbytes * 2):
+        value = getrandbits(5)
+        while value >= 16:
+            value = getrandbits(5)
+        digits.append(_HEX_DIGITS[value])
+    return "".join(digits)

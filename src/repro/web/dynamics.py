@@ -81,9 +81,12 @@ class SlotSampler:
         """Materialize the slot's URL for this visit.
 
         Appends the per-visit session parameter and/or replaces the path's
-        creative token, both drawn from the slot's visit stream.
+        creative token, both drawn from the slot's visit stream.  A slot
+        with neither keeps its blueprint URL and builds no stream.
         """
         url = slot.url
+        if not slot.unique_path_token and slot.session_param is None:
+            return url
         rng = child_rng(self._visit_seed, "url", slot.slot_id)
         if slot.unique_path_token:
             token = token_hex(rng, 6)

@@ -163,10 +163,10 @@ class TestInteractionPhase:
 
 
 class TestRedirectChains:
-    def make_page(self, via=(), pool=(), hops=(0, 0)):
+    def make_page(self, via=(), pool=(), hops=(0, 0), target=None):
         slot = ResourceSlot(
             slot_id="r",
-            url=url("/pixel.gif", "trk.com"),
+            url=target or url("/pixel.gif", "trk.com"),
             resource_type=ResourceType.BEACON,
             initiator=InitiatorKind.DOCUMENT,
             redirect_via=tuple(via),
@@ -183,6 +183,20 @@ class TestRedirectChains:
         assert final.redirect_from == hop.request_id
         assert len(result.redirects) == 1
         assert result.redirects[0].from_url == hop.url
+
+    def test_final_hop_found_by_position(self):
+        # Regression: the final hop was found by identity, so a chain
+        # through the slot's own URL object answered its first hop with a
+        # drawn status instead of 302.
+        target = URL.parse("https://trk.com/pixel.gif")
+        twin = URL(scheme=target.scheme, host=target.host, path=target.path)
+        assert twin == target and twin is not target
+        for hop in (target, twin):
+            result = visit(page=self.make_page(via=[hop], target=target))
+            status = {r.request_id: r.status for r in result.responses}
+            chain = [status[r.request_id] for r in result.requests[1:]]
+            assert chain == [302, 200]
+            assert len(result.redirects) == 1
 
     def test_pool_hops_follow_resource(self):
         page = self.make_page(

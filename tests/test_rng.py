@@ -37,12 +37,20 @@ class TestChildRng:
 class TestStableHash:
     def test_process_independent_known_value(self):
         # Pinned: regressions here would silently change every generated web.
-        assert stable_hash("example") == stable_hash("example")
+        assert stable_hash("example") == 1235904663938521941
+        assert derive_seed(2023, "visit", "https://example.com/", "Sim1", 7) == 2052367905976749443
+        assert child_rng(2023, "include", "slot-1").random() == 0.6251599616254064
+        assert token_hex(random.Random(5)) == "8b0e7153bf7c3706"
         assert stable_hash("a") != stable_hash("b")
 
     def test_fraction_range(self):
         for text in ("", "a", "hello world", "x" * 1000):
             assert 0.0 <= stable_fraction(text) < 1.0
+
+    def test_fraction_of_largest_hash_below_one(self, monkeypatch):
+        # Regression: dividing all 64 bits rounded the top hashes to 1.0.
+        monkeypatch.setattr("repro.rng.stable_hash", lambda text: 2**64 - 1)
+        assert stable_fraction("x") == 1.0 - 2.0**-53
 
 
 class TestTokenHex:
@@ -58,6 +66,16 @@ class TestTokenHex:
 
     def test_deterministic_given_rng(self):
         assert token_hex(random.Random(5)) == token_hex(random.Random(5))
+
+    def test_same_draws_as_choice_per_digit(self):
+        def reference(rng, nbytes):
+            return "".join(rng.choice("0123456789abcdef") for _ in range(nbytes * 2))
+
+        for seed in range(1000):
+            for nbytes in range(1, 17):
+                fast, slow = random.Random(seed), random.Random(seed)
+                assert token_hex(fast, nbytes) == reference(slow, nbytes)
+                assert fast.getstate() == slow.getstate()
 
     def test_rejects_non_positive_nbytes(self):
         rng = random.Random(3)

@@ -30,15 +30,23 @@ class TestParsing:
         assert URL.parse("wss://live.example.com/feed").scheme == "wss"
 
     @pytest.mark.parametrize(
-        "bad", ["", "not a url", "/relative/path", "ftp://example.com/", "https://"]
+        "bad",
+        ["", "not a url", "/relative/path", "ftp://example.com/", "https://", None, ["https://e.com/"]],
     )
     def test_rejects_bad_urls(self, bad):
-        with pytest.raises(InvalidURLError):
-            URL.parse(bad)
+        # Every call raises: a failed parse is not memoized, and a
+        # non-string never reaches the memo (which would raise TypeError).
+        for _ in range(2):
+            with pytest.raises(InvalidURLError):
+                URL.parse(bad)
 
     def test_bad_port(self):
         with pytest.raises(InvalidURLError):
             URL.parse("http://example.com:notaport/")
+
+    def test_surrounding_whitespace_ignored(self):
+        bare = "https://example.com/a?b=1"
+        assert URL.parse(f"  {bare}\n") == URL.parse(bare)
 
     def test_empty_query_value_kept(self):
         url = URL.parse("https://example.com/x?key=")
