@@ -1,4 +1,4 @@
-"""Benchmark: serial vs sharded crawl (and serial vs pooled tree building).
+"""Benchmark: serial vs sharded crawl.
 
 Runs the bench-scale measurement once serially and once with 4 workers,
 asserts the stores are content-identical (the determinism guarantee), and
@@ -12,8 +12,6 @@ from __future__ import annotations
 import os
 import time
 
-from repro.analysis import AnalysisDataset
-from repro.blocklist import build_filter_list
 from repro.crawler import Commander, MeasurementStore, sample_paper_buckets
 from repro.web import WebGenerator
 
@@ -41,7 +39,7 @@ def _crawl(workers: int):
     Commander(
         generator, store, max_pages_per_site=PAGES_PER_SITE, workers=workers
     ).run(ranks)
-    return store, generator, time.perf_counter() - started
+    return store, time.perf_counter() - started
 
 
 def _rows(store, table):
@@ -49,28 +47,13 @@ def _rows(store, table):
 
 
 def test_bench_parallel_crawl():
-    serial_store, generator, serial_seconds = _crawl(workers=1)
-    sharded_store, _, sharded_seconds = _crawl(workers=WORKERS)
+    serial_store, serial_seconds = _crawl(workers=1)
+    sharded_store, sharded_seconds = _crawl(workers=WORKERS)
 
     for table in TABLES:
         assert _rows(serial_store, table) == _rows(sharded_store, table), table
 
-    filter_list = build_filter_list(generator.ecosystem)
-    started = time.perf_counter()
-    serial_dataset = AnalysisDataset.from_store(serial_store, filter_list=filter_list)
-    build_serial_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    pooled_dataset = AnalysisDataset.from_store(
-        sharded_store, filter_list=filter_list, jobs=WORKERS
-    )
-    build_pooled_seconds = time.perf_counter() - started
-    assert [e.page_url for e in serial_dataset] == [e.page_url for e in pooled_dataset]
-    assert serial_dataset.node_count() == pooled_dataset.node_count()
-
     crawl_speedup = serial_seconds / sharded_seconds if sharded_seconds else 0.0
-    build_speedup = (
-        build_serial_seconds / build_pooled_seconds if build_pooled_seconds else 0.0
-    )
     cores = os.cpu_count() or 1
     lines = [
         f"config: seed={SEED} sites_per_bucket={SITES_PER_BUCKET} "
@@ -78,12 +61,8 @@ def test_bench_parallel_crawl():
         f"crawl serial        : {serial_seconds:8.2f} s",
         f"crawl {WORKERS} workers     : {sharded_seconds:8.2f} s  "
         f"(speedup {crawl_speedup:.2f}x)",
-        f"tree build serial   : {build_serial_seconds:8.2f} s",
-        f"tree build {WORKERS} jobs    : {build_pooled_seconds:8.2f} s  "
-        f"(speedup {build_speedup:.2f}x)",
         f"visits: {serial_store.visit_count(success_only=False)}, "
-        f"requests: {serial_store.request_count()}, "
-        f"pages analyzed: {len(serial_dataset)}",
+        f"requests: {serial_store.request_count()}",
         "stores content-identical across all tables: yes",
     ]
     emit("parallel", "\n".join(lines))

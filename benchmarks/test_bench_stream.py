@@ -1,13 +1,14 @@
 """Benchmark: phased batch pipeline vs streaming crawl→analysis overlap.
 
 Runs the bench-scale measurement twice end to end — once as the batch
-path (crawl barrier, then tree building) and once streamed
-(``repro.pipeline.stream``: shard hand-offs feed a concurrent analysis
-pool) — asserts every store row and dataset entry is identical, and
-ledgers the streamed throughput (visits/sec) and peak RSS in
+path (sharded crawl barrier, then tree building) and once streamed
+(``repro.pipeline.stream``: each shard's store is folded into the
+dataset in the parent as it lands, while the crawl workers go on) —
+asserts every store row and dataset entry is identical, and ledgers the
+streamed throughput (visits/sec) and peak RSS in
 ``bench_results/stream.txt``.  The wall-clock gate (streamed ≤ batch)
-only binds on machines with enough cores for the two pools to actually
-overlap; a 1-core box just records the ratio.
+only binds on machines with enough cores for the folds to overlap the
+crawl workers; a smaller box just records the ratio.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ SEED = 2023
 SITES_PER_BUCKET = 2
 PAGES_PER_SITE = 5
 WORKERS = 4
-JOBS = 4
 
 TABLES = (
     "visits",
@@ -67,9 +67,7 @@ def _batch():
     Commander(
         generator, store, max_pages_per_site=PAGES_PER_SITE, workers=WORKERS
     ).run(ranks)
-    dataset = AnalysisDataset.from_store(
-        store, filter_list=filter_list, jobs=JOBS
-    )
+    dataset = AnalysisDataset.from_store(store, filter_list=filter_list)
     return store, dataset, time.perf_counter() - started
 
 
@@ -85,7 +83,6 @@ def _streamed():
         ranks,
         max_pages_per_site=PAGES_PER_SITE,
         workers=WORKERS,
-        jobs=JOBS,
         filter_list=filter_list,
     )
     dataset = run.finalize()
@@ -103,7 +100,7 @@ def test_bench_stream_pipeline():
     visits_per_sec = stats.visits / stream_seconds if stream_seconds else 0.0
     ratio = stream_seconds / batch_seconds if batch_seconds else 0.0
     lines = [
-        f"pipeline soak at workers={WORKERS}, jobs={JOBS} "
+        f"pipeline soak at workers={WORKERS} "
         f"({stats.visits} visits, {len(stream_dataset)} comparable pages)",
         f"  batch    : {batch_seconds:8.2f}s",
         f"  streamed : {stream_seconds:8.2f}s  ({ratio:.2f}x batch, "
@@ -118,9 +115,10 @@ def test_bench_stream_pipeline():
         visits_per_second=visits_per_sec,
     )
 
-    assert stats.handoffs == stats.folds > 0
+    assert stats.handoffs > 0
     assert visits_per_sec > 0
     cores = os.cpu_count() or 1
     if cores >= WORKERS:
-        # Overlap can only help once both pools really run concurrently.
+        # Overlap can only help once the folds and the crawl workers
+        # really run concurrently.
         assert stream_seconds <= batch_seconds

@@ -20,7 +20,7 @@ from .children import ChildCountStats, ChildrenAnalyzer, DepthSimilarityPoint
 from .comparability import ComparabilityReport, StudyComparator, StudySummary
 from .comparison import NodeComparison, NodeView, PageComparison
 from .cookies_analysis import CookieAnalyzer, CookieReport
-from .dataset import AnalysisDataset, PageEntry, ShardFold, StreamingDataset, fold_shard_store
+from .dataset import AnalysisDataset, PageEntry, StreamingDataset
 from .depth import DepthAnalyzer, DepthSimilarityRow, TABLE3_FILTERS
 from .headers import HeaderObservation, HeaderReport, SECURITY_HEADERS, SecurityHeaderAnalyzer
 from .horizontal import (
@@ -87,7 +87,6 @@ __all__ = [
     "NodeView",
     "PageComparison",
     "PageEntry",
-    "ShardFold",
     "StreamingDataset",
     "PairwiseShare",
     "PartyAnalyzer",
@@ -117,7 +116,6 @@ __all__ = [
     "VarianceAnalyzer",
     "bootstrap_ci",
     "categorize",
-    "fold_shard_store",
     "category_shares",
     "jaccard",
     "overlap_count",

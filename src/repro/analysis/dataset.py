@@ -8,10 +8,7 @@ objects (pages crawled successfully by all profiles) plus site metadata
 
 from __future__ import annotations
 
-import os
-import tempfile
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 from ..blocklist.matcher import FilterList
@@ -54,7 +51,6 @@ class AnalysisDataset:
         filter_list: Optional[FilterList] = None,
         profiles: Optional[Sequence[str]] = None,
         require_all: bool = True,
-        jobs: int = 1,
         obs: Optional[ObsContext] = None,
         include_partial: bool = False,
     ) -> "AnalysisDataset":
@@ -63,54 +59,16 @@ class AnalysisDataset:
         This is the paper's pipeline step between crawling and analysis:
         only pages successfully crawled by all profiles are kept.
         ``include_partial`` lets salvaged partial visits stand in for
-        missing successes (default: excluded, matching the paper).
-
-        ``jobs > 1`` rebuilds the trees in a process pool, one read-only
-        store snapshot per worker, chunking the (sorted) page list
-        contiguously so entry order — and every per-page metric — is
-        identical to the serial build.  Pool size is clamped so every
-        worker gets at least :data:`_MIN_PAGES_PER_JOB` pages; datasets
-        too small to amortize a fork fall back to the serial path.
+        missing successes (default: excluded, matching the paper).  The
+        build is a :class:`StreamingDataset` fold of this one store.
         """
-        obs = obs if obs is not None else NULL_OBS
-        profile_names = list(profiles) if profiles is not None else store.profiles()
-        with obs.tracer.span("dataset", key="dataset") as span:
-            pages = (
-                store.pages_crawled_by_all(
-                    profile_names, include_partial=include_partial
-                )
-                if require_all
-                else store.pages()
-            )
-            jobs = _effective_jobs(jobs, len(pages))
-            if jobs > 1:
-                entries = _build_entries_parallel(
-                    store,
-                    pages,
-                    profile_names,
-                    filter_list,
-                    require_all,
-                    jobs,
-                    obs,
-                    include_partial=include_partial,
-                )
-            else:
-                entries = _build_entries(
-                    store,
-                    pages,
-                    profile_names,
-                    filter_list,
-                    require_all,
-                    obs,
-                    include_partial=include_partial,
-                )
-            span.set("pages", len(pages))
-            span.set("entries", len(entries))
-            metrics = obs.metrics
-            if metrics.enabled:
-                metrics.counter("dataset.pages_vetted").inc(len(pages))
-                metrics.counter("dataset.entries").inc(len(entries))
-        return cls(entries, profile_names)
+        return StreamingDataset(
+            list(profiles) if profiles is not None else store.profiles(),
+            filter_list=filter_list,
+            require_all=require_all,
+            include_partial=include_partial,
+            obs=obs,
+        ).finalize(store)
 
     @classmethod
     def from_bundle(
@@ -119,7 +77,6 @@ class AnalysisDataset:
         filter_list: Optional[FilterList] = None,
         profiles: Optional[Sequence[str]] = None,
         require_all: bool = True,
-        jobs: int = 1,
         obs: Optional[ObsContext] = None,
         include_partial: bool = False,
     ) -> "AnalysisDataset":
@@ -144,7 +101,6 @@ class AnalysisDataset:
             filter_list=filter_list,
             profiles=profiles,
             require_all=require_all,
-            jobs=jobs,
             obs=obs,
             include_partial=include_partial,
         )
@@ -191,278 +147,102 @@ class AnalysisDataset:
         return {entry.site: entry.site_rank for entry in self.entries}
 
 
-def _build_entries(
-    store: MeasurementStore,
-    pages: Sequence[str],
-    profile_names: Sequence[str],
-    filter_list: Optional[FilterList],
-    require_all: bool,
-    obs: ObsContext = NULL_OBS,
-    include_partial: bool = False,
-) -> List[PageEntry]:
-    """The per-page build loop, shared by the serial path and pool workers."""
-    builder = TreeBuilder(filter_list=filter_list, obs=obs)
-    entries: List[PageEntry] = []
-    for page_url in pages:
-        trees = builder.build_for_page(
-            store, page_url, profile_names, include_partial=include_partial
-        )
-        if require_all and len(trees) != len(profile_names):
-            continue
-        if not trees:
-            continue
-        visit = next(
-            iter(
-                store.successful_visits_for_page(
-                    page_url, profile_names, include_partial=include_partial
-                ).values()
-            )
-        )
-        entries.append(
-            PageEntry(
-                comparison=PageComparison(trees),
-                site=visit.site,
-                site_rank=visit.site_rank,
-            )
-        )
-    return entries
-
-
-@dataclass
-class ShardFold:
-    """The commutative summand one shard store contributes to a dataset.
-
-    Sites partition pages and every site lives entirely in one shard, so
-    per-shard vetting (:meth:`MeasurementStore.pages_crawled_by_all`)
-    over a shard store equals that shard's slice of the global vetting —
-    folds can be computed independently and combined in any order.
-    """
-
-    entries: List[PageEntry] = field(default_factory=list)
-    pages_vetted: int = 0
-    metrics: Optional[Dict[str, Dict[str, object]]] = None
-
-
-def fold_shard_store(
-    db_path: str,
-    profile_names: Sequence[str],
-    filter_list: Optional[FilterList] = None,
-    require_all: bool = True,
-    obs_config=None,
-    include_partial: bool = False,
-) -> ShardFold:
-    """Analyze one finished shard store end-to-end: vet, build, package.
-
-    This is the streaming pipeline's pool-worker entry point (top level,
-    picklable arguments): it opens the shard read-only, runs the same
-    vetting and tree building the batch path runs over the merged store,
-    and returns the shard's :class:`ShardFold`.  Worker telemetry is
-    metrics-only (tree building records no spans), exported for the
-    parent's commutative merge.
-    """
-    worker_obs = ObsContext.from_config(obs_config)
-    with MeasurementStore.open_readonly(db_path) as store:
-        pages = (
-            store.pages_crawled_by_all(
-                profile_names, include_partial=include_partial
-            )
-            if require_all
-            else store.pages()
-        )
-        entries = _build_entries(
-            store,
-            pages,
-            profile_names,
-            filter_list,
-            require_all,
-            worker_obs,
-            include_partial=include_partial,
-        )
-    return ShardFold(
-        entries=entries,
-        pages_vetted=len(pages),
-        metrics=(
-            worker_obs.metrics.as_dict() if worker_obs.metrics.enabled else None
-        ),
-    )
-
-
 class StreamingDataset:
-    """A running, commutative fold of per-shard analysis results.
+    """The one way a dataset is built: a commutative fold of stores.
 
-    The streaming pipeline feeds one :class:`ShardFold` per crawl shard —
-    in *completion* order, which varies run to run — and
-    :meth:`finalize` produces an :class:`AnalysisDataset` byte-identical
-    to ``AnalysisDataset.from_store`` over the merged store:
+    :meth:`fold` vets one store and builds its pages' trees;
+    :meth:`finalize` seals the fold into an :class:`AnalysisDataset`.
+    ``AnalysisDataset.from_store`` folds a single store inside
+    :meth:`finalize`; the streaming pipeline folds each crawl shard's
+    store as it lands, in *completion* order, which varies run to run.
+    The result is the same either way:
 
-    * entries sort by ``page_url``, the exact global order the batch
-      path's ``ORDER BY page_url`` vetting query yields (page URLs are
-      unique across shards, so the sort is total);
-    * worker metric exports merge commutatively, so the registry equals
-      a serial build's regardless of fold order;
-    * the ``dataset`` span and its counters are emitted at finalize
-      time, in the batch path's canonical position.
+    * sites partition pages and every site lives entirely in one shard,
+      so vetting a shard store (:meth:`MeasurementStore.pages_crawled_by_all`)
+      yields exactly that shard's slice of the global vetting;
+    * entries sort by ``page_url``, the order the vetting query of a
+      single store yields (page URLs are unique across shards, so the
+      sort is total);
+    * tree metrics go to a private registry that merges commutatively at
+      finalize, so folds made while a crawl still runs never show in the
+      crawl's metrics or run record;
+    * the ``dataset`` span and its counters are emitted at finalize,
+      in their canonical slot.
     """
 
     def __init__(
         self,
         profile_names: Sequence[str],
+        filter_list: Optional[FilterList] = None,
+        require_all: bool = True,
+        include_partial: bool = False,
         obs: Optional[ObsContext] = None,
     ) -> None:
         if not profile_names:
-            raise AnalysisError("streaming dataset needs profile names")
+            raise AnalysisError("dataset needs profile names")
         self.profile_names = list(profile_names)
+        self.require_all = require_all
+        self.include_partial = include_partial
         self.obs = obs if obs is not None else NULL_OBS
+        self._fold_obs = ObsContext.from_config(self.obs.config())
+        self._builder = TreeBuilder(filter_list=filter_list, obs=self._fold_obs)
         self._entries: List[PageEntry] = []
         self._pages_vetted = 0
-        self._metric_exports: List[Dict[str, Dict[str, object]]] = []
-        self._folds = 0
         self._finalized = False
 
-    @property
-    def folds(self) -> int:
-        """How many shard folds have been absorbed so far."""
-        return self._folds
-
-    @property
-    def pages_vetted(self) -> int:
-        return self._pages_vetted
-
-    def fold(self, result: ShardFold) -> None:
-        """Absorb one shard's contribution (any order; commutative)."""
+    def fold(self, store: MeasurementStore) -> None:
+        """Vet ``store`` and add its pages' entries (any order; commutative)."""
         if self._finalized:
             raise AnalysisError("streaming dataset is already finalized")
-        self._entries.extend(result.entries)
-        self._pages_vetted += result.pages_vetted
-        if result.metrics:
-            self._metric_exports.append(result.metrics)
-        self._folds += 1
+        profile_names = self.profile_names
+        include_partial = self.include_partial
+        pages = (
+            store.pages_crawled_by_all(profile_names, include_partial=include_partial)
+            if self.require_all
+            else store.pages()
+        )
+        for page_url in pages:
+            trees = self._builder.build_for_page(
+                store, page_url, profile_names, include_partial=include_partial
+            )
+            if self.require_all and len(trees) != len(profile_names):
+                continue
+            if not trees:
+                continue
+            visit = next(
+                iter(
+                    store.successful_visits_for_page(
+                        page_url, profile_names, include_partial=include_partial
+                    ).values()
+                )
+            )
+            self._entries.append(
+                PageEntry(
+                    comparison=PageComparison(trees),
+                    site=visit.site,
+                    site_rank=visit.site_rank,
+                )
+            )
+        self._pages_vetted += len(pages)
 
-    def finalize(self) -> AnalysisDataset:
-        """Seal the fold into a batch-identical :class:`AnalysisDataset`."""
+    def finalize(self, store: Optional[MeasurementStore] = None) -> AnalysisDataset:
+        """Seal the fold, first folding ``store`` inside the ``dataset`` span."""
         if self._finalized:
             raise AnalysisError("streaming dataset is already finalized")
-        self._finalized = True
         obs = self.obs
         with obs.tracer.span("dataset", key="dataset") as span:
+            if store is not None:
+                self.fold(store)
+            self._finalized = True
             self._entries.sort(key=lambda entry: entry.page_url)
-            obs.metrics.merge_all(self._metric_exports)
             span.set("pages", self._pages_vetted)
             span.set("entries", len(self._entries))
             metrics = obs.metrics
             if metrics.enabled:
+                metrics.merge(self._fold_obs.metrics.as_dict())
                 metrics.counter("dataset.pages_vetted").inc(self._pages_vetted)
                 metrics.counter("dataset.entries").inc(len(self._entries))
         return AnalysisDataset(self._entries, self.profile_names)
-
-
-def _build_entries_parallel(
-    store: MeasurementStore,
-    pages: Sequence[str],
-    profile_names: Sequence[str],
-    filter_list: Optional[FilterList],
-    require_all: bool,
-    jobs: int,
-    obs: ObsContext = NULL_OBS,
-    include_partial: bool = False,
-) -> List[PageEntry]:
-    """Fan the page list out to a process pool over read-only snapshots."""
-    snapshot: Optional[str] = None
-    if store.path == ":memory:" or store.readonly:
-        # Workers cannot share the parent's connection; snapshot to disk.
-        handle, snapshot = tempfile.mkstemp(prefix="repro-dataset-", suffix=".sqlite")
-        os.close(handle)
-        store.snapshot_to(snapshot)
-        db_path = snapshot
-    else:
-        # Workers open the live path over *fresh* connections, which see
-        # only committed, checkpointed state — publish any pending batch
-        # first or the pool analyzes a store missing it.
-        store.flush()
-        db_path = store.path
-    chunks = _chunked(list(pages), jobs)
-    obs_config = obs.config()
-    chunk_entries: List[Optional[List[PageEntry]]] = [None] * len(chunks)
-    try:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = {
-                pool.submit(
-                    _build_entries_worker,
-                    (
-                        db_path,
-                        chunk,
-                        list(profile_names),
-                        filter_list,
-                        require_all,
-                        obs_config,
-                        include_partial,
-                    ),
-                ): index
-                for index, chunk in enumerate(chunks)
-            }
-            # No barrier: each chunk's metrics fold in as it completes
-            # (the merge is commutative, so completion order cannot show
-            # in the registry) and entry order is restored by chunk
-            # index, keeping the result identical to the serial build.
-            for future in as_completed(futures):
-                index = futures[future]
-                entries, metrics = future.result()
-                chunk_entries[index] = entries
-                if metrics:
-                    obs.metrics.merge(metrics)
-    finally:
-        if snapshot is not None:
-            os.unlink(snapshot)
-    return [entry for entries in chunk_entries for entry in entries]
-
-
-def _build_entries_worker(args):
-    (
-        db_path,
-        pages,
-        profile_names,
-        filter_list,
-        require_all,
-        obs_config,
-        include_partial,
-    ) = args
-    worker_obs = ObsContext.from_config(obs_config)
-    with MeasurementStore.open_readonly(db_path) as store:
-        entries = _build_entries(
-            store,
-            pages,
-            profile_names,
-            filter_list,
-            require_all,
-            worker_obs,
-            include_partial=include_partial,
-        )
-    metrics = worker_obs.metrics.as_dict() if worker_obs.metrics.enabled else None
-    return entries, metrics
-
-
-#: Minimum pages a pool worker must receive for a fork to pay off; below
-#: ``2 × this`` the build runs serially (process start-up dominates tree
-#: building for a handful of pages).
-_MIN_PAGES_PER_JOB = 4
-
-
-def _effective_jobs(jobs: int, page_count: int) -> int:
-    """Clamp ``jobs`` so each worker gets ``>= _MIN_PAGES_PER_JOB`` pages."""
-    return min(jobs, page_count // _MIN_PAGES_PER_JOB)
-
-
-def _chunked(items: List[str], jobs: int) -> List[List[str]]:
-    """Split ``items`` into at most ``jobs`` contiguous, balanced chunks."""
-    count = min(jobs, len(items))
-    size, remainder = divmod(len(items), count)
-    chunks: List[List[str]] = []
-    start = 0
-    for index in range(count):
-        end = start + size + (1 if index < remainder else 0)
-        chunks.append(items[start:end])
-        start = end
-    return [chunk for chunk in chunks if chunk]
 
 
 def _site_of(page_url: str) -> str:

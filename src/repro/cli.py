@@ -55,7 +55,6 @@ class AnalysisContext:
         self,
         store: MeasurementStore,
         seed: int,
-        jobs: int = 1,
         obs: ObsContext = NULL_OBS,
         include_partial: bool = False,
     ) -> None:
@@ -71,7 +70,6 @@ class AnalysisContext:
         self.dataset = AnalysisDataset.from_store(
             store,
             filter_list=self.filter_list,
-            jobs=jobs,
             obs=obs,
             include_partial=include_partial,
         )
@@ -184,7 +182,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         ctx = AnalysisContext(
             store,
             seed=seed,
-            jobs=args.jobs,
             obs=obs,
             include_partial=args.include_partial,
         )
@@ -334,12 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--experiments", default="", help=f"comma-separated ids ({', '.join(ALL_EXPERIMENTS)})"
-    )
-    analyze.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for parallel tree building (same metrics for any value)",
     )
     analyze.add_argument(
         "--include-partial",

@@ -11,9 +11,11 @@ results into the :class:`~repro.crawler.storage.MeasurementStore`.
 
 Scaling
 -------
-``Commander(workers=N)`` shards the site ranks across ``N`` worker
+``Commander(workers=N)`` lays the site ranks out in
+``min(N × SHARDS_PER_WORKER, sites)`` shards crawled by ``N`` worker
 processes, each running its own clients into a private on-disk
 :class:`MeasurementStore` shard; the parent merges the shards afterwards.
+``workers=1`` crawls inline, in the calling process.
 The sharded crawl is **bit-identical** to the serial one because every
 stored value is a pure function of ``(seed, rank, profile, page, repeat)``:
 
@@ -53,6 +55,11 @@ from .tranco import RankedList
 #: per-visit cost used only to lay out site start barriers.  Any constant
 #: works for correctness (both execution modes use the same schedule).
 _NOMINAL_VISIT_SECONDS = 5.0
+
+#: Shards per crawl worker.  Finer shards hand off earlier (a streaming
+#: consumer starts on the first while most of the crawl still runs) at a
+#: small per-shard cost; the layout cannot change any output.
+SHARDS_PER_WORKER = 4
 
 
 @dataclass
@@ -131,12 +138,13 @@ class ShardHandoff:
     on disk — *completion* order, which varies run to run.  ``index`` is
     the shard's deterministic position in the layout and ``schedules``
     its sites in schedule-rank order, so consumers can restore any
-    deterministic order they need.  ``db_path`` stays readable until the
-    crawl's ``before_shard_cleanup`` callback returns.
+    deterministic order they need.  ``store`` is the shard's store, open
+    read-only; the commander closes it after the shard merge, so a
+    consumer reads it during the callback.
     """
 
     index: int
-    db_path: str
+    store: MeasurementStore
     schedules: Tuple[SiteSchedule, ...]
 
     @property
@@ -197,8 +205,6 @@ class Commander:
         ranks: Sequence[int],
         *,
         on_shard: Optional[Callable[[ShardHandoff], None]] = None,
-        before_shard_cleanup: Optional[Callable[[], None]] = None,
-        shard_count: Optional[int] = None,
     ) -> CrawlSummary:
         """Crawl the sites at ``ranks`` with all profiles; returns a summary.
 
@@ -207,15 +213,13 @@ class Commander:
         closes — provenance, per-phase profile, metrics snapshot, and the
         per-profile outcome breakdown, diffable against any other run.
 
-        ``on_shard`` opts into streaming consumption: the crawl always
-        takes the sharded path (even at ``workers=1``) and invokes the
-        callback with a :class:`ShardHandoff` as each shard's store
-        lands.  ``before_shard_cleanup`` then runs after all shards are
-        merged but before their on-disk stores are deleted — consumers
-        drain any readers there.  ``shard_count`` optionally decouples
-        layout granularity from pool width (more shards than workers
-        means earlier, smaller handoffs); none of the three can change
-        any stored or recorded value — see the module docstring.
+        ``on_shard`` opts into streaming consumption: a sharded crawl
+        invokes it in this process with a :class:`ShardHandoff` as each
+        shard's store lands, while the other shards keep crawling.  A
+        crawl that runs inline (``workers=1``, or a single site) never
+        calls it; ``self.store`` then holds every row when ``run``
+        returns.  Neither path can change any stored or recorded value
+        (see the module docstring).
         """
         tracer = self.obs.tracer
         spans_before = len(tracer.records)
@@ -231,13 +235,7 @@ class Commander:
                 sites_crawled=len(schedules),
                 pages_discovered=sum(item.page_count for item in schedules),
             )
-            serial = self.workers <= 1 or len(schedules) <= 1
-            if on_shard is not None:
-                # Streaming consumers need shard stores to hand off, so
-                # the sharded path runs even at workers=1 (its output is
-                # byte-identical to the serial loop's by contract).
-                serial = not schedules
-            if serial:
+            if self.workers <= 1 or len(schedules) <= 1:
                 stats = _crawl_sites(
                     self.generator,
                     self.store,
@@ -252,15 +250,8 @@ class Commander:
                     retry_policy=self.retry_policy,
                     salvage_partial=self.salvage_partial,
                 )
-                if before_shard_cleanup is not None:
-                    before_shard_cleanup()
             else:
-                stats = self._run_sharded(
-                    schedules,
-                    on_shard=on_shard,
-                    before_shard_cleanup=before_shard_cleanup,
-                    shard_count=shard_count,
-                )
+                stats = self._run_sharded(schedules, on_shard=on_shard)
             for name, client_stats in stats.items():
                 summary.visits[name] = client_stats.visits
                 summary.successes[name] = client_stats.successes
@@ -368,8 +359,6 @@ class Commander:
         schedules: Sequence[SiteSchedule],
         *,
         on_shard: Optional[Callable[[ShardHandoff], None]] = None,
-        before_shard_cleanup: Optional[Callable[[], None]] = None,
-        shard_count: Optional[int] = None,
     ) -> Dict[str, ClientStats]:
         """Fan the schedule out to worker processes and merge their shards.
 
@@ -382,11 +371,14 @@ class Commander:
         results land in a layout-indexed list, so every downstream step —
         store merge, span adoption, event replay, metric merge — still
         runs in deterministic layout order while ``on_shard`` sees each
-        shard the moment it finishes.
+        shard the moment it finishes.  When a shard or ``on_shard``
+        raises, the shards that have not started are cancelled, so the
+        error surfaces without crawling the rest.
         """
-        count = min(shard_count or self.workers, len(schedules))
+        count = min(self.workers * SHARDS_PER_WORKER, len(schedules))
         shards = [list(schedules[index::count]) for index in range(count)]
         tmpdir = tempfile.mkdtemp(prefix="repro-crawl-")
+        shard_stores: List[Optional[MeasurementStore]] = [None] * count
         try:
             specs = [
                 _ShardSpec(
@@ -407,9 +399,8 @@ class Commander:
                 for index, shard in enumerate(shards)
             ]
             shard_results: List[Optional[_ShardResult]] = [None] * len(specs)
-            with ProcessPoolExecutor(
-                max_workers=min(self.workers, len(specs))
-            ) as pool:
+            pool = ProcessPoolExecutor(max_workers=min(self.workers, len(specs)))
+            try:
                 futures = {
                     pool.submit(_crawl_shard, spec): index
                     for index, spec in enumerate(specs)
@@ -417,25 +408,26 @@ class Commander:
                 for future in as_completed(futures):
                     index = futures[future]
                     shard_results[index] = future.result()
+                    shard_stores[index] = MeasurementStore.open_readonly(
+                        specs[index].db_path
+                    )
                     if on_shard is not None:
                         on_shard(
                             ShardHandoff(
                                 index=index,
-                                db_path=specs[index].db_path,
+                                store=shard_stores[index],
                                 schedules=specs[index].schedules,
                             )
                         )
-            shard_stores = [
-                MeasurementStore.open_readonly(spec.db_path) for spec in specs
-            ]
-            try:
-                self.store.merge_shards(shard_stores)
             finally:
-                for shard_store in shard_stores:
-                    shard_store.close()
-            if before_shard_cleanup is not None:
-                before_shard_cleanup()
+                # Every future is done on success; on an error this drops
+                # the queued shards instead of crawling them first.
+                pool.shutdown(cancel_futures=True)
+            self.store.merge_shards(shard_stores)
         finally:
+            for shard_store in shard_stores:
+                if shard_store is not None:
+                    shard_store.close()
             shutil.rmtree(tmpdir, ignore_errors=True)
         if self.obs.tracer.enabled:
             site_spans: Dict[int, List[SpanRecord]] = {}

@@ -163,8 +163,9 @@ class MeasurementStore:
     def open_readonly(cls, path: str) -> "MeasurementStore":
         """Open an existing on-disk store as a read-only snapshot.
 
-        Worker processes use this to read concurrently without taking
-        write locks (and without being able to corrupt the store).
+        Shard consumers and auditors use this to read concurrently
+        without taking write locks (and without being able to corrupt
+        the store).
         """
         return cls(path, readonly=True)
 
@@ -216,8 +217,8 @@ class MeasurementStore:
     def snapshot_to(self, path: str) -> str:
         """Copy the full store to ``path`` (sqlite backup API).
 
-        This is how an in-memory store becomes visible to worker
-        processes: snapshot once, then every worker opens the snapshot
+        This is how an in-memory store becomes readable by path: snapshot
+        once, then any other connection or process opens the snapshot
         read-only.
         """
         dest = sqlite3.connect(path)

@@ -37,19 +37,8 @@ def main(argv=None, clock: "Clock" = None) -> int:
         "--workers",
         type=int,
         default=1,
-        help="crawl worker processes (output is identical at any count)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="tree-building processes (output is identical at any count)",
-    )
-    parser.add_argument(
-        "--stream",
-        action="store_true",
-        help="overlap crawling with analysis (repro.pipeline.stream); "
-        "byte-identical outputs, better wall-clock at scale",
+        help="crawl worker processes; each shard is folded into the "
+        "dataset as it lands (output is identical at any count)",
     )
     parser.add_argument(
         "--only",
@@ -94,8 +83,6 @@ def main(argv=None, clock: "Clock" = None) -> int:
         sites_per_bucket=args.sites_per_bucket,
         pages_per_site=args.pages_per_site,
         workers=args.workers,
-        jobs=args.jobs,
-        stream=args.stream,
     )
     monitoring = args.monitor or args.monitor_gate
     obs = (
@@ -116,11 +103,10 @@ def main(argv=None, clock: "Clock" = None) -> int:
         )
         obs.attach_monitor(monitor)
     watch = Stopwatch(clock)
-    mode = " (streamed)" if config.stream else ""
     print(
         f"running pipeline: seed={config.seed}, "
         f"{config.sites_per_bucket} sites/bucket, "
-        f"{config.pages_per_site} pages/site{mode}"
+        f"{config.pages_per_site} pages/site"
     )
     ctx = run_pipeline(config, obs=obs)
     print(

@@ -17,11 +17,12 @@ from typing import Dict, List, Optional, Tuple
 from ..blocklist import FilterList, build_filter_list
 from ..blocklist.easylist import generate_easylist
 from ..browser.profile import BrowserProfile, PAPER_PROFILES
-from ..crawler import Commander, CrawlSummary, MeasurementStore, sample_paper_buckets
+from ..crawler import CrawlSummary, MeasurementStore, sample_paper_buckets
 from ..analysis import AnalysisDataset
 from ..errors import ExperimentError
 from ..obs import NULL_OBS, ObsContext
 from ..obs.ledger import build_run_record, outcomes_from_store, outcomes_from_summary
+from ..pipeline import stream_crawl
 from ..web import WebConfig, WebGenerator
 
 
@@ -33,12 +34,12 @@ class ExperimentConfig:
     ``pages_per_site`` pages × 5 profiles — seconds on a laptop.  The
     paper-scale equivalent is ``sites_per_bucket=5000, pages_per_site=25``.
 
-    ``workers`` shards the crawl and ``jobs`` the tree building across
-    processes; both default to serial and neither changes any stored or
-    analyzed value (the crawl is deterministic per site, see
-    :mod:`repro.crawler.commander`).  ``stream`` overlaps the two phases
-    (:mod:`repro.pipeline.stream`) — again with byte-identical outputs,
-    so it is pure wall-clock economics.
+    ``workers`` shards the crawl across processes (default: inline) and
+    never changes any stored or analyzed value (the crawl is
+    deterministic per site, see :mod:`repro.crawler.commander`); every
+    run goes through :func:`~repro.pipeline.stream_crawl`, which folds
+    each shard into the dataset as it lands.  ``jobs`` and ``stream``
+    select nothing: they are accepted for callers that still pass them.
     """
 
     seed: int = 2023
@@ -61,10 +62,10 @@ def resolved_pipeline_config(config: ExperimentConfig) -> Dict[str, object]:
     """The pipeline knobs that shape the data, as a JSON-safe document.
 
     This is what the run ledger hashes as the pipeline's configuration
-    identity.  ``workers``, ``jobs``, and ``stream`` are deliberately
-    absent: sharding and phase overlap must not change any stored or
-    analyzed value, so two runs that differ only in execution layout
-    hash (and diff) as the same setup.
+    identity.  ``workers`` (like the inert ``jobs`` and ``stream``) is
+    deliberately absent: sharding must not change any stored or analyzed
+    value, so two runs that differ only in execution layout hash (and
+    diff) as the same setup.
     """
     return {
         "seed": config.seed,
@@ -95,51 +96,24 @@ class ExperimentContext:
             self.ranks: List[int] = sample_paper_buckets(
                 config.seed, per_bucket=config.sites_per_bucket
             )
-            if config.stream:
-                # Fold workers classify against the filter list
-                # mid-stream, so it is built ahead of the crawl; its
-                # span is still emitted at the canonical post-crawl
-                # slot so streamed traces stay byte-identical to batch.
-                from ..pipeline import stream_crawl
-
-                filter_list = build_filter_list(self.generator.ecosystem)
-                stream_run = stream_crawl(
-                    self.generator,
-                    self.store,
-                    self.ranks,
-                    profiles=config.profiles,
-                    max_pages_per_site=config.pages_per_site,
-                    workers=config.workers,
-                    jobs=config.jobs,
-                    filter_list=filter_list,
-                    obs=self.obs,
-                )
-                self.summary: CrawlSummary = stream_run.summary
-                with self.obs.tracer.span("filter-list", key="filter-list"):
-                    self.filter_list: FilterList = filter_list
-                self.dataset: AnalysisDataset = stream_run.finalize()
-                stream_stats = stream_run.stats
-            else:
-                commander = Commander(
-                    self.generator,
-                    self.store,
-                    profiles=config.profiles,
-                    max_pages_per_site=config.pages_per_site,
-                    workers=config.workers,
-                    obs=self.obs,
-                )
-                self.summary = commander.run(self.ranks)
-                with self.obs.tracer.span("filter-list", key="filter-list"):
-                    self.filter_list = build_filter_list(
-                        self.generator.ecosystem
-                    )
-                self.dataset = AnalysisDataset.from_store(
-                    self.store,
-                    filter_list=self.filter_list,
-                    jobs=config.jobs,
-                    obs=self.obs,
-                )
-                stream_stats = None
+            # Shards are classified as they land, so the filter list is
+            # built ahead of the crawl; its span keeps the canonical
+            # post-crawl slot, so traces are the same at any worker count.
+            filter_list = build_filter_list(self.generator.ecosystem)
+            stream_run = stream_crawl(
+                self.generator,
+                self.store,
+                self.ranks,
+                profiles=config.profiles,
+                max_pages_per_site=config.pages_per_site,
+                workers=config.workers,
+                filter_list=filter_list,
+                obs=self.obs,
+            )
+            self.summary: CrawlSummary = stream_run.summary
+            with self.obs.tracer.span("filter-list", key="filter-list"):
+                self.filter_list: FilterList = filter_list
+            self.dataset: AnalysisDataset = stream_run.finalize()
         if self.obs.ledger is not None:
             self.obs.ledger.append(
                 build_run_record(
@@ -159,15 +133,11 @@ class ExperimentContext:
                         if self.obs.monitor is not None
                         else None
                     ),
-                    # Overlap observations are measured-section only:
-                    # streamed and batch runs of one config share their
+                    # Layout observations are measured-section only: runs
+                    # of one config at any worker count share their
                     # deterministic section (and provenance id), so
-                    # ledger baselines apply across both layouts.
-                    extra_measured=(
-                        stream_stats.measured_payload()
-                        if stream_stats is not None
-                        else None
-                    ),
+                    # ledger baselines apply across layouts.
+                    extra_measured=stream_run.stats.measured_payload(),
                 )
             )
 

@@ -2,15 +2,14 @@
 
 ``repro.crawler`` produces stores and ``repro.analysis`` consumes them;
 this package owns the flows that span both layers at once.  Today that
-is the streaming pipeline (:mod:`repro.pipeline.stream`), which overlaps
-shard crawling with incremental tree construction while preserving the
-batch path's byte-identical outputs.
+is the streaming pipeline (:mod:`repro.pipeline.stream`), which folds
+each crawl shard into the analysis dataset as it lands while preserving
+the batch path's byte-identical outputs.
 """
 
-from .stream import SHARDS_PER_WORKER, StreamRun, StreamStats, stream_crawl
+from .stream import StreamRun, StreamStats, stream_crawl
 
 __all__ = [
-    "SHARDS_PER_WORKER",
     "StreamRun",
     "StreamStats",
     "stream_crawl",

@@ -1,15 +1,15 @@
-"""Streaming crawl→analysis: overlap shard crawling with tree building.
+"""Streaming crawl→analysis: fold each crawl shard as it lands.
 
-The batch pipeline is strictly phased: every crawl shard must land
-before the merged store exists, and the merged store must exist before
-the first tree is built.  At paper scale (~1.7M visits) that wastes the
-analysis cores for the whole crawl and the crawl cores for the whole
-analysis.  :func:`stream_crawl` removes the phase barrier: the moment a
-site shard's store lands (``Commander.run``'s ``on_shard`` hand-off), a
-process-pool analysis stage vets the shard, builds its trees, and folds
-the result into a running :class:`~repro.analysis.dataset.StreamingDataset`
-via commutative merge — the same discipline ``repro.obs`` metrics and
-span adoption already prove out.
+The phased pipeline crawls everything, merges, and only then builds the
+first tree.  :func:`stream_crawl` removes that barrier for sharded
+crawls: the moment a shard's store lands (``Commander.run``'s
+``on_shard`` hand-off), this process vets it, builds its trees, and
+folds them into a :class:`~repro.analysis.dataset.StreamingDataset`
+while the crawl workers keep crawling the other shards.  An inline crawl
+(``workers=1``) hands off nothing; its merged store is folded at
+finalize, exactly as ``AnalysisDataset.from_store`` does.  Trees are
+built only here, in the process that keeps the dataset: shipping built
+trees back from a pool costs more to unpickle than building them.
 
 Determinism contract (DESIGN §8)
 --------------------------------
@@ -20,20 +20,19 @@ Streaming changes *when* work happens, never *what* is produced:
 * the finalized dataset is byte-identical (folds are commutative, the
   finalize step restores the batch path's global ``page_url`` order);
 * traces and metrics are byte-identical under the deterministic clock
-  (fold metrics merge commutatively at finalize; the ``dataset`` span is
-  emitted at its canonical position);
-* ledger records carry the same deterministic section — overlap
+  (fold metrics merge at finalize; the ``dataset`` span is emitted at
+  its canonical position);
+* ledger records carry the same deterministic section — hand-off
   observations (``stream.*``) live in the *measured* section only,
   because execution layout must never leak into byte-compared state.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from ..analysis.dataset import StreamingDataset, fold_shard_store
+from ..analysis.dataset import AnalysisDataset, StreamingDataset
 from ..blocklist.matcher import FilterList
 from ..browser.profile import BrowserProfile, PAPER_PROFILES
 from ..crawler.commander import Commander, CrawlSummary, ShardHandoff
@@ -43,27 +42,21 @@ from ..devtools.clock import Stopwatch
 from ..obs import NULL_OBS, ObsContext
 from ..web.sitegen import WebGenerator
 
-#: Default shard granularity: shards per crawl worker.  Finer shards hand
-#: off earlier and overlap more (the analysis pool starts while most of
-#: the crawl is still running) at the cost of slightly more per-shard
-#: overhead; the layout provably cannot change any output, so this is a
-#: pure throughput knob.
-SHARDS_PER_WORKER = 4
-
 
 @dataclass
 class StreamStats:
     """Execution-layout observations of one streamed run.
 
-    Everything here describes *how* the overlap went, not *what* was
+    Everything here describes *how* the run was laid out, not *what* was
     measured — ledger material for the ratio-compared measured section
-    (``stream.*`` keys), never for the deterministic one.  Under a
-    ``FakeClock`` the timings are zero and the payload is itself a pure
-    function of the plan.
+    (``stream.*`` keys), never for the deterministic one.
+    ``drain_seconds`` is the time this process spent folding shard
+    stores inside ``on_shard`` while the crawl ran (0 for an inline
+    crawl, whose fold runs at finalize).  Under a ``FakeClock`` the
+    timings are zero and the payload is a pure function of the layout.
     """
 
     handoffs: int = 0
-    folds: int = 0
     visits: int = 0
     drain_seconds: float = 0.0
     stream_seconds: float = 0.0
@@ -79,7 +72,6 @@ class StreamStats:
         return {
             "stream": {
                 "handoffs": self.handoffs,
-                "folds": self.folds,
                 "visits": self.visits,
                 "drain_seconds": round(self.drain_seconds, 6),
                 "stream_seconds": round(self.stream_seconds, 6),
@@ -90,21 +82,22 @@ class StreamStats:
 
 @dataclass
 class StreamRun:
-    """What :func:`stream_crawl` hands back: the crawl summary, the fully
-    folded (not yet finalized) dataset, and the overlap stats.
+    """What :func:`stream_crawl` hands back: the crawl summary, the
+    (not yet finalized) dataset fold, the layout stats, and the store.
 
     The dataset is left un-finalized so callers can interleave their own
     post-crawl steps (the experiment runner emits its ``filter-list``
-    span here) before sealing; :meth:`finalize` is a convenience that
-    seals in place.
+    span here) before sealing with :meth:`finalize`.
     """
 
     summary: CrawlSummary
     streaming: StreamingDataset
     stats: StreamStats
+    store: MeasurementStore
 
-    def finalize(self):
-        return self.streaming.finalize()
+    def finalize(self) -> AnalysisDataset:
+        """Seal the fold; an inline crawl folds the merged store here."""
+        return self.streaming.finalize(None if self.stats.handoffs else self.store)
 
 
 def stream_crawl(
@@ -118,36 +111,24 @@ def stream_crawl(
     stateful: bool = False,
     repeat_visits: int = 1,
     workers: int = 1,
-    jobs: int = 1,
     filter_list: Optional[FilterList] = None,
     require_all: bool = True,
     include_partial: bool = False,
     obs: Optional[ObsContext] = None,
     retry_policy: Optional[RetryPolicy] = None,
     salvage_partial: bool = False,
-    shards_per_worker: int = SHARDS_PER_WORKER,
 ) -> StreamRun:
-    """Crawl ``ranks`` and build the analysis dataset in one overlapped pass.
+    """Crawl ``ranks`` into ``store`` and fold the analysis dataset.
 
-    ``workers`` sizes the crawl pool, ``jobs`` the analysis pool; both
-    pools run concurrently, so the peak process count is ``workers +
-    jobs``.  The crawl is laid out in ``workers × shards_per_worker``
-    shards (even at ``workers=1`` — a one-worker stream still overlaps
-    analysis with crawling); each finished shard is vetted and
-    tree-built by :func:`~repro.analysis.dataset.fold_shard_store` in
-    the analysis pool and folded into the running dataset.  The fold
-    drain runs before the commander deletes shard stores, so every
-    reader finishes first.
+    ``workers`` sizes the crawl pool (see :class:`Commander`); trees are
+    always built in this process.  ``filter_list`` must be supplied up
+    front when classification is wanted — shards are classified as they
+    land, so there is no post-crawl moment to build it (the experiment
+    runner builds it before calling and emits the ``filter-list`` span
+    at its canonical post-crawl slot).
 
-    ``filter_list`` must be supplied up front when classification is
-    wanted — fold workers classify mid-stream, so there is no
-    post-crawl moment to build it (the experiment runner builds it
-    before calling and emits the ``filter-list`` span at its canonical
-    post-crawl slot).
-
-    Returns a :class:`StreamRun`; call ``.finalize()`` (or
-    ``streaming.finalize()``) to obtain the batch-identical
-    :class:`~repro.analysis.dataset.AnalysisDataset`.
+    Returns a :class:`StreamRun`; call ``.finalize()`` to obtain the
+    batch-identical :class:`~repro.analysis.dataset.AnalysisDataset`.
     """
     obs = obs if obs is not None else NULL_OBS
     commander = Commander(
@@ -166,46 +147,23 @@ def stream_crawl(
     # Sorted names == ``store.profiles()`` on the merged store (every
     # profile records a row per planned page), so the finalized dataset
     # carries the same profile list the batch path derives.
-    profile_names = sorted(profile.name for profile in commander.profiles)
-    streaming = StreamingDataset(profile_names, obs=obs)
+    streaming = StreamingDataset(
+        sorted(profile.name for profile in commander.profiles),
+        filter_list=filter_list,
+        require_all=require_all,
+        include_partial=include_partial,
+        obs=obs,
+    )
     stats = StreamStats()
-    obs_config = obs.config()
     watch = Stopwatch(obs.tracer.clock)
-    fold_futures: List[Future] = []
 
-    with ProcessPoolExecutor(max_workers=jobs) as analysis_pool:
+    def on_shard(handoff: ShardHandoff) -> None:
+        fold_watch = Stopwatch(obs.tracer.clock)
+        streaming.fold(handoff.store)
+        stats.handoffs += 1
+        stats.drain_seconds += fold_watch.elapsed()
 
-        def on_shard(handoff: ShardHandoff) -> None:
-            stats.handoffs += 1
-            fold_futures.append(
-                analysis_pool.submit(
-                    fold_shard_store,
-                    handoff.db_path,
-                    profile_names,
-                    filter_list,
-                    require_all,
-                    obs_config,
-                    include_partial,
-                )
-            )
-
-        def drain() -> None:
-            # Invoked by the commander after the shard merge, before the
-            # shard stores are deleted: every fold must finish reading
-            # its store first.  Futures resolve in hand-off order; the
-            # fold is commutative, so any order lands the same state.
-            drain_watch = Stopwatch(obs.tracer.clock)
-            for future in fold_futures:
-                streaming.fold(future.result())
-                stats.folds += 1
-            stats.drain_seconds = drain_watch.elapsed()
-
-        summary = commander.run(
-            ranks,
-            on_shard=on_shard,
-            before_shard_cleanup=drain,
-            shard_count=max(1, workers) * shards_per_worker,
-        )
+    summary = commander.run(ranks, on_shard=on_shard)
     stats.visits = summary.total_visits
     stats.stream_seconds = watch.elapsed()
-    return StreamRun(summary=summary, streaming=streaming, stats=stats)
+    return StreamRun(summary=summary, streaming=streaming, stats=stats, store=store)

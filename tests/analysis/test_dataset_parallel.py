@@ -1,39 +1,20 @@
-"""Regression tests for the parallel dataset build and its helpers.
+"""Regression tests for store hand-off hygiene and dataset site keys.
 
-Covers the pool hand-off fixes: pending writes flushed before workers
-open the store path, site keys routed through the shared URL model, and
-pool sizing clamped so tiny page lists fall back to the serial path.
+Covers pending writes published to fresh readers of the store path
+(``MeasurementStore.flush``) and site keys routed through the shared URL
+model.
 """
 
 import pytest
 
-from repro.analysis.dataset import (
-    _MIN_PAGES_PER_JOB,
-    AnalysisDataset,
-    _effective_jobs,
-    _site_of,
-)
+from repro.analysis.dataset import _site_of
 from repro.crawler import Commander, MeasurementStore
 from repro.web import WebGenerator
 
 
-def _fingerprint(dataset):
-    """Content identity of a dataset (PageComparison has no __eq__)."""
-    return [
-        (
-            entry.site,
-            entry.site_rank,
-            entry.page_url,
-            entry.comparison.profiles,
-            tuple((node.key, node.views) for node in entry.comparison.nodes()),
-        )
-        for entry in dataset.entries
-    ]
-
-
 @pytest.fixture()
 def disk_store(tmp_path):
-    """A small on-disk crawl: enough vetted pages for a two-job pool."""
+    """A small on-disk crawl."""
     store = MeasurementStore(str(tmp_path / "crawl.sqlite"))
     Commander(WebGenerator(seed=5), store, max_pages_per_site=3).run([1, 2, 3, 5])
     yield store
@@ -57,28 +38,6 @@ class TestFlushBeforePoolHandoff:
         finally:
             reader.close()
 
-    def test_parallel_build_sees_pending_writes(self, disk_store):
-        # Mutate one visit's request stream without committing.  The
-        # serial path reads through the writer connection and sees the
-        # pending delete; pool workers open fresh connections against
-        # store.path and, before the flush hand-off, built trees from
-        # the stale committed state — this assertion fails without it.
-        victim = disk_store._conn.execute(
-            "SELECT v.visit_id FROM visits v"
-            " JOIN http_requests r ON r.visit_id = v.visit_id"
-            " WHERE v.success = 1 GROUP BY v.visit_id"
-            " HAVING COUNT(*) >= 2 ORDER BY v.visit_id LIMIT 1"
-        ).fetchone()[0]
-        disk_store._conn.execute(
-            "DELETE FROM http_requests WHERE visit_id = ? AND request_id = "
-            "(SELECT MAX(request_id) FROM http_requests WHERE visit_id = ?)",
-            (victim, victim),
-        )
-        assert disk_store._conn.in_transaction
-        serial = AnalysisDataset.from_store(disk_store, jobs=1)
-        parallel = AnalysisDataset.from_store(disk_store, jobs=2)
-        assert _fingerprint(serial) == _fingerprint(parallel)
-
 
 class TestSiteOf:
     def test_explicit_port_stripped(self):
@@ -97,22 +56,3 @@ class TestSiteOf:
 
     def test_fallback_without_scheme(self):
         assert _site_of("site000001.net/page") == "site000001.net"
-
-
-class TestEffectiveJobs:
-    def test_tiny_page_lists_fall_back_to_serial(self):
-        assert _effective_jobs(8, _MIN_PAGES_PER_JOB - 1) == 0
-
-    def test_jobs_clamped_to_min_pages_per_worker(self):
-        assert _effective_jobs(8, 2 * _MIN_PAGES_PER_JOB + 1) == 2
-
-    def test_ample_pages_keep_requested_jobs(self):
-        assert _effective_jobs(2, 100) == 2
-        assert _effective_jobs(1, 1000) == 1
-
-    def test_clamped_build_equals_serial(self, store, filter_list):
-        serial = AnalysisDataset.from_store(store, filter_list=filter_list)
-        clamped = AnalysisDataset.from_store(
-            store, filter_list=filter_list, jobs=64
-        )
-        assert _fingerprint(serial) == _fingerprint(clamped)

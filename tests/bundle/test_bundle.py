@@ -141,13 +141,10 @@ class TestReplay:
         ) == export.export_node_comparisons_csv(replayed, replay_out)
         assert live_out.read_bytes() == replay_out.read_bytes()
 
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_dataset_obs_identical_to_live(self, bundle, store, filter_list, jobs):
+    def test_dataset_obs_identical_to_live(self, bundle, store, filter_list):
         def build(source_store):
             obs = ObsContext.create(seed=1, clock=FakeClock())
-            AnalysisDataset.from_store(
-                source_store, filter_list=filter_list, jobs=jobs, obs=obs
-            )
+            AnalysisDataset.from_store(source_store, filter_list=filter_list, obs=obs)
             return obs
 
         live_obs = build(store)

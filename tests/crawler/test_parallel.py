@@ -4,15 +4,23 @@ The contract under test: ``Commander(workers=N)`` produces a store whose
 *content* is bit-identical to the serial crawl — same rows, same visit
 ids, same timestamps — for every table, because visit ids and clocks are
 scheduled deterministically per ``(site, profile, page, repeat)`` rather
-than allocated in execution order.
+than allocated in execution order.  A sharded crawl hands each shard's
+store to ``on_shard`` as it lands, and a failing shard or consumer stops
+the crawl without starting the shards still queued.
 """
+
+import functools
+import sqlite3
+import tempfile
+import time
+from pathlib import Path
 
 import pytest
 
-from repro.analysis import AnalysisDataset
-from repro.blocklist import build_filter_list
+import repro.crawler.commander as commander_module
 from repro.browser.profile import PROFILE_SIM1, PROFILE_SIM2
 from repro.crawler import Commander, MeasurementStore
+from repro.crawler.commander import SHARDS_PER_WORKER
 from repro.errors import CrawlError
 from repro.web import WebConfig, WebGenerator
 
@@ -102,31 +110,85 @@ class TestShardedCrawlDeterminism:
             Commander(generator, MeasurementStore(), workers=0)
 
 
-class TestParallelDatasetDeterminism:
-    def test_jobs_four_matches_serial_metrics(self):
-        generator, store, _ = crawl(workers=2)
-        filter_list = build_filter_list(generator.ecosystem)
-        serial = AnalysisDataset.from_store(store, filter_list=filter_list)
-        parallel = AnalysisDataset.from_store(store, filter_list=filter_list, jobs=4)
-        assert [e.page_url for e in serial] == [e.page_url for e in parallel]
-        assert [(e.site, e.site_rank) for e in serial] == [
-            (e.site, e.site_rank) for e in parallel
-        ]
-        serial_nodes = [
-            (n.key, n.presence_count, n.in_all_profiles) for n in serial.iter_nodes()
-        ]
-        parallel_nodes = [
-            (n.key, n.presence_count, n.in_all_profiles) for n in parallel.iter_nodes()
-        ]
-        assert serial_nodes == parallel_nodes
+class TestShardHandoff:
+    def test_on_shard_fires_once_per_shard_with_a_readable_store(self):
+        handoffs = []
 
-    def test_jobs_on_disk_store(self, tmp_path):
-        db = str(tmp_path / "crawl.sqlite")
+        def on_shard(handoff):
+            ranks = sorted(
+                handoff.store.site_rank(site) for site in handoff.store.sites()
+            )
+            planned = sorted(handoff.ranks)
+            handoffs.append((handoff.index, handoff.store, ranks, planned))
+
+        _, serial_store, _ = crawl(workers=1)
         generator = WebGenerator(21, config=WebConfig(subpages_per_site=3))
-        with MeasurementStore(db) as store:
-            Commander(generator, store, max_pages_per_site=3).run(ranks=[1, 2])
-            filter_list = build_filter_list(generator.ecosystem)
-            serial = AnalysisDataset.from_store(store, filter_list=filter_list)
-            parallel = AnalysisDataset.from_store(store, filter_list=filter_list, jobs=2)
-            assert [e.page_url for e in serial] == [e.page_url for e in parallel]
-            assert serial.node_count() == parallel.node_count()
+        store = MeasurementStore()
+        summary = Commander(
+            generator, store, max_pages_per_site=3, workers=2
+        ).run(RANKS, on_shard=on_shard)
+        shards = min(2 * SHARDS_PER_WORKER, summary.sites_crawled)
+        assert sorted(index for index, _, _, _ in handoffs) == list(range(shards))
+        for _, shard_store, ranks, planned in handoffs:
+            assert ranks == planned
+            with pytest.raises(sqlite3.ProgrammingError):
+                shard_store.sites()  # closed once the shards are merged
+        for table in TABLES:
+            assert table_rows(serial_store, table) == table_rows(store, table)
+
+
+_REAL_CRAWL_SITES = commander_module._crawl_sites
+
+
+def _marked_shard(generator, store, profiles, schedules, *, markers, fail, **kwargs):
+    """Shard body that leaves a marker when it starts; with ``fail``,
+    shard 0 (the one holding the first scheduled site) raises at once."""
+    Path(markers, f"rank-{schedules[0].rank}").touch()
+    if fail and schedules[0].visit_base == 1:
+        raise CrawlError("injected failure in shard 0")
+    time.sleep(0.5)
+    return _REAL_CRAWL_SITES(generator, store, profiles, schedules, **kwargs)
+
+
+class TestFailFast:
+    """A failing shard or ``on_shard`` consumer cancels the queued shards."""
+
+    # Two workers lay out one shard per site: 8 shards.
+    RANKS = list(range(1, 2 * SHARDS_PER_WORKER + 1))
+
+    @pytest.fixture
+    def markers(self, tmp_path, monkeypatch):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setenv("TMPDIR", str(scratch))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        markers = tmp_path / "started"
+        markers.mkdir()
+        return scratch, markers
+
+    def crawl(self, markers, monkeypatch, fail, on_shard=None):
+        scratch, started = markers
+        monkeypatch.setattr(
+            commander_module,
+            "_crawl_sites",
+            functools.partial(_marked_shard, markers=started, fail=fail),
+        )
+        commander = Commander(
+            WebGenerator(21, config=WebConfig(subpages_per_site=1)),
+            MeasurementStore(),
+            max_pages_per_site=1,
+            workers=2,
+        )
+        with pytest.raises(CrawlError, match="injected failure"):
+            commander.run(self.RANKS, on_shard=on_shard)
+        assert len(list(started.iterdir())) < len(self.RANKS)
+        assert list(scratch.glob("repro-crawl-*")) == []
+
+    def test_failing_shard_cancels_queued_shards(self, markers, monkeypatch):
+        self.crawl(markers, monkeypatch, fail=True)
+
+    def test_failing_consumer_cancels_queued_shards(self, markers, monkeypatch):
+        def on_shard(handoff):
+            raise CrawlError("injected failure in on_shard")
+
+        self.crawl(markers, monkeypatch, fail=False, on_shard=on_shard)

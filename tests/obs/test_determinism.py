@@ -1,10 +1,11 @@
 """The observability determinism contract, pinned.
 
 Under ``FakeClock`` a run's trace JSONL and merged metrics JSON must be
-*byte-identical* at any worker/job count: span ids derive from the seed
+*byte-identical* at any worker count: span ids derive from the seed
 and span keys, workers record into private tracers whose subtrees the
 parent adopts in schedule order, and metrics merge by summation of
-integers only.
+integers only — also when shard stores are folded into the dataset as
+they land.
 """
 
 import pytest
@@ -14,6 +15,7 @@ from repro.crawler.commander import Commander
 from repro.crawler.storage import MeasurementStore
 from repro.devtools.clock import FakeClock
 from repro.obs import ObsContext
+from repro.pipeline import stream_crawl
 from repro.web import WebGenerator
 
 RANKS = [1, 2, 3, 5, 8]
@@ -78,21 +80,32 @@ class TestCrawlTelemetryDeterminism:
 
 
 class TestDatasetTelemetryDeterminism:
-    def build(self, jobs):
+    def build(self):
         obs, store, _ = crawl(workers=1)
-        dataset = AnalysisDataset.from_store(store, jobs=jobs, obs=obs)
+        dataset = AnalysisDataset.from_store(store, obs=obs)
         store.close()
         return obs, dataset
 
-    def test_jobs_do_not_change_telemetry(self):
-        serial_obs, serial_dataset = self.build(jobs=1)
-        parallel_obs, parallel_dataset = self.build(jobs=3)
-        assert len(serial_dataset) == len(parallel_dataset)
-        assert serial_obs.metrics.to_json() == parallel_obs.metrics.to_json()
-        assert serial_obs.tracer.to_jsonl() == parallel_obs.tracer.to_jsonl()
+    def test_shard_folds_do_not_change_telemetry(self):
+        serial_obs, serial_dataset = self.build()
+        folded_obs = ObsContext.create(seed=SEED, clock=FakeClock())
+        with MeasurementStore(obs=folded_obs) as store:
+            run = stream_crawl(
+                WebGenerator(SEED),
+                store,
+                RANKS,
+                max_pages_per_site=3,
+                workers=4,
+                obs=folded_obs,
+            )
+            folded_dataset = run.finalize()
+        assert run.stats.handoffs > 0
+        assert len(serial_dataset) == len(folded_dataset)
+        assert serial_obs.metrics.to_json() == folded_obs.metrics.to_json()
+        assert serial_obs.tracer.to_jsonl() == folded_obs.tracer.to_jsonl()
 
     def test_tree_histograms_cover_every_built_tree(self):
-        obs, dataset = self.build(jobs=1)
+        obs, dataset = self.build()
         built = obs.metrics.get("trees.built").value
         nodes = obs.metrics.get("trees.nodes")
         assert built > 0

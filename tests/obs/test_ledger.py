@@ -198,7 +198,15 @@ class TestPipelineRecordDeterminism:
         sharded = RunLedger(tmp_path / "sharded")
         pipeline_into(serial, workers=1)
         pipeline_into(sharded, workers=2)
-        assert serial.load("latest").to_json() == sharded.load("latest").to_json()
+        serial_record = serial.load("latest")
+        sharded_record = sharded.load("latest")
+        # The measured hand-off count is the one layout fact in the
+        # record: an inline crawl hands off nothing, a sharded one hands
+        # off each of its shards (5 sites, one shard each).
+        assert serial_record.measured["stream"]["handoffs"] == 0
+        assert sharded_record.measured["stream"]["handoffs"] == 5
+        sharded_record.measured["stream"]["handoffs"] = 0
+        assert serial_record.to_json() == sharded_record.to_json()
 
     def test_resolved_config_excludes_execution_layout(self):
         config = ExperimentConfig(seed=7, workers=4, jobs=3)
