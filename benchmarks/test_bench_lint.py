@@ -38,7 +38,6 @@ def test_bench_lint_walker():
     ratio = serial_seconds / parallel_seconds if parallel_seconds else float("inf")
     lines = [
         f"files checked        : {serial.files_checked}",
-        f"program rules        : {', '.join(serial.program_rules_run)}",
         f"serial driver        : {serial_seconds:.3f}s",
         f"parallel driver (x{JOBS}): {parallel_seconds:.3f}s",
         f"speedup              : {ratio:.2f}x",

@@ -5,8 +5,8 @@ and machines; that guarantee rests on code-level invariants (seeded RNG
 streams, sorted iteration, the ReproError hierarchy, schema-consistent
 SQL) that this subpackage enforces statically.  See ``framework`` for
 the rule/suppression machinery, ``rules`` for the rule pack, ``program``
-for the one (parallel, two-pass) driver, and ``cli`` for the command-line
-front end.
+for ``lint_project`` (files fanned out over processes), and ``cli`` for
+the command-line front end.
 
 Typical use::
 
@@ -25,15 +25,10 @@ from __future__ import annotations
 from .framework import (
     LintRule,
     ModuleContext,
-    ProgramRule,
     Violation,
-    build_program_rules,
     build_rules,
     lint_source,
-    program_rule_summaries,
     register,
-    register_program,
-    registered_program_rule_ids,
     registered_rule_ids,
     rule_summaries,
 )
@@ -44,18 +39,13 @@ from .walker import collect_files
 __all__ = [
     "LintRule",
     "ModuleContext",
-    "ProgramRule",
     "ProjectReport",
     "Violation",
-    "build_program_rules",
     "build_rules",
     "collect_files",
     "lint_project",
     "lint_source",
-    "program_rule_summaries",
     "register",
-    "register_program",
-    "registered_program_rule_ids",
     "registered_rule_ids",
     "render_json",
     "render_text",

@@ -1,11 +1,10 @@
 """Command-line front end: ``python -m repro.devtools.lint`` / ``repro-lint``.
 
-Exit codes: 0 — clean; 1 — violations found; 2 — usage or I/O error.
+Exit codes: 0 — clean; 1 — violations found; 2 — usage or I/O error
+(including an unknown rule id in ``--select``/``--ignore``).
 
-Every run is the full two-pass ``lint_project``: per-file rules, the
-whole-program rules (DET101/DET103/CONC001/CONC002) over the linked
-symbol table, and the SUP002 stale-suppression audit.  ``--select`` and
-``--ignore`` narrow both passes alike.
+Every run is one ``lint_project``: the rules that ``--select`` and
+``--ignore`` leave, then the SUP002 stale-suppression audit.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import sys
 from typing import List, Optional
 
 from ...errors import LintError
-from .framework import program_rule_summaries, rule_summaries
+from .framework import rule_summaries
 from .program import lint_project
 from .reporters import render_json, render_text
 
@@ -48,7 +47,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--jobs",
         type=int,
         default=os.cpu_count() or 1,
-        help="worker processes for the per-file pass (default: all cores)",
+        help="worker processes (default: all cores)",
     )
     parser.add_argument(
         "--select",
@@ -72,11 +71,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.list_rules:
         for rule_id, summary in rule_summaries():
             print(f"{rule_id}  {summary}")
-        for rule_id, summary in program_rule_summaries():
-            print(f"{rule_id}  (program) {summary}")
         print("IO001   (framework) file vanished between discovery and parse")
         print("SUP001  (framework) suppression comment without a reason")
-        print("SUP002  (framework) stale suppression: rule no longer fires")
+        print("SUP002  (framework) stale suppression: rule no longer fires or names no rule")
         print("SYN001  (framework) file does not parse")
         return 0
 

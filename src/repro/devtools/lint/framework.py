@@ -19,13 +19,8 @@ Four pseudo-rules are reserved for the framework itself and cannot be
 registered or selected: ``SYN001`` (file does not parse), ``IO001``
 (file vanished or became unreadable between discovery and parse),
 ``SUP001`` (suppression comment without a reason) and ``SUP002``
-(stale suppression: the suppressed rule no longer fires on that line).
-
-Rules come in two granularities.  A :class:`LintRule` sees one module at
-a time; a :class:`ProgramRule` sees the whole project at once (symbol
-table + call graph, see ``program``) and runs in a second pass after
-every file has been parsed.  Both share the same id namespace,
-suppression syntax and reporters.
+(stale suppression: the suppressed rule no longer fires on that line,
+or the marker names no registered rule).
 """
 
 from __future__ import annotations
@@ -158,52 +153,18 @@ class LintRule:
         )
 
 
-class ProgramRule:
-    """Base class for whole-program rules (see ``program``).
-
-    ``check`` receives a :class:`~repro.devtools.lint.callgraph.ProjectIndex`
-    — the project-wide symbol table and call graph — instead of a single
-    module, and yields violations anywhere in the project.
-    """
-
-    rule_id: str = ""
-    summary: str = ""
-
-    def check(self, project) -> Iterator[Violation]:
-        raise NotImplementedError
-
-    def flag_at(
-        self, path: str, line: int, col: int, message: str
-    ) -> Violation:
-        return Violation(
-            path=path, line=line, col=col, rule_id=self.rule_id, message=message
-        )
-
-
 _REGISTRY: Dict[str, Type[LintRule]] = {}
-_PROGRAM_REGISTRY: Dict[str, Type[ProgramRule]] = {}
-
-
-def _check_rule_id(rule_id: str) -> None:
-    if not _RULE_ID_RE.match(rule_id):
-        raise LintError(f"invalid rule id: {rule_id!r}")
-    if rule_id in _RESERVED_RULE_IDS:
-        raise LintError(f"rule id {rule_id} is reserved for the framework")
-    if rule_id in _REGISTRY or rule_id in _PROGRAM_REGISTRY:
-        raise LintError(f"duplicate rule id: {rule_id}")
 
 
 def register(cls: Type[LintRule]) -> Type[LintRule]:
-    """Class decorator adding a per-file rule to the global registry."""
-    _check_rule_id(cls.rule_id)
+    """Class decorator adding a rule to the global registry."""
+    if not _RULE_ID_RE.match(cls.rule_id):
+        raise LintError(f"invalid rule id: {cls.rule_id!r}")
+    if cls.rule_id in _RESERVED_RULE_IDS:
+        raise LintError(f"rule id {cls.rule_id} is reserved for the framework")
+    if cls.rule_id in _REGISTRY:
+        raise LintError(f"duplicate rule id: {cls.rule_id}")
     _REGISTRY[cls.rule_id] = cls
-    return cls
-
-
-def register_program(cls: Type[ProgramRule]) -> Type[ProgramRule]:
-    """Class decorator adding a whole-program rule to the registry."""
-    _check_rule_id(cls.rule_id)
-    _PROGRAM_REGISTRY[cls.rule_id] = cls
     return cls
 
 
@@ -212,24 +173,10 @@ def registered_rule_ids() -> List[str]:
     return sorted(_REGISTRY)
 
 
-def registered_program_rule_ids() -> List[str]:
-    _load_builtin_rules()
-    return sorted(_PROGRAM_REGISTRY)
-
-
 def rule_summaries() -> List[Tuple[str, str]]:
     """``(rule_id, summary)`` pairs for every registered rule, sorted."""
     _load_builtin_rules()
     return [(rule_id, _REGISTRY[rule_id].summary) for rule_id in sorted(_REGISTRY)]
-
-
-def program_rule_summaries() -> List[Tuple[str, str]]:
-    """``(rule_id, summary)`` pairs for every whole-program rule, sorted."""
-    _load_builtin_rules()
-    return [
-        (rule_id, _PROGRAM_REGISTRY[rule_id].summary)
-        for rule_id in sorted(_PROGRAM_REGISTRY)
-    ]
 
 
 def build_rules(
@@ -238,37 +185,16 @@ def build_rules(
     """Instantiate registered rules, filtered and in stable id order."""
     _load_builtin_rules()
     chosen = sorted(_REGISTRY)
-    known = set(_REGISTRY) | set(_PROGRAM_REGISTRY)
     for requested in list(select or []) + list(ignore):
-        if requested not in known:
+        if requested not in _REGISTRY:
             raise LintError(
-                f"unknown rule id: {requested} (known: {', '.join(sorted(known))})"
+                f"unknown rule id: {requested} (known: {', '.join(chosen)})"
             )
     if select is not None:
         wanted = set(select)
         chosen = [rule_id for rule_id in chosen if rule_id in wanted]
     dropped = set(ignore)
     return [_REGISTRY[rule_id]() for rule_id in chosen if rule_id not in dropped]
-
-
-def build_program_rules(
-    select: Optional[Iterable[str]] = None, ignore: Iterable[str] = ()
-) -> List[ProgramRule]:
-    """Instantiate whole-program rules, filtered and in stable id order.
-
-    Unlike :func:`build_rules`, unknown ids in ``select``/``ignore`` are
-    tolerated here — the caller typically passes one combined filter that
-    also names per-file rules.
-    """
-    _load_builtin_rules()
-    chosen = sorted(_PROGRAM_REGISTRY)
-    if select is not None:
-        wanted = set(select)
-        chosen = [rule_id for rule_id in chosen if rule_id in wanted]
-    dropped = set(ignore)
-    return [
-        _PROGRAM_REGISTRY[rule_id]() for rule_id in chosen if rule_id not in dropped
-    ]
 
 
 def _load_builtin_rules() -> None:
@@ -335,58 +261,46 @@ def apply_suppressions(
     return sorted(kept, key=lambda violation: violation.sort_key)
 
 
-def filter_suppressed(
-    violations: Iterable[Violation],
-    suppressions: Dict[int, Suppression],
-) -> List[Violation]:
-    """Drop suppressed violations without emitting SUP001 markers.
-
-    The program pass uses this to honor suppressions whose SUP001
-    bookkeeping the per-file pass already produced.
-    """
-    kept: List[Violation] = []
-    for violation in violations:
-        marker = suppressions.get(violation.line)
-        if marker and violation.rule_id in marker.rule_ids and marker.reason:
-            continue
-        kept.append(violation)
-    return kept
-
-
 def stale_suppression_violations(
     suppressions: Dict[int, Suppression],
     fired_by_line: Dict[int, Set[str]],
     active_rule_ids: Set[str],
     path: str,
 ) -> List[Violation]:
-    """SUP002 for every suppression whose rule no longer fires on its line.
+    """SUP002 for every suppression that silences nothing on its line.
 
-    A suppressed id only counts as stale when that rule actually *ran*
+    A registered id only counts as stale when that rule actually *ran*
     (``active_rule_ids``): ``--select DET001`` must not flag a DET002
-    suppression as stale, nor ``--ignore DET101`` a DET101 marker.
+    suppression as stale, nor ``--ignore DET002`` a DET002 marker.  An id
+    that names no registered rule (a typo, a deleted rule) can never
+    fire, so it is stale whatever ran.
     """
+    _load_builtin_rules()
     stale: List[Violation] = []
     for line in sorted(suppressions):
         marker = suppressions[line]
         if not marker.reason:
             continue  # reason-less markers are SUP001, handled elsewhere
         fired = fired_by_line.get(line, set())
+        unknown = [rule_id for rule_id in marker.rule_ids if rule_id not in _REGISTRY]
         dead = [
             rule_id
             for rule_id in marker.rule_ids
             if rule_id in active_rule_ids and rule_id not in fired
         ]
+        problems = []
+        if unknown:
+            problems.append(f"{', '.join(unknown)} name(s) no rule")
         if dead:
+            problems.append(f"{', '.join(dead)} no longer fire(s) on this line")
+        if problems:
             stale.append(
                 Violation(
                     path=path,
                     line=line,
                     col=marker.col,
                     rule_id=STALE_SUPPRESSION_RULE_ID,
-                    message=(
-                        f"stale suppression: {', '.join(dead)} no longer "
-                        "fire(s) on this line; drop the marker"
-                    ),
+                    message=f"stale suppression: {'; '.join(problems)}; drop the marker",
                 )
             )
     return stale
@@ -398,8 +312,7 @@ class FileCheck:
 
     ``raw`` holds every violation the per-file rules produced (plus
     ``SYN001`` when the file does not parse); ``tree`` is the parsed AST
-    (``None`` on syntax error) so callers can feed the same parse into
-    the whole-program pass.
+    (``None`` on syntax error).
     """
 
     path: str

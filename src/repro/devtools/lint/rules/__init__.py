@@ -6,20 +6,6 @@ Importing this package registers every rule with the framework registry;
 
 from __future__ import annotations
 
-from . import (  # noqa: F401  (register rules)
-    concurrency,
-    determinism,
-    errorpolicy,
-    interprocedural,
-    obs,
-    sql,
-)
+from . import determinism, errorpolicy, obs, sql  # noqa: F401  (register rules)
 
-__all__ = [
-    "concurrency",
-    "determinism",
-    "errorpolicy",
-    "interprocedural",
-    "obs",
-    "sql",
-]
+__all__ = ["determinism", "errorpolicy", "obs", "sql"]

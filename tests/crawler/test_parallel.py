@@ -110,6 +110,33 @@ class TestShardedCrawlDeterminism:
             Commander(generator, MeasurementStore(), workers=0)
 
 
+_REAL_CRAWL_SITES = commander_module._crawl_sites
+
+
+def _marked_shard(
+    generator, store, profiles, schedules, *, markers, fail=False, release=None, **kwargs
+):
+    """Shard body that leaves a marker when it starts.
+
+    Shard 0 (the one holding the first scheduled site) raises at once
+    with ``fail``; with ``release``, it first waits up to 10 s for that
+    file to exist, and leaves a ``timed-out`` marker if it never does.
+    """
+    Path(markers, f"rank-{schedules[0].rank}").touch()
+    if schedules[0].visit_base == 1:
+        if fail:
+            raise CrawlError("injected failure in shard 0")
+        if release is not None:
+            deadline = time.monotonic() + 10
+            while not Path(release).exists():
+                if time.monotonic() > deadline:
+                    Path(markers, "timed-out").touch()
+                    break
+                time.sleep(0.01)
+    time.sleep(0.5)
+    return _REAL_CRAWL_SITES(generator, store, profiles, schedules, **kwargs)
+
+
 class TestShardHandoff:
     def test_on_shard_fires_once_per_shard_with_a_readable_store(self):
         handoffs = []
@@ -136,18 +163,32 @@ class TestShardHandoff:
         for table in TABLES:
             assert table_rows(serial_store, table) == table_rows(store, table)
 
+    def test_on_shard_sees_each_shard_as_it_lands(self, tmp_path, monkeypatch):
+        # Shard 0 holds back until ``on_shard`` has seen another shard, so
+        # a crawl that hands shards over only in layout order (a
+        # ``pool.map`` barrier) stalls shard 0 into its timeout.
+        release = tmp_path / "release"
+        monkeypatch.setattr(
+            commander_module,
+            "_crawl_sites",
+            functools.partial(_marked_shard, markers=tmp_path, release=release),
+        )
+        handed_off = []
 
-_REAL_CRAWL_SITES = commander_module._crawl_sites
+        def on_shard(handoff):
+            handed_off.append(handoff.index)
+            if handoff.index != 0:
+                release.touch()
 
-
-def _marked_shard(generator, store, profiles, schedules, *, markers, fail, **kwargs):
-    """Shard body that leaves a marker when it starts; with ``fail``,
-    shard 0 (the one holding the first scheduled site) raises at once."""
-    Path(markers, f"rank-{schedules[0].rank}").touch()
-    if fail and schedules[0].visit_base == 1:
-        raise CrawlError("injected failure in shard 0")
-    time.sleep(0.5)
-    return _REAL_CRAWL_SITES(generator, store, profiles, schedules, **kwargs)
+        Commander(
+            WebGenerator(21, config=WebConfig(subpages_per_site=1)),
+            MeasurementStore(),
+            max_pages_per_site=1,
+            workers=2,
+        ).run([1, 2], on_shard=on_shard)
+        assert sorted(handed_off) == [0, 1]
+        assert handed_off[0] != 0
+        assert not (tmp_path / "timed-out").exists()
 
 
 class TestFailFast:

@@ -5,24 +5,13 @@ import pytest
 
 @pytest.fixture
 def make_project(tmp_path):
-    """Write ``{relative_path: source}`` files and return the project root.
-
-    Package ``__init__.py`` files are created automatically for every
-    directory touched, so cross-module import resolution works exactly
-    as it does over ``src/repro``.
-    """
+    """Write ``{relative_path: source}`` files under one root and return it."""
 
     def _make(files, name="proj"):
         root = tmp_path / name
         for relative, source in files.items():
             target = root / relative
             target.parent.mkdir(parents=True, exist_ok=True)
-            directory = target.parent
-            while directory != tmp_path:
-                init = directory / "__init__.py"
-                if not init.exists():
-                    init.write_text("")
-                directory = directory.parent
             target.write_text(source)
         return root
 

@@ -8,7 +8,6 @@ import pytest
 from repro.devtools.lint.cli import main
 
 FIXTURE = str(pathlib.Path(__file__).parent / "fixtures" / "dirty.py")
-TAINTFLOW = str(pathlib.Path(__file__).parent / "fixtures" / "taintflow")
 
 #: The fixture seeds exactly one violation per registered rule.
 EXPECTED_FIXTURE_RULES = ["DET001", "DET002", "DET003", "DET004", "ERR001", "SQL001"]
@@ -50,9 +49,12 @@ class TestOutputModes:
         document = json.loads(capsys.readouterr().out)
         assert document["counts"] == {"SQL001": 1}
 
-    def test_select_program_rule_runs_the_program_pass(self, capsys):
-        assert main([TAINTFLOW, "--select", "DET101", "--jobs", "1"]) == 1
-        assert "DET101" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "rule_id", ["CONC001", "CONC002", "CONC003", "DET101", "DET103"]
+    )
+    def test_select_deleted_rule_exits_two(self, rule_id, capsys):
+        assert main([FIXTURE, "--select", rule_id]) == 2
+        assert f"unknown rule id: {rule_id}" in capsys.readouterr().err
 
     def test_ignore_drops_rules(self, capsys):
         argv = [FIXTURE, "--ignore", ",".join(EXPECTED_FIXTURE_RULES)]

@@ -77,7 +77,6 @@ class TestPseudoRules:
 class TestRegistry:
     def test_expected_rule_pack(self):
         assert registered_rule_ids() == [
-            "CONC003",
             "DET001",
             "DET002",
             "DET003",
@@ -97,7 +96,7 @@ class TestRegistry:
             "SQL001",
         ]
         remaining = [r.rule_id for r in build_rules(ignore=["DET003"])]
-        assert "DET003" not in remaining and len(remaining) == 11
+        assert "DET003" not in remaining and len(remaining) == 10
 
     def test_unknown_rule_id_raises_lint_error(self):
         with pytest.raises(LintError, match="unknown rule id"):

@@ -582,49 +582,3 @@ class TestObs003DeterministicAlerting:
             "  # repro: ok[OBS003] calibration sweep\n"
         )
         assert check("OBS003", src) == []
-
-
-class TestNoPoolMapBarrier:
-    def test_pool_map_flagged(self):
-        src = (
-            "with ProcessPoolExecutor(max_workers=4) as pool:\n"
-            "    results = list(pool.map(work, chunks))\n"
-        )
-        assert check("CONC003", src) == ["CONC003"]
-
-    def test_executor_attribute_map_flagged(self):
-        src = "results = self.executor.map(work, items)\n"
-        assert check("CONC003", src) == ["CONC003"]
-
-    def test_submit_as_completed_fine(self):
-        src = (
-            "futures = {pool.submit(work, c): i for i, c in enumerate(chunks)}\n"
-            "for future in as_completed(futures):\n"
-            "    results[futures[future]] = future.result()\n"
-        )
-        assert check("CONC003", src) == []
-
-    def test_builtin_map_fine(self):
-        src = "results = list(map(work, chunks))\n"
-        assert check("CONC003", src) == []
-
-    def test_non_pool_receiver_map_fine(self):
-        src = "series = frame.map(transform)\n"
-        assert check("CONC003", src) == []
-
-    def test_devtools_path_exempt(self):
-        src = "results = list(pool.map(work, chunks))\n"
-        rules = build_rules(select=["CONC003"])
-        assert (
-            lint_source(
-                src, path="src/repro/devtools/walker.py", rules=rules
-            )
-            == []
-        )
-
-    def test_suppression_comment_honoured(self):
-        src = (
-            "results = list(pool.map(work, chunks))"
-            "  # repro: ok[CONC003] uniform one-shot batch\n"
-        )
-        assert check("CONC003", src) == []

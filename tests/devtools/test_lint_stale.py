@@ -1,5 +1,7 @@
 """SUP002 stale-suppression detection."""
 
+import pytest
+
 from repro.devtools.lint import lint_project
 from repro.devtools.lint.cli import main
 
@@ -8,7 +10,10 @@ LIVE = (
     "import time\n"
     "value = time.time()  # repro: ok[DET002] operator-facing timing only\n"
 )
-PROGRAM_RULES = ["CONC001", "CONC002", "DET101", "DET103"]
+NAMES_NO_RULE = (
+    "x = 1  # repro: ok[DET999] no such rule\n"
+    "y = 2  # repro: ok[DET02] typo\n"
+)
 
 
 def rules_fired(report):
@@ -34,15 +39,19 @@ class TestStaleDetection:
         report = lint_project([str(root)], select=["DET001"])
         assert report.violations == []
 
-    def test_program_rule_suppressions_audited_only_with_program_pass(
-        self, make_project
-    ):
-        source = "def f():\n    return 1  # repro: ok[DET101] historical artifact\n"
-        root = make_project({"mod.py": source})
-        without = lint_project([str(root)], ignore=PROGRAM_RULES)
-        assert without.violations == []
-        with_program = lint_project([str(root)])
-        assert rules_fired(with_program) == ["SUP002"]
+    @pytest.mark.parametrize(
+        "narrowing", [{}, {"select": ["DET001"]}, {"ignore": ["DET002"]}]
+    )
+    def test_marker_naming_no_rule_is_stale(self, make_project, narrowing):
+        root = make_project({"mod.py": NAMES_NO_RULE})
+        report = lint_project([str(root)], **narrowing)
+        assert [(v.rule_id, v.line) for v in report.violations] == [
+            ("SUP002", 1),
+            ("SUP002", 2),
+        ]
+        first, second = report.violations
+        assert "DET999 name(s) no rule" in first.message
+        assert "DET02 name(s) no rule" in second.message
 
 
 class TestCLI:

@@ -15,22 +15,35 @@ jars, and pin two sha256 digests per run:
 The constants change only in a change that declares a re-baseline of
 seeded output (DESIGN §6, rule 1).  The same crawls also check that the
 engine builds a sampling stream only where it draws from it.
+
+The plain crawl is also run end to end, through ``ExperimentContext`` and
+the 21 analysis experiments, in two processes with different
+``PYTHONHASHSEED`` values: both must print the same pinned digests, so an
+output that follows set or dict-key order shows up as a failure here
+rather than as drift between machines.  Run this file as a script to
+print those digests.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis import AnalysisDataset
 from repro.blocklist import build_filter_list
 from repro.browser.engine import BrowserEngine
 from repro.browser.profile import PROFILE_SIM1
 from repro.bundle.bundle import encode_table
 from repro.crawler import Commander, MeasurementStore, RetryPolicy, sample_paper_buckets
+from repro.experiments import ALL_EXPERIMENTS, ExperimentConfig, ExperimentContext
 from repro.rng import child_rng
 from repro.web import WebGenerator
 
@@ -146,3 +159,53 @@ def test_no_stall_stream_without_stall_probability(built_streams):
     assert result.success and result.requests
     labels = Counter(labels[0] for labels, _, _ in built_streams)
     assert labels["status"] > 0 and labels["stall"] == 0
+
+
+#: Experiments that crawl again rather than analyze the context's crawl.
+RECRAWLING_EXPERIMENTS = frozenset({"ablation_timeout", "replication", "study_comparability"})
+
+#: sha256 of the 21 analysis experiments' rendered text, joined by newlines.
+GOLDEN_OUTPUT = "e9fd373e65873720387dfeeeb129d79174d6cf34e13873e82699181549797229"
+
+
+def pipeline_digests() -> dict:
+    """Store, dataset and rendered-output digests of the plain pipeline."""
+    ctx = ExperimentContext(
+        ExperimentConfig(
+            seed=SEED, sites_per_bucket=SITES_PER_BUCKET, pages_per_site=PAGES_PER_SITE
+        )
+    )
+    digests = {"store": store_digest(ctx.store), "dataset": dataset_digest(ctx.dataset)}
+    texts = [
+        module.render(module.run(ctx))
+        for experiment_id, module in ALL_EXPERIMENTS.items()
+        if experiment_id not in RECRAWLING_EXPERIMENTS
+    ]
+    digests["output"] = hashlib.sha256("\n".join(texts).encode("utf-8")).hexdigest()
+    return digests
+
+
+def test_pipeline_digests_independent_of_hash_seed():
+    source_root = str(Path(repro.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    children = {
+        hash_seed: subprocess.Popen(
+            [sys.executable, __file__],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for hash_seed in ("0", "1")
+    }
+    printed = {}
+    for hash_seed, child in children.items():
+        out, err = child.communicate(timeout=300)
+        assert child.returncode == 0, f"PYTHONHASHSEED={hash_seed}:\n{err}"
+        printed[hash_seed] = json.loads(out)
+    expected = dict(GOLDEN["plain"], output=GOLDEN_OUTPUT)
+    assert printed == {hash_seed: expected for hash_seed in children}
+
+
+if __name__ == "__main__":
+    print(json.dumps(pipeline_digests(), sort_keys=True))
