@@ -16,6 +16,7 @@ from ..crawler.storage import MeasurementStore
 from ..errors import AnalysisError, InvalidURLError
 from ..obs import NULL_OBS, ObsContext
 from ..trees.builder import TreeBuilder
+from ..trees.normalize import NormalizationStats
 from ..trees.tree import DependencyTree
 from .comparison import NodeComparison, PageComparison
 
@@ -34,13 +35,29 @@ class PageEntry:
 
 
 class AnalysisDataset:
-    """All comparable pages of one measurement run."""
+    """All comparable pages of one measurement run.
 
-    def __init__(self, entries: Sequence[PageEntry], profiles: Sequence[str]) -> None:
+    A built dataset is never mutated: experiments share it, so a
+    different classification is a copy (:meth:`reclassified`).  A
+    dataset built from a store also keeps two facts about that build:
+    ``normalization``, the URL normalizer's counts over every tree built
+    (``None`` for :meth:`from_tree_sets`), and ``include_partial``,
+    whether salvaged partial visits could stand in for successes.
+    """
+
+    def __init__(
+        self,
+        entries: Sequence[PageEntry],
+        profiles: Sequence[str],
+        normalization: Optional[NormalizationStats] = None,
+        include_partial: bool = False,
+    ) -> None:
         if not profiles:
             raise AnalysisError("dataset needs profile names")
         self.entries: List[PageEntry] = list(entries)
         self.profiles: List[str] = list(profiles)
+        self.normalization = normalization
+        self.include_partial = include_partial
 
     # -- construction --------------------------------------------------------
 
@@ -123,6 +140,35 @@ class AnalysisDataset:
             entries.append(PageEntry(comparison=comparison, site=site, site_rank=rank))
         return cls(entries, profiles)
 
+    def reclassified(self, filter_list: FilterList) -> "AnalysisDataset":
+        """The same pages, with tracking classified by ``filter_list``.
+
+        Every tree is copied (:meth:`DependencyTree.reclassified`) and
+        every page aligned again, because a
+        :class:`~repro.analysis.comparison.NodeView` snapshots its node's
+        tracking flag.  Sites, ranks, profiles and the build facts carry
+        over; this dataset is left exactly as it was.
+        """
+        entries = [
+            PageEntry(
+                comparison=PageComparison(
+                    {
+                        profile: tree.reclassified(filter_list)
+                        for profile, tree in entry.comparison.trees.items()
+                    }
+                ),
+                site=entry.site,
+                site_rank=entry.site_rank,
+            )
+            for entry in self.entries
+        ]
+        return AnalysisDataset(
+            entries,
+            self.profiles,
+            normalization=self.normalization,
+            include_partial=self.include_partial,
+        )
+
     # -- access --------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -166,6 +212,9 @@ class StreamingDataset:
     * tree metrics go to a private registry that merges commutatively at
       finalize, so folds made while a crawl still runs never show in the
       crawl's metrics or run record;
+    * the normalizer's counts, which the dataset keeps, are sums per
+      call (per distinct URL for ``unparseable``), so no fold order or
+      worker count moves them;
     * the ``dataset`` span and its counters are emitted at finalize,
       in their canonical slot.
     """
@@ -202,20 +251,17 @@ class StreamingDataset:
             else store.pages()
         )
         for page_url in pages:
-            trees = self._builder.build_for_page(
-                store, page_url, profile_names, include_partial=include_partial
+            visits = store.successful_visits_for_page(
+                page_url, profile_names, include_partial=include_partial
+            )
+            trees = self._builder.build_visits(
+                store, visits, allow_partial=include_partial
             )
             if self.require_all and len(trees) != len(profile_names):
                 continue
             if not trees:
                 continue
-            visit = next(
-                iter(
-                    store.successful_visits_for_page(
-                        page_url, profile_names, include_partial=include_partial
-                    ).values()
-                )
-            )
+            visit = next(iter(visits.values()))
             self._entries.append(
                 PageEntry(
                     comparison=PageComparison(trees),
@@ -242,7 +288,12 @@ class StreamingDataset:
                 metrics.merge(self._fold_obs.metrics.as_dict())
                 metrics.counter("dataset.pages_vetted").inc(self._pages_vetted)
                 metrics.counter("dataset.entries").inc(len(self._entries))
-        return AnalysisDataset(self._entries, self.profile_names)
+        return AnalysisDataset(
+            self._entries,
+            self.profile_names,
+            normalization=self._builder.normalizer.stats,
+            include_partial=self.include_partial,
+        )
 
 
 def _site_of(page_url: str) -> str:

@@ -3,7 +3,7 @@
 The paper classifies tracking with EasyList alone and discusses the
 limitation: the list is crowd-sourced, incomplete, and combining lists
 (e.g. EasyPrivacy) changes what counts as a tracker.  This ablation
-re-classifies the same crawl under four list configurations and reports
+re-classifies the same trees under four list configurations and reports
 how the headline tracking statistics move:
 
 * the full synthetic EasyList (the main pipeline's classifier),
@@ -52,25 +52,40 @@ def _variants(ctx: ExperimentContext) -> Dict[str, FilterList]:
     }
 
 
+def _point(name: str, filter_list: FilterList, dataset: AnalysisDataset) -> ListPoint:
+    report = TrackingAnalyzer().analyze(dataset)
+    child_sim = (
+        report.child_similarity_tracking.mean
+        if report.child_similarity_tracking is not None
+        else 0.0
+    )
+    return ListPoint(
+        name=name,
+        filter_count=len(filter_list),
+        tracking_share=report.tracking_node_share,
+        tracking_child_similarity=child_sim,
+    )
+
+
 def run(ctx: ExperimentContext) -> BlocklistAblationResult:
-    points: List[ListPoint] = []
-    for name, filter_list in _variants(ctx).items():
-        dataset = AnalysisDataset.from_store(ctx.store, filter_list=filter_list)
-        report = TrackingAnalyzer().analyze(dataset)
-        child_sim = (
-            report.child_similarity_tracking.mean
-            if report.child_similarity_tracking is not None
-            else 0.0
-        )
-        points.append(
-            ListPoint(
-                name=name,
-                filter_count=len(filter_list),
-                tracking_share=report.tracking_node_share,
-                tracking_child_similarity=child_sim,
+    """Analyse ``ctx.dataset`` under each list configuration.
+
+    The paper's list classified ``ctx.dataset`` itself; each other list
+    gets a re-classified copy, built, analysed and dropped in turn, so
+    at most one copy is alive.
+    """
+    return BlocklistAblationResult(
+        points=[
+            _point(
+                name,
+                filter_list,
+                ctx.dataset
+                if filter_list is ctx.filter_list
+                else ctx.dataset.reclassified(filter_list),
             )
-        )
-    return BlocklistAblationResult(points=points)
+            for name, filter_list in _variants(ctx).items()
+        ]
+    )
 
 
 def render(result: BlocklistAblationResult) -> str:

@@ -10,6 +10,10 @@ Three ablations, each matching a methodological argument in the paper:
   information disappears.
 * **Whole-tree vs node-level similarity** (§3.2) — the paper argues
   node-level comparison is more informative than one whole-tree score.
+
+The paper's own recipe is ``ctx.dataset``: its trees, and the URL counts
+of the build that made them, are read rather than built again.  Only
+the raw-URL and frames-only recipes are built here.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from ..analysis import AnalysisDataset, TreeStatsAnalyzer
 from ..reporting import render_table
 from ..trees.builder import TreeBuilder
 from ..trees.normalize import UrlNormalizer
+from ..trees.tree import DependencyTree
 from .runner import ExperimentContext
 
 
@@ -52,15 +57,21 @@ class AblationResult:
     granularity: SimilarityGranularityAblation
 
 
-def _dataset_without_normalization(ctx: ExperimentContext) -> AnalysisDataset:
-    builder = TreeBuilder(
-        normalizer=UrlNormalizer(strip_query_values=False),
-        filter_list=ctx.filter_list,
+def _tree_sets(
+    ctx: ExperimentContext, builder: TreeBuilder
+) -> List[Dict[str, DependencyTree]]:
+    """``builder``'s trees of the pages ``ctx.dataset`` keeps.
+
+    Pages are vetted as the dataset's build vetted them (its profiles,
+    its partial-visit setting).  The builder has no filter list: the
+    statistics read only keys, depths and root-child counts.
+    """
+    dataset = ctx.dataset
+    return list(
+        builder.iter_page_trees(
+            ctx.store, dataset.profiles, include_partial=dataset.include_partial
+        )
     )
-    tree_sets = list(
-        builder.iter_page_trees(ctx.store, ctx.profile_names, require_all=True)
-    )
-    return AnalysisDataset.from_tree_sets(tree_sets)
 
 
 class _FramesOnlyBuilder(TreeBuilder):
@@ -83,14 +94,13 @@ def run(ctx: ExperimentContext) -> AblationResult:
     stats = TreeStatsAnalyzer()
     normalized_variation = stats.pairwise_data_variation(ctx.dataset)
 
-    raw_dataset = _dataset_without_normalization(ctx)
-    raw_variation = stats.pairwise_data_variation(raw_dataset)
+    raw_sets = _tree_sets(ctx, TreeBuilder(UrlNormalizer(strip_query_values=False)))
+    raw_variation = stats.pairwise_data_variation(
+        AnalysisDataset.from_tree_sets(raw_sets)
+    )
 
-    normalizer = UrlNormalizer()
-    builder = TreeBuilder(normalizer=normalizer, filter_list=ctx.filter_list)
-    tree_sets = list(builder.iter_page_trees(ctx.store, ctx.profile_names))
-    frames_builder = _FramesOnlyBuilder(filter_list=ctx.filter_list)
-    frames_sets = list(frames_builder.iter_page_trees(ctx.store, ctx.profile_names))
+    tree_sets = [entry.comparison.trees for entry in ctx.dataset]
+    frames_sets = _tree_sets(ctx, _FramesOnlyBuilder())
 
     def mean_depth(sets: List[Dict]) -> float:
         depths = [t.max_depth for trees in sets for t in trees.values()]
@@ -108,7 +118,7 @@ def run(ctx: ExperimentContext) -> AblationResult:
         normalization=NormalizationAblation(
             normalized_variation=normalized_variation,
             raw_variation=raw_variation,
-            normalized_changed_ratio=normalizer.stats.changed_ratio,
+            normalized_changed_ratio=ctx.dataset.normalization.changed_ratio,
         ),
         attribution=AttributionAblation(
             full_mean_depth=mean_depth(tree_sets),

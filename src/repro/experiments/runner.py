@@ -89,6 +89,7 @@ class ExperimentContext:
     ) -> None:
         self.config = config
         self.obs = obs if obs is not None else NULL_OBS
+        self.profile_names: List[str] = [profile.name for profile in config.profiles]
         spans_before = len(self.obs.tracer.records)
         with self.obs.tracer.span("pipeline", key="pipeline"):
             self.generator = WebGenerator(config.seed, config=config.web_config)
@@ -141,19 +142,16 @@ class ExperimentContext:
                 )
             )
 
-    @property
-    def profile_names(self) -> List[str]:
-        return [profile.name for profile in self.config.profiles]
-
     @classmethod
     def from_bundle(cls, bundle, obs: Optional[ObsContext] = None) -> "ExperimentContext":
         """Materialize a context from a recorded crawl bundle — no crawl.
 
         ``bundle`` is a :class:`~repro.bundle.Bundle` or a path to one.
-        The store replays in memory, the filter list comes from the
-        archive, and the web generator rebuilds from the archived seed
-        (experiments that re-crawl, e.g. the timeout ablation, still
-        can).  ``summary`` is ``None``, as for any stored-crawl context.
+        The store replays in memory, the filter list and the crawl's
+        profile names (in crawl order) come from the archive, and the
+        web generator rebuilds from the archived seed (experiments that
+        re-crawl, e.g. the timeout ablation, still can).  ``summary`` is
+        ``None``, as for any stored-crawl context.
         """
         from ..bundle import Bundle  # deferred: repro.bundle imports crawler too
 
@@ -165,6 +163,7 @@ class ExperimentContext:
         ctx.config = ExperimentConfig(
             seed=bundle_config.seed, pages_per_site=bundle_config.pages_per_site
         )
+        ctx.profile_names = list(bundle_config.profiles)
         spans_before = len(ctx.obs.tracer.records)
         with ctx.obs.tracer.span("pipeline", key="pipeline"):
             ctx.generator = WebGenerator(bundle_config.seed)

@@ -17,7 +17,7 @@ Everything else attaches to the root — the visited page itself.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from ..blocklist.matcher import FilterList
 from ..browser.frames import MAIN_FRAME_ID
@@ -140,11 +140,21 @@ class TreeBuilder:
         visits = store.successful_visits_for_page(
             page_url, profiles, include_partial=include_partial
         )
+        return self.build_visits(store, visits, allow_partial=include_partial)
+
+    def build_visits(
+        self,
+        store: MeasurementStore,
+        visits: Mapping[str, VisitRecord],
+        allow_partial: bool = False,
+    ) -> Dict[str, DependencyTree]:
+        """One tree per profile of ``visits`` (profile → visit of a page),
+        each from the visit's request records in ``store``."""
         return {
             profile: self.build(
                 visit,
                 store.requests_for_visit(visit.visit_id),
-                allow_partial=include_partial,
+                allow_partial=allow_partial,
             )
             for profile, visit in visits.items()
         }

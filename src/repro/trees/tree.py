@@ -22,7 +22,7 @@ class DependencyTree:
 
     Nodes are only ever added, through :meth:`attach`, which keeps the
     maximum depth current and drops the memoized preorder of
-    :meth:`nodes`.
+    :meth:`nodes`; :meth:`reclassified` copies a whole tree at once.
     """
 
     def __init__(self, page_url: str, profile_name: str, visit_id: int) -> None:
@@ -124,6 +124,40 @@ class DependencyTree:
         return [node.chain() for node in self.nodes() if node.is_leaf]
 
     # -- annotations -------------------------------------------------------
+
+    def reclassified(self, filter_list: FilterList) -> "DependencyTree":
+        """A structural copy of this tree, classified by ``filter_list``.
+
+        The copy keeps every key, parent, child order, raw URL, request
+        id, party and interaction flag, and the maximum depth; only
+        ``is_tracking`` is set anew, by :meth:`annotate_tracking`.  This
+        tree is never written to: datasets that share it keep their
+        classification.
+        """
+        copy = DependencyTree(self.page_url, self.profile_name, self.visit_id)
+        twins = copy._nodes
+        preorder = [copy.root]
+        for node in self.nodes(include_root=True):
+            if node.parent is None:
+                twin = copy.root
+            else:
+                parent = twins[node.parent.key]
+                twin = TreeNode(
+                    key=node.key,
+                    resource_type=node.resource_type,
+                    parent=parent,
+                    is_third_party=node.is_third_party,
+                )
+                twins[node.key] = twin
+                parent.add_child(twin)
+                preorder.append(twin)
+            twin.raw_urls = set(node.raw_urls)
+            twin.request_ids = list(node.request_ids)
+            twin.during_interaction = node.during_interaction
+        copy._max_depth = self._max_depth
+        copy._preorder = tuple(preorder)
+        copy.annotate_tracking(filter_list)
+        return copy
 
     def annotate_tracking(self, filter_list: FilterList) -> int:
         """Mark tracking nodes via the filter list; returns how many matched.

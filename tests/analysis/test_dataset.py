@@ -1,12 +1,15 @@
 """Tests for AnalysisDataset construction."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.analysis.dataset import AnalysisDataset
 from repro.blocklist import build_filter_list
 from repro.browser.callstack import CallStack
 from repro.errors import AnalysisError
-from repro.trees import normalize
+from repro.experiments import ablation_blocklist
+from repro.trees import TreeBuilder, normalize
 from repro.web import psl
 from repro.web.resources import parse_resource_type
 
@@ -96,6 +99,59 @@ class TestWarmCaches:
         assert stats[0][0] > 0 and stats[0][1] > 0
         assert stats[1] == stats[0]
         assert stats[2] == stats[0]
+
+
+def _tree_flags(dataset):
+    return [
+        (tree.profile_name, node.key, node.is_tracking)
+        for entry in dataset.entries
+        for tree in entry.comparison.tree_list()
+        for node in tree.nodes(include_root=True)
+    ]
+
+
+def _tracking_nodes(dataset):
+    return [
+        (tree.profile_name, [node.key for node in tree.tracking_nodes()])
+        for entry in dataset.entries
+        for tree in entry.comparison.tree_list()
+    ]
+
+
+class TestReclassified:
+    """Re-classifying a built dataset equals building it under that list."""
+
+    def test_equals_rebuild_and_leaves_source_untouched(
+        self, store, generator, filter_list
+    ):
+        dataset = AnalysisDataset.from_store(store, filter_list=filter_list)
+        before = (_fingerprint(dataset), _tree_flags(dataset))
+        lists = ablation_blocklist._variants(
+            SimpleNamespace(generator=generator, filter_list=filter_list)
+        )
+        assert len(lists) == 4
+        shares = set()
+        for name, other in lists.items():
+            copy = dataset.reclassified(other)
+            rebuilt = AnalysisDataset.from_store(store, filter_list=other)
+            assert _fingerprint(copy) == _fingerprint(rebuilt), name
+            assert _tracking_nodes(copy) == _tracking_nodes(rebuilt), name
+            assert copy.profiles == rebuilt.profiles
+            assert copy.normalization == rebuilt.normalization
+            shares.add(sum(len(keys) for _, keys in _tracking_nodes(copy)))
+        assert len(shares) > 1  # the lists really classify differently
+        assert (_fingerprint(dataset), _tree_flags(dataset)) == before
+
+    def test_normalization_counts_the_build(self, store, filter_list):
+        dataset = AnalysisDataset.from_store(store, filter_list=filter_list)
+        builder = TreeBuilder(normalize.UrlNormalizer())
+        list(builder.iter_page_trees(store, store.profiles()))
+        assert dataset.normalization == builder.normalizer.stats
+        assert dataset.normalization.changed > 0
+        assert not dataset.include_partial
+        assert AnalysisDataset.from_store(
+            store, filter_list=filter_list, include_partial=True
+        ).include_partial
 
 
 class TestFromTreeSets:

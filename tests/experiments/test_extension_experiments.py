@@ -2,16 +2,25 @@
 
 import pytest
 
+from repro.analysis import AnalysisDataset, TrackingAnalyzer
+from repro.browser.profile import PAPER_PROFILES
+from repro.bundle import record_from_store
+from repro.cli import AnalysisContext
+from repro.crawler import Commander, MeasurementStore, sample_paper_buckets
 from repro.experiments import (
     ExperimentConfig,
+    ExperimentContext,
     ablation_blocklist,
     ablation_timeout,
+    ablations,
+    case_cookies,
     implicit_trust,
     replication,
     run_pipeline,
     security_headers,
     variance_metric,
 )
+from repro.web import WebGenerator
 
 
 @pytest.fixture(scope="module")
@@ -112,3 +121,59 @@ class TestBlocklistAblation:
             points["EasyList + EasyPrivacy"].tracking_share
             >= points["EasyList (paper)"].tracking_share - 1e-9
         )
+
+
+class TestAblationsFollowIncludePartial:
+    """Under ``--include-partial`` the ablations analyse the same pages as
+    every other experiment: the context's dataset."""
+
+    @pytest.fixture(scope="class")
+    def salvage_store(self):
+        store = MeasurementStore()
+        Commander(
+            WebGenerator(2023), store, max_pages_per_site=3, salvage_partial=True
+        ).run(sample_paper_buckets(2023, per_bucket=2))
+        yield store
+        store.close()
+
+    def test_paper_row_is_the_context_dataset(self, salvage_store):
+        ctx = AnalysisContext(salvage_store, seed=2023, include_partial=True)
+        strict = AnalysisDataset.from_store(salvage_store)
+        assert (len(strict), len(ctx.dataset)) == (25, 29)
+        paper = ablation_blocklist.run(ctx).points[0]
+        assert paper.name == "EasyList (paper)"
+        assert (
+            paper.tracking_share
+            == TrackingAnalyzer().analyze(ctx.dataset).tracking_node_share
+        )
+        result = ablations.run(ctx)
+        assert (
+            result.attribution.frames_only_mean_depth
+            < result.attribution.full_mean_depth
+        )
+
+
+class TestBundleReplayKeepsCrawlProfiles:
+    """A replayed context analyses the profiles the crawl ran, in crawl
+    order, as the live context that recorded it does."""
+
+    def test_replay_renders_like_live(self, tmp_path):
+        live = ExperimentContext(
+            ExperimentConfig(
+                seed=7,
+                sites_per_bucket=1,
+                pages_per_site=3,
+                profiles=PAPER_PROFILES[1:3],
+            )
+        )
+        record_from_store(
+            live.store, seed=7, path=tmp_path / "bundle", generator=live.generator
+        )
+        replay = ExperimentContext.from_bundle(tmp_path / "bundle")
+        assert replay.profile_names == live.profile_names == ["Sim1", "Sim2"]
+        assert replay.dataset.profiles == ["Sim1", "Sim2"]
+        for module in (ablations, case_cookies, security_headers):
+            assert module.render(module.run(replay)) == module.render(
+                module.run(live)
+            )
+        assert case_cookies.run(replay).report.total_cookies > 0

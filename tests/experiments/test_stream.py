@@ -19,10 +19,13 @@ from repro.blocklist import build_filter_list
 from repro.crawler import Commander, MeasurementStore, sample_paper_buckets
 from repro.crawler.retry import RetryPolicy
 from repro.devtools.clock import FakeClock
+from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.runner import ExperimentConfig, ExperimentContext
 from repro.obs import ObsContext, RunLedger
 from repro.pipeline import stream_crawl
 from repro.web import WebGenerator
+
+from ..test_golden import RECRAWLING_EXPERIMENTS
 
 RANKS = [1, 2, 3, 6001, 12000]
 RETRIES = RetryPolicy(max_attempts=3)
@@ -151,6 +154,34 @@ class TestStreamedPipelineLedger:
         # FakeClock: rates are deterministic zeros, never wall-clock noise.
         assert stream_block["visits_per_sec"] == 0.0
         assert "stream" not in json.loads(record.deterministic_json())
+
+
+class TestRenderedOutputsIndependentOfOrderAndLayout:
+    """The analysis experiments render the same text in any order, on a
+    context built at any worker count.
+
+    Experiments share one dataset, so this pins that none of them sees
+    another's re-classification, and that the "URLs adjusted" line,
+    which reads the normalizer counts of the streamed fold, does not
+    follow the shard layout.
+    """
+
+    CONFIG = dict(seed=7, sites_per_bucket=2, pages_per_site=3)
+
+    def test_forward_serial_equals_reverse_sharded(self):
+        modules = [
+            module
+            for experiment_id, module in ALL_EXPERIMENTS.items()
+            if experiment_id not in RECRAWLING_EXPERIMENTS
+        ]
+        assert len(modules) == 21
+        serial = ExperimentContext(ExperimentConfig(workers=1, **self.CONFIG))
+        forward = [module.render(module.run(serial)) for module in modules]
+        sharded = ExperimentContext(ExperimentConfig(workers=2, **self.CONFIG))
+        backward = [
+            module.render(module.run(sharded)) for module in reversed(modules)
+        ]
+        assert backward[::-1] == forward
 
 
 @pytest.fixture
