@@ -38,7 +38,7 @@ from ..blocklist.easylist import generate_easylist
 from ..crawler.storage import SCHEMA_VERSION, MeasurementStore
 from ..errors import BundleError
 from ..obs import NULL_OBS, ObsContext
-from ..obs.ledger import build_run_record, outcomes_from_store
+from ..obs.ledger import build_run_record
 from ..obs.monitor import publish_store_events
 from ..web.blueprint import SiteBlueprint
 from ..web.sitegen import WebGenerator
@@ -406,9 +406,8 @@ class Bundle:
         if obs.metrics.enabled:
             obs.metrics.counter("bundle.rows_replayed").inc(total_rows)
         if obs.stream.enabled:
-            # Reconstruct the crawl event sequence from the replayed rows
-            # so archived runs can be monitored against the same detector
-            # set (and a ledger baseline) as live crawls.
+            # The replayed rows publish the events the live crawl did, so
+            # archived runs raise the alerts their live runs raised.
             publish_store_events(store, obs.stream)
             if obs.monitor is not None:
                 obs.monitor.finish()
@@ -421,7 +420,7 @@ class Bundle:
                     obs=obs,
                     records=obs.tracer.records[spans_before:],
                     primary_phase="bundle-replay",
-                    outcomes=outcomes_from_store(store),
+                    outcomes=store.outcomes(),
                     filter_list_version=self.manifest.filter_list_version,
                     store_schema_version=store.schema_version,
                     bundle_digest=self.manifest.digest(),

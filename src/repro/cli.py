@@ -22,7 +22,7 @@ import sys
 from typing import List, Optional
 
 from .analysis import AnalysisDataset
-from .blocklist import build_filter_list, generate_easylist
+from .blocklist import FilterList, build_filter_list, generate_easylist
 from .browser import BrowserEngine, PAPER_PROFILES, profile_by_name
 from .bundle import Bundle
 from .crawler import Commander, MeasurementStore, RetryPolicy, sample_paper_buckets
@@ -48,13 +48,15 @@ class AnalysisContext:
     Experiments that re-crawl (replication, timeout ablation, study
     comparability) read ``config``/``ranks``; both are reconstructed from
     the seed and the stored visits so every experiment runs on a stored
-    db, not just the dataset-only ones.
+    db, not just the dataset-only ones.  ``filter_list`` classifies the
+    dataset: the list :func:`_open_source` resolved with the store.
     """
 
     def __init__(
         self,
         store: MeasurementStore,
         seed: int,
+        filter_list: FilterList,
         obs: ObsContext = NULL_OBS,
         include_partial: bool = False,
     ) -> None:
@@ -65,8 +67,7 @@ class AnalysisContext:
         self.config = ExperimentConfig(
             seed=seed, pages_per_site=store.pages_per_site_cap()
         )
-        with obs.tracer.span("filter-list", key="filter-list"):
-            self.filter_list = build_filter_list(self.generator.ecosystem)
+        self.filter_list = filter_list
         self.dataset = AnalysisDataset.from_store(
             store,
             filter_list=self.filter_list,
@@ -152,11 +153,12 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
 
 
 def _open_source(args: argparse.Namespace, obs: ObsContext):
-    """Resolve ``--db``/``--from-bundle`` into ``(store, seed)``.
+    """Resolve ``--db``/``--from-bundle`` into ``(store, seed, filter_list)``.
 
-    A bundle replays into an in-memory store and supplies its own seed;
-    passing a conflicting ``--seed`` is an error rather than a silently
-    wrong regeneration of the synthetic web.
+    A bundle replays into an in-memory store and supplies its own seed
+    and the filter list it archived; passing a conflicting ``--seed`` is
+    an error rather than a silently wrong regeneration of the synthetic
+    web.  A db is classified with the list regenerated from the seed.
     """
     if args.from_bundle and args.db:
         raise SystemExit("pass either --db or --from-bundle, not both")
@@ -167,21 +169,27 @@ def _open_source(args: argparse.Namespace, obs: ObsContext):
                 f"--seed {args.seed} contradicts the bundle's recorded "
                 f"seed {bundle.seed}"
             )
-        return bundle.replay(obs=obs), bundle.seed
-    if not args.db:
+        store, seed = bundle.replay(obs=obs), bundle.seed
+        list_text = bundle.filter_list_text()
+    elif args.db:
+        store = MeasurementStore(args.db, obs=obs)
+        seed = args.seed if args.seed is not None else 2023
+        list_text = generate_easylist(WebGenerator(seed).ecosystem)
+    else:
         raise SystemExit("one of --db or --from-bundle is required")
-    return MeasurementStore(args.db, obs=obs), (
-        args.seed if args.seed is not None else 2023
-    )
+    with obs.tracer.span("filter-list", key="filter-list"):
+        filter_list = FilterList.from_text(list_text)
+    return store, seed, filter_list
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     obs = _obs_for(args)
-    store, seed = _open_source(args, obs)
+    store, seed, filter_list = _open_source(args, obs)
     try:
         ctx = AnalysisContext(
             store,
             seed=seed,
+            filter_list=filter_list,
             obs=obs,
             include_partial=args.include_partial,
         )
@@ -214,7 +222,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    store, seed = _open_source(args, NULL_OBS)
+    store, seed, filter_list = _open_source(args, NULL_OBS)
     try:
         if args.what == "visits":
             rows = export_mod.export_visits_csv(store, args.out)
@@ -226,7 +234,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
             rows = exporter(store, args.out, include_partial=args.include_partial)
         else:
             ctx = AnalysisContext(
-                store, seed=seed, include_partial=args.include_partial
+                store,
+                seed=seed,
+                filter_list=filter_list,
+                include_partial=args.include_partial,
             )
             if args.what == "trees":
                 rows = export_mod.export_trees_jsonl(ctx.dataset, args.out)

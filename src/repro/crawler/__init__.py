@@ -6,7 +6,7 @@ clients with site-level synchronization, consolidating results into a
 single store.
 """
 
-from .client import ClientStats, CrawlClient, SiteVisitPlan
+from .client import CrawlClient, SiteVisitPlan
 from .commander import Commander, CrawlSummary, ShardHandoff, SiteSchedule, run_measurement
 from .discovery import DiscoveryResult, discover_pages, first_party_links
 from .retry import NO_RETRIES, RetryPolicy
@@ -20,7 +20,6 @@ from .tranco import (
 )
 
 __all__ = [
-    "ClientStats",
     "Commander",
     "CrawlClient",
     "CrawlSummary",

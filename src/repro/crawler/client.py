@@ -10,7 +10,7 @@ allocation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..browser.cookies import CookieJar
 from ..browser.engine import BrowserEngine
@@ -18,65 +18,6 @@ from ..browser.network import VisitResult
 from ..browser.profile import BrowserProfile
 from ..rng import child_rng
 from ..web.blueprint import PageBlueprint
-
-
-@dataclass
-class ClientStats:
-    """Running counters for one client.
-
-    ``failure_reasons`` keeps the per-reason breakdown over the
-    :mod:`repro.web.faults` taxonomy the commander aggregates into
-    :class:`~repro.crawler.commander.CrawlSummary` — Table 1 of the paper
-    reports failure *kinds*, not just counts.  ``retries`` counts visit
-    attempts beyond the first; ``recovered`` the retries that succeeded;
-    ``salvaged`` the failed visits whose partial traffic was kept.
-    """
-
-    visits: int = 0
-    successes: int = 0
-    failures: int = 0
-    failure_reasons: Dict[str, int] = field(default_factory=dict)
-    retries: int = 0
-    recovered: int = 0
-    salvaged: int = 0
-
-    @property
-    def success_rate(self) -> float:
-        return self.successes / self.visits if self.visits else 0.0
-
-    def record(
-        self,
-        success: bool,
-        failure_reason: Optional[str],
-        attempt: int = 1,
-        salvaged: bool = False,
-    ) -> None:
-        self.visits += 1
-        if attempt > 1:
-            self.retries += 1
-        if success:
-            self.successes += 1
-            if attempt > 1:
-                self.recovered += 1
-        else:
-            self.failures += 1
-            if salvaged:
-                self.salvaged += 1
-            reason = failure_reason if failure_reason else "unknown"
-            self.failure_reasons[reason] = self.failure_reasons.get(reason, 0) + 1
-
-    def merge(self, other: "ClientStats") -> None:
-        """Fold another client's counters in (shard aggregation)."""
-        self.visits += other.visits
-        self.successes += other.successes
-        self.failures += other.failures
-        self.retries += other.retries
-        self.recovered += other.recovered
-        self.salvaged += other.salvaged
-        for reason in sorted(other.failure_reasons):
-            self.failure_reasons[reason] = (
-                self.failure_reasons.get(reason, 0) + other.failure_reasons[reason]
-            )
 
 
 class CrawlClient:
@@ -100,7 +41,6 @@ class CrawlClient:
         self.profile = profile
         self.seed = seed
         self.engine = BrowserEngine(profile, seed=seed, timeout=timeout)
-        self.stats = ClientStats()
         self.clock = 0.0
         self.browsers_per_vm = browsers_per_vm
         self.stateful = stateful
@@ -116,7 +56,7 @@ class CrawlClient:
         visit_id: int,
         attempt: int = 1,
     ) -> VisitResult:
-        """Visit one page and update the client clock and counters.
+        """Visit one page and advance the client clock.
 
         The visit's duration already includes any browser hold (a stalled
         page bills the full timeout, other failures their seeded
@@ -144,12 +84,6 @@ class CrawlClient:
             result = VisitResult(visit=replace(result.visit, partial=False))
         self.clock = result.visit.started_at + result.visit.duration
         self.clock += self._jitter.uniform(0.2, 2.0)  # navigation overhead
-        self.stats.record(
-            result.success,
-            result.visit.failure_reason,
-            attempt=attempt,
-            salvaged=result.visit.partial,
-        )
         return result
 
     def synchronize(self, barrier_time: float) -> None:

@@ -40,12 +40,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..browser.profile import BrowserProfile, PAPER_PROFILES
 from ..errors import CrawlError
 from ..obs import NULL_OBS, ObsConfig, ObsContext, VISIT_SECONDS_BUCKETS
-from ..obs.ledger import build_run_record, outcomes_from_summary
-from ..obs.stream import KIND_SITE_END, KIND_SITE_START, KIND_VISIT, StreamEvent
+from ..obs.ledger import build_run_record
+from ..obs.monitor import publish_store_events
+from ..obs.stream import visit_event
 from ..obs.trace import SpanRecord, split_roots
 from ..rng import child_rng
 from ..web.sitegen import WebGenerator
-from .client import ClientStats, CrawlClient, SiteVisitPlan
+from .client import CrawlClient, SiteVisitPlan
 from .discovery import DiscoveryResult, discover_pages
 from .retry import NO_RETRIES, RetryPolicy
 from .storage import MeasurementStore
@@ -66,14 +67,15 @@ SHARDS_PER_WORKER = 4
 class CrawlSummary:
     """Aggregate outcome of a crawl, per profile and overall.
 
-    ``failures`` maps profile → failure reason → count over the
-    :mod:`repro.web.faults` taxonomy, the breakdown the paper's Table 1
-    accounts for before trusting any similarity number.  Historically the
-    sharded aggregation collapsed this to bare ``(visits, successes)``
-    tuples and the reasons were lost; they now ride up from every
-    :class:`~repro.crawler.client.ClientStats`.  ``retries`` counts visit
-    attempts beyond the first per profile; ``recovered`` the retried
-    visits that succeeded.
+    ``sites_planned``, ``sites_crawled`` and ``pages_discovered`` come
+    from the plan.  The five per-profile dicts are read from the crawl's
+    stored visits (:meth:`MeasurementStore.outcomes`) once the crawl, and
+    any shard merge, finished — so a live summary and an audit of the
+    stored crawl cannot disagree.  ``failures`` maps profile → failure
+    reason → count over the :mod:`repro.web.faults` taxonomy, the
+    breakdown the paper's Table 1 accounts for before trusting any
+    similarity number.  ``retries`` counts visit attempts beyond the
+    first per profile; ``recovered`` the retried visits that succeeded.
     """
 
     sites_planned: int = 0
@@ -236,7 +238,7 @@ class Commander:
                 pages_discovered=sum(item.page_count for item in schedules),
             )
             if self.workers <= 1 or len(schedules) <= 1:
-                stats = _crawl_sites(
+                _crawl_sites(
                     self.generator,
                     self.store,
                     self.profiles,
@@ -251,15 +253,14 @@ class Commander:
                     salvage_partial=self.salvage_partial,
                 )
             else:
-                stats = self._run_sharded(schedules, on_shard=on_shard)
-            for name, client_stats in stats.items():
-                summary.visits[name] = client_stats.visits
-                summary.successes[name] = client_stats.successes
-                summary.failures[name] = dict(
-                    sorted(client_stats.failure_reasons.items())
-                )
-                summary.retries[name] = client_stats.retries
-                summary.recovered[name] = client_stats.recovered
+                self._run_sharded(schedules, on_shard=on_shard)
+            outcomes = self.store.outcomes()
+            for name, outcome in outcomes.items():
+                summary.visits[name] = outcome["visits"]
+                summary.successes[name] = outcome["successes"]
+                summary.failures[name] = outcome["failures"]
+                summary.retries[name] = outcome["retries"]
+                summary.recovered[name] = outcome["recovered"]
             # Deterministic attrs only: worker count must not leak into
             # the trace, or byte-identity across worker counts breaks.
             crawl_span.set("sites", summary.sites_crawled)
@@ -275,7 +276,7 @@ class Commander:
                     obs=self.obs,
                     records=tracer.records[spans_before:],
                     primary_phase="crawl",
-                    outcomes=outcomes_from_summary(summary),
+                    outcomes=outcomes,
                     store_schema_version=self.store.schema_version,
                     alerts=(
                         self.obs.monitor.alerts_payload()
@@ -359,19 +360,21 @@ class Commander:
         schedules: Sequence[SiteSchedule],
         *,
         on_shard: Optional[Callable[[ShardHandoff], None]] = None,
-    ) -> Dict[str, ClientStats]:
+    ) -> None:
         """Fan the schedule out to worker processes and merge their shards.
 
         Workers record telemetry into private tracers/registries; the
         parent re-attaches per-site span subtrees in schedule order and
         merges metrics by summation, so the consolidated telemetry — like
-        the consolidated store — is identical to a serial run's.
+        the consolidated store — is identical to a serial run's.  Workers
+        publish no events: the parent publishes the merged store's visits,
+        in visit-id order, exactly the sequence a serial crawl publishes.
 
         Shards are consumed as they complete (no ``pool.map`` barrier):
         results land in a layout-indexed list, so every downstream step —
-        store merge, span adoption, event replay, metric merge — still
-        runs in deterministic layout order while ``on_shard`` sees each
-        shard the moment it finishes.  When a shard or ``on_shard``
+        store merge, span adoption, event publication, metric merge —
+        still runs in deterministic layout order while ``on_shard`` sees
+        each shard the moment it finishes.  When a shard or ``on_shard``
         raises, the shards that have not started are cancelled, so the
         error surfaces without crawling the rest.
         """
@@ -439,31 +442,11 @@ class Commander:
             for schedule in schedules:
                 self.obs.tracer.adopt(site_spans.get(schedule.rank, []))
         if self.obs.stream.enabled:
-            # Replay worker event buffers grouped by site rank, in
-            # schedule order — the event-stream analogue of span
-            # adoption above.  Workers apply the same per-scope cap, so
-            # republishing never re-drops; worker-side drop counts are
-            # merged instead.
-            site_events: Dict[int, List[StreamEvent]] = {}
-            for result in shard_results:
-                for event in result.events:
-                    if event.site_rank is not None:
-                        site_events.setdefault(event.site_rank, []).append(event)
-                self.obs.stream.merge_dropped(result.dropped)
-            for schedule in schedules:
-                for event in site_events.get(schedule.rank, []):
-                    self.obs.stream.publish(event)
+            publish_store_events(self.store, self.obs.stream)
         if self.obs.metrics.enabled:
             self.obs.metrics.merge_all(
                 result.metrics for result in shard_results if result.metrics
             )
-        totals: Dict[str, ClientStats] = {
-            profile.name: ClientStats() for profile in self.profiles
-        }
-        for result in shard_results:
-            for name, stats in result.stats.items():
-                totals[name].merge(stats)
-        return totals
 
 
 @dataclass(frozen=True)
@@ -487,13 +470,10 @@ class _ShardSpec:
 
 @dataclass
 class _ShardResult:
-    """What a worker sends back: outcomes plus its shard's telemetry."""
+    """What a worker sends back: its shard's spans and metrics."""
 
-    stats: Dict[str, ClientStats]
     spans: List[SpanRecord] = field(default_factory=list)
     metrics: Optional[Dict[str, Dict[str, object]]] = None
-    events: List[StreamEvent] = field(default_factory=list)
-    dropped: Dict[str, int] = field(default_factory=dict)
 
 
 def _plan_site(
@@ -522,14 +502,17 @@ def _crawl_sites(
     obs: ObsContext = NULL_OBS,
     retry_policy: RetryPolicy = NO_RETRIES,
     salvage_partial: bool = False,
-) -> Dict[str, ClientStats]:
+) -> None:
     """Crawl ``schedules`` into ``store``; shared by serial path and workers.
 
     Visit ids are taken from each schedule's block, profile-major within
     each attempt round; all of a site's results are written in one batched
     transaction, sorted by visit id so shard streams stay ascending for the
-    merge.  Returns the per-profile :class:`ClientStats` (visit/success
-    counters plus the failure-reason breakdown and retry counters).
+    merge.  The stored rows are the crawl's only record of what each visit
+    did: once a site's batch is stored, its visits are published to the
+    event stream in that same visit-id order (first attempts, then each
+    retry round) — the order
+    :func:`~repro.obs.monitor.events_from_store` reads back from the store.
 
     Retries run after the site's first-attempt pass, per profile, in visit
     id order; the backoff jitter stream is anchored per ``(profile, rank,
@@ -572,24 +555,6 @@ def _crawl_sites(
     )
 
     def observe(profile_name: str, result, attempt: int) -> None:
-        if stream.enabled:
-            visit = result.visit
-            stream.publish(
-                StreamEvent(
-                    kind=KIND_VISIT,
-                    site_rank=visit.site_rank,
-                    profile=profile_name,
-                    payload={
-                        "visit_id": visit.visit_id,
-                        "page": visit.page_url,
-                        "success": visit.success,
-                        "reason": visit.failure_reason,
-                        "seconds": round(visit.duration, 6),
-                        "attempt": attempt,
-                        "partial": visit.partial,
-                    },
-                )
-            )
         visit_counters[profile_name].inc()
         duration_histogram.observe(result.visit.duration)
         if attempt > 1:
@@ -615,17 +580,6 @@ def _crawl_sites(
             continue
         batch = []
         site_visits = len(profiles) * plan.page_count * repeat_visits
-        counters_before: Dict[str, float] = {}
-        if stream.enabled:
-            stream.publish(
-                StreamEvent(
-                    kind=KIND_SITE_START,
-                    site_rank=schedule.rank,
-                    payload={"site": plan.site, "pages": plan.page_count},
-                )
-            )
-            if metrics.enabled:
-                counters_before = dict(metrics.scrape())
         # Site-level barrier: all clients start the site at its scheduled
         # time; stateful jars reset per site (cookies persist between the
         # site's pages).  Page visits then drift per client, unsynchronized.
@@ -634,8 +588,7 @@ def _crawl_sites(
         ) as site_span:
             for profile_index, profile in enumerate(profiles):
                 client = clients[profile.name]
-                visits_before = client.stats.visits
-                successes_before = client.stats.successes
+                batch_before = len(batch)
                 with tracer.span(
                     "profile",
                     key=f"site:{schedule.rank}/{profile.name}",
@@ -703,11 +656,11 @@ def _crawl_sites(
                                 ):
                                     still_failing.append((retry_slot, page))
                             pending = still_failing
+                    profile_results = batch[batch_before:]
+                    profile_span.set("visits", len(profile_results))
                     profile_span.set(
-                        "visits", client.stats.visits - visits_before
-                    )
-                    profile_span.set(
-                        "successes", client.stats.successes - successes_before
+                        "successes",
+                        sum(1 for result in profile_results if result.success),
                     )
             site_span.set("visits", len(batch))
         # Retry rounds interleave id sub-blocks across profiles; the store
@@ -715,29 +668,8 @@ def _crawl_sites(
         batch.sort(key=lambda result: result.visit.visit_id)
         store.store_visits(batch)
         if stream.enabled:
-            # Site-local counter *deltas* (never cumulative snapshots,
-            # which differ between serial and per-shard registries).
-            deltas: Dict[str, float] = {}
-            if metrics.enabled:
-                for key, value in metrics.scrape():
-                    delta = value - counters_before.get(key, 0)
-                    if delta:
-                        deltas[key] = delta
-            stream.publish(
-                StreamEvent(
-                    kind=KIND_SITE_END,
-                    site_rank=schedule.rank,
-                    payload={
-                        "site": plan.site,
-                        "visits": len(batch),
-                        "successes": sum(
-                            1 for result in batch if result.success
-                        ),
-                        "metrics": deltas,
-                    },
-                )
-            )
-    return {name: client.stats for name, client in clients.items()}
+            for result in batch:
+                stream.publish(visit_event(result.visit))
 
 
 def _crawl_shard(spec: _ShardSpec) -> _ShardResult:
@@ -751,7 +683,7 @@ def _crawl_shard(spec: _ShardSpec) -> _ShardResult:
         spec.seed, config=spec.web_config, ecosystem_config=spec.ecosystem_config
     )
     with MeasurementStore(spec.db_path, obs=obs) as store:
-        stats = _crawl_sites(
+        _crawl_sites(
             generator,
             store,
             spec.profiles,
@@ -765,11 +697,8 @@ def _crawl_shard(spec: _ShardSpec) -> _ShardResult:
             salvage_partial=spec.salvage_partial,
         )
     return _ShardResult(
-        stats=stats,
         spans=obs.tracer.records,
         metrics=obs.metrics.as_dict() if obs.metrics.enabled else None,
-        events=obs.stream.events,
-        dropped=obs.stream.dropped,
     )
 
 

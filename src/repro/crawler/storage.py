@@ -440,22 +440,44 @@ class MeasurementStore:
         ).fetchone()
         return max(1, row[0]) if row else 1
 
-    def outcome_counts(self) -> List[Tuple[str, bool, Optional[str], int]]:
-        """Per-profile visit outcomes: ``(profile, success, reason, count)``.
+    def outcomes(self) -> Dict[str, Dict[str, object]]:
+        """Per-profile visit outcomes, the paper's Table 1 accounting.
 
-        The crawl-health report (:mod:`repro.obs.health`) uses this to
-        rebuild the Table-1-style breakdown from a stored crawl, without
-        needing the live :class:`~repro.crawler.commander.CrawlSummary`.
+        ``{profile: {visits, successes, failures: {reason: n}, retries,
+        recovered}}``, sorted by profile and reason.  ``retries`` counts
+        attempts beyond the first, ``recovered`` the retries that
+        succeeded, and a failure with no reason counts as ``"unknown"``.
+        This is the one fold every outcome view reads — the crawl
+        summary, ledger records and health reports — so a stored crawl
+        reports exactly what its live run did.
         """
         rows = self._conn.execute(
             """
-            SELECT profile, success, failure_reason, COUNT(*)
+            SELECT profile, success, failure_reason, attempt, COUNT(*)
             FROM visits
-            GROUP BY profile, success, failure_reason
-            ORDER BY profile, success, failure_reason
+            GROUP BY profile, success, failure_reason, attempt
+            ORDER BY profile, success, failure_reason, attempt
             """
-        ).fetchall()
-        return [(row[0], bool(row[1]), row[2], row[3]) for row in rows]
+        )
+        outcomes: Dict[str, Dict[str, object]] = {}
+        for profile, success, reason, attempt, count in rows:
+            row = outcomes.setdefault(
+                profile,
+                dict(visits=0, successes=0, failures={}, retries=0, recovered=0),
+            )
+            row["visits"] += count
+            if attempt > 1:
+                row["retries"] += count
+            if success:
+                row["successes"] += count
+                if attempt > 1:
+                    row["recovered"] += count
+            else:
+                label = reason or "unknown"
+                row["failures"][label] = row["failures"].get(label, 0) + count
+        for row in outcomes.values():
+            row["failures"] = dict(sorted(row["failures"].items()))
+        return outcomes
 
     def profiles(self) -> List[str]:
         rows = self._conn.execute("SELECT DISTINCT profile FROM visits ORDER BY profile")
@@ -547,18 +569,6 @@ class MeasurementStore:
         for name, visit in partials.items():
             result.setdefault(name, visit)
         return result
-
-    def recovered_counts(self) -> Dict[str, int]:
-        """Per-profile count of successful visits that needed a retry."""
-        rows = self._conn.execute(
-            """
-            SELECT profile, COUNT(*) FROM visits
-            WHERE success = 1 AND attempt > 1
-            GROUP BY profile
-            ORDER BY profile
-            """
-        ).fetchall()
-        return {row[0]: row[1] for row in rows}
 
     # -- reads: traffic ----------------------------------------------------
 

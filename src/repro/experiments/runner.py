@@ -16,12 +16,12 @@ from typing import Dict, List, Optional, Tuple
 
 from ..blocklist import FilterList, build_filter_list
 from ..blocklist.easylist import generate_easylist
-from ..browser.profile import BrowserProfile, PAPER_PROFILES
+from ..browser.profile import BrowserProfile, PAPER_PROFILES, profile_by_name
 from ..crawler import CrawlSummary, MeasurementStore, sample_paper_buckets
 from ..analysis import AnalysisDataset
 from ..errors import ExperimentError
 from ..obs import NULL_OBS, ObsContext
-from ..obs.ledger import build_run_record, outcomes_from_store, outcomes_from_summary
+from ..obs.ledger import build_run_record
 from ..pipeline import stream_crawl
 from ..web import WebConfig, WebGenerator
 
@@ -124,7 +124,7 @@ class ExperimentContext:
                     obs=self.obs,
                     records=self.obs.tracer.records[spans_before:],
                     primary_phase="pipeline",
-                    outcomes=outcomes_from_summary(self.summary),
+                    outcomes=self.store.outcomes(),
                     filter_list_version=_filter_list_version(
                         generate_easylist(self.generator.ecosystem)
                     ),
@@ -148,10 +148,12 @@ class ExperimentContext:
 
         ``bundle`` is a :class:`~repro.bundle.Bundle` or a path to one.
         The store replays in memory, the filter list and the crawl's
-        profile names (in crawl order) come from the archive, and the
-        web generator rebuilds from the archived seed (experiments that
-        re-crawl, e.g. the timeout ablation, still can).  ``summary`` is
-        ``None``, as for any stored-crawl context.
+        profiles (in crawl order) come from the archive, and the web
+        generator rebuilds from the archived seed, so experiments that
+        re-crawl (replication, the timeout ablation, study
+        comparability) re-crawl with the archived profiles, as the live
+        context does.  ``summary`` is ``None``, as for any stored-crawl
+        context.
         """
         from ..bundle import Bundle  # deferred: repro.bundle imports crawler too
 
@@ -161,7 +163,9 @@ class ExperimentContext:
         ctx.obs = obs if obs is not None else NULL_OBS
         bundle_config = bundle.config
         ctx.config = ExperimentConfig(
-            seed=bundle_config.seed, pages_per_site=bundle_config.pages_per_site
+            seed=bundle_config.seed,
+            pages_per_site=bundle_config.pages_per_site,
+            profiles=tuple(profile_by_name(name) for name in bundle_config.profiles),
         )
         ctx.profile_names = list(bundle_config.profiles)
         spans_before = len(ctx.obs.tracer.records)
@@ -185,7 +189,7 @@ class ExperimentContext:
                     records=ctx.obs.tracer.records[spans_before:],
                     label="from-bundle",
                     primary_phase="pipeline",
-                    outcomes=outcomes_from_store(ctx.store),
+                    outcomes=ctx.store.outcomes(),
                     filter_list_version=bundle.manifest.filter_list_version,
                     store_schema_version=ctx.store.schema_version,
                     bundle_digest=bundle.manifest.digest(),

@@ -1,7 +1,7 @@
 """``repro.obs`` — deterministic telemetry for the crawl→trees→analysis
 pipeline.
 
-The package is a dependency-free observability layer with three parts:
+The package is a dependency-free observability layer:
 
 * :mod:`repro.obs.trace` — span tracing with deterministic span ids
   (derived via :mod:`repro.rng`) and injectable time
@@ -9,9 +9,14 @@ The package is a dependency-free observability layer with three parts:
   ``FakeClock`` at any worker count;
 * :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket
   histograms with a commutative merge for shard aggregation;
-* :mod:`repro.obs.health` — the Table-1-style crawl-health report
-  (per-profile success/failure/timeout counts, stage timings), also
-  exposed as the ``repro-obs`` console script.
+* :mod:`repro.obs.stream` and :mod:`repro.obs.monitor` — one ``visit``
+  event per stored visit, in visit-id order, through rolling-window
+  anomaly detectors;
+* :mod:`repro.obs.health` and :mod:`repro.obs.ledger` — the
+  Table-1-style crawl-health report and the run ledger, whose outcomes
+  are the store's own fold
+  (:meth:`~repro.crawler.storage.MeasurementStore.outcomes`); the
+  ``repro-obs`` console script renders both.
 
 Instrumented modules take an :class:`ObsContext` and default to
 :data:`NULL_OBS`, whose tracer and registry are disabled no-ops — tracing
@@ -35,8 +40,6 @@ from .ledger import (
     build_run_record,
     config_hash,
     diff_records,
-    outcomes_from_store,
-    outcomes_from_summary,
 )
 from .metrics import (
     BATCH_SIZE_BUCKETS,
@@ -82,17 +85,13 @@ class ObsConfig:
     ``clock`` travels by value: a pickled ``FakeClock`` carries its
     current reading, so worker spans see the same frozen time the parent
     does — one of the ingredients of trace byte-identity across worker
-    counts.
+    counts.  Workers get no event stream: the parent publishes the
+    merged store's visits.
     """
 
     enabled: bool = False
     seed: int = 0
     clock: Optional[Clock] = None
-    #: Whether workers should buffer stream events for rank-ordered
-    #: replay by the parent (detectors stay parent-side; see
-    #: :mod:`repro.obs.monitor`).
-    stream_enabled: bool = False
-    stream_capacity: int = DEFAULT_SCOPE_CAPACITY
 
 
 class ObsContext:
@@ -119,10 +118,6 @@ class ObsContext:
         self.ledger = ledger
         self.stream = stream if stream is not None else EventStream.disabled()
         self.monitor: Optional[Monitor] = None
-        if self.stream.enabled and self.tracer.enabled:
-            # Publish span events as spans close; adopted worker spans
-            # arrive via shard replay instead (no double publish).
-            self.tracer.on_finish = self.stream.publish_span
         if monitor is not None:
             self.attach_monitor(monitor)
 
@@ -165,24 +160,13 @@ class ObsContext:
         """The picklable spec workers use to build their own context."""
         if not self.enabled:
             return ObsConfig(enabled=False)
-        return ObsConfig(
-            enabled=True,
-            seed=self.tracer.seed,
-            clock=self.tracer.clock,
-            stream_enabled=self.stream.enabled,
-            stream_capacity=self.stream.scope_capacity,
-        )
+        return ObsConfig(enabled=True, seed=self.tracer.seed, clock=self.tracer.clock)
 
     @classmethod
     def from_config(cls, config: Optional[ObsConfig]) -> "ObsContext":
         if config is None or not config.enabled:
             return NULL_OBS
-        stream = (
-            EventStream(scope_capacity=config.stream_capacity)
-            if config.stream_enabled
-            else None
-        )
-        return cls.create(seed=config.seed, clock=config.clock, stream=stream)
+        return cls.create(seed=config.seed, clock=config.clock)
 
 
 #: The shared disabled context instrumented modules default to.
@@ -228,8 +212,6 @@ __all__ = [
     "diff_records",
     "events_from_store",
     "metric_key",
-    "outcomes_from_store",
-    "outcomes_from_summary",
     "profile_from_parts",
     "publish_store_events",
     "read_jsonl",

@@ -295,8 +295,8 @@ def _report_from_crawl(args: argparse.Namespace) -> int:
         salvage_partial=args.salvage_partial,
     )
     ranks = sample_paper_buckets(args.seed, per_bucket=args.sites_per_bucket)
-    summary = commander.run(ranks)
-    report = build_health_report(summary=summary, records=obs.tracer.records)
+    commander.run(ranks)
+    report = build_health_report(store=store, records=obs.tracer.records)
     print(render_health_report(report))
     if args.show_trace:
         print()

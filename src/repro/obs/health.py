@@ -7,16 +7,17 @@ reproduction run — per-profile visit outcomes split by failure reason
 (timeout vs. crawler error), plus a per-stage wall-clock breakdown from
 the span trace — so a run can be audited before its numbers are believed.
 
-Inputs are any combination of a :class:`~repro.crawler.commander.CrawlSummary`
-(live run), a :class:`~repro.crawler.storage.MeasurementStore` (stored
-run), trace records, and a metrics registry; the ``repro-obs`` console
-script (:mod:`repro.obs.cli`) wires them together.
+Outcomes come from one place, the crawl's stored visits
+(:meth:`~repro.crawler.storage.MeasurementStore.outcomes`), whether the
+crawl just ran, was stored earlier, or was replayed from a bundle; trace
+records add the stage timings.  The ``repro-obs`` console script
+(:mod:`repro.obs.cli`) wires them together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from ..reporting.tables import percent, render_kv, render_table
 from .trace import SpanRecord
@@ -27,9 +28,6 @@ STAGE_SPAN_NAMES = ("plan", "crawl", "filter-list", "dataset", "experiment")
 #: Failure reasons that count as timeouts: the fault-taxonomy name plus
 #: the pre-taxonomy one (stores written by older crawls).
 TIMEOUT_REASONS = frozenset({"stall-timeout", "timeout"})
-
-#: Backwards-compatible alias (pre-taxonomy single reason).
-TIMEOUT_REASON = "timeout"
 
 
 @dataclass(frozen=True)
@@ -80,75 +78,32 @@ class HealthReport:
 
 
 def profile_health(
-    visits: Mapping[str, int],
-    successes: Mapping[str, int],
-    failures: Mapping[str, Mapping[str, int]],
-    recovered: Optional[Mapping[str, int]] = None,
+    outcomes: Mapping[str, Mapping[str, object]],
 ) -> List[ProfileHealth]:
-    """Fold per-profile counters into :class:`ProfileHealth` rows.
+    """Fold a store's per-profile outcomes into :class:`ProfileHealth` rows.
 
-    ``failures`` maps profile → failure reason → count, the breakdown the
-    commander carries up from its clients; ``recovered`` maps profile →
-    retried-then-succeeded visit count.
+    ``outcomes`` is :meth:`~repro.crawler.storage.MeasurementStore.outcomes`:
+    profile → ``visits``, ``successes``, ``failures`` (reason → count),
+    ``retries`` and ``recovered``.
     """
-    recovered = recovered or {}
     rows: List[ProfileHealth] = []
-    for profile in sorted(visits):
-        reasons = failures.get(profile, {})
+    for profile in sorted(outcomes):
+        outcome = outcomes[profile]
+        reasons = outcome["failures"]
         timeouts = sum(
             count for reason, count in reasons.items() if reason in TIMEOUT_REASONS
-        )
-        errors = sum(
-            count for reason, count in reasons.items() if reason not in TIMEOUT_REASONS
         )
         rows.append(
             ProfileHealth(
                 profile=profile,
-                visits=visits.get(profile, 0),
-                successes=successes.get(profile, 0),
+                visits=outcome["visits"],
+                successes=outcome["successes"],
                 timeouts=timeouts,
-                errors=errors,
-                recovered=recovered.get(profile, 0),
+                errors=sum(reasons.values()) - timeouts,
+                recovered=outcome["recovered"],
             )
         )
     return rows
-
-
-def health_from_summary(summary) -> HealthReport:
-    """Build a report from a live run's ``CrawlSummary``."""
-    return HealthReport(
-        profiles=profile_health(
-            summary.visits,
-            summary.successes,
-            summary.failures,
-            recovered=getattr(summary, "recovered", None),
-        ),
-        sites_crawled=summary.sites_crawled,
-        pages_discovered=summary.pages_discovered,
-    )
-
-
-def health_from_store(store) -> HealthReport:
-    """Build a report from a stored crawl's ``visits`` table."""
-    visits: Dict[str, int] = {}
-    successes: Dict[str, int] = {}
-    failures: Dict[str, Dict[str, int]] = {}
-    for profile, success, reason, count in store.outcome_counts():
-        visits[profile] = visits.get(profile, 0) + count
-        if success:
-            successes[profile] = successes.get(profile, 0) + count
-        else:
-            per_profile = failures.setdefault(profile, {})
-            label = reason if reason else "unknown"
-            per_profile[label] = per_profile.get(label, 0) + count
-    recovered_counts = getattr(store, "recovered_counts", None)
-    recovered = recovered_counts() if callable(recovered_counts) else None
-    report = HealthReport(
-        profiles=profile_health(visits, successes, failures, recovered=recovered)
-    )
-    report.sites_crawled = len(store.sites())
-    report.pages_discovered = len(store.pages())
-    return report
 
 
 def stage_timings(records: Sequence[SpanRecord]) -> List[StageTiming]:
@@ -234,22 +189,13 @@ def render_health_report(report: HealthReport) -> str:
 
 
 def build_health_report(
-    summary=None,
-    store=None,
-    records: Optional[Sequence[SpanRecord]] = None,
+    store, records: Optional[Sequence[SpanRecord]] = None
 ) -> HealthReport:
-    """Assemble a report from whichever sources are available.
-
-    A live ``summary`` wins over a ``store`` for outcome counts (it carries
-    the failure-reason breakdown even for in-memory runs); trace records
-    contribute the stage timings.
-    """
-    if summary is not None:
-        report = health_from_summary(summary)
-    elif store is not None:
-        report = health_from_store(store)
-    else:
-        report = HealthReport()
-    if records:
-        report.stages = stage_timings(records)
-    return report
+    """Assemble a report: outcome counts from the ``store``'s visits,
+    stage timings from trace ``records`` when given."""
+    return HealthReport(
+        profiles=profile_health(store.outcomes()),
+        stages=stage_timings(records or []),
+        sites_crawled=len(store.sites()),
+        pages_discovered=len(store.pages()),
+    )

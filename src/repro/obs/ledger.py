@@ -174,51 +174,6 @@ class RunRecord:
         return cls.from_payload(payload)
 
 
-def outcomes_from_summary(summary) -> Dict[str, Dict[str, object]]:
-    """Per-profile outcome summary from a live ``CrawlSummary``."""
-    outcomes: Dict[str, Dict[str, object]] = {}
-    for profile in sorted(summary.visits):
-        outcomes[profile] = {
-            "visits": summary.visits.get(profile, 0),
-            "successes": summary.successes.get(profile, 0),
-            "failures": dict(sorted(summary.failures.get(profile, {}).items())),
-            "retries": summary.retries.get(profile, 0),
-            "recovered": summary.recovered.get(profile, 0),
-        }
-    return outcomes
-
-
-def outcomes_from_store(store) -> Dict[str, Dict[str, object]]:
-    """Per-profile outcome summary rebuilt from a store's visits table.
-
-    Stored rows carry no retry-attempt breakdown beyond the ``attempt``
-    column, so ``retries`` is the count of stored attempts beyond the
-    first and ``recovered`` comes from the store's recovered counts.
-    """
-    visits: Dict[str, int] = {}
-    successes: Dict[str, int] = {}
-    failures: Dict[str, Dict[str, int]] = {}
-    for profile, success, reason, count in store.outcome_counts():
-        visits[profile] = visits.get(profile, 0) + count
-        if success:
-            successes[profile] = successes.get(profile, 0) + count
-        else:
-            per_profile = failures.setdefault(profile, {})
-            label = reason if reason else "unknown"
-            per_profile[label] = per_profile.get(label, 0) + count
-    recovered = store.recovered_counts()
-    outcomes: Dict[str, Dict[str, object]] = {}
-    for profile in sorted(visits):
-        outcomes[profile] = {
-            "visits": visits.get(profile, 0),
-            "successes": successes.get(profile, 0),
-            "failures": dict(sorted(failures.get(profile, {}).items())),
-            "retries": 0,
-            "recovered": recovered.get(profile, 0),
-        }
-    return outcomes
-
-
 def build_run_record(
     kind: str,
     *,
@@ -243,7 +198,8 @@ def build_run_record(
     pipeline span.  ``primary_phase`` names the span whose summed
     duration is the run's wall clock (default: closed root spans of the
     slice).  ``config`` must already exclude worker/job counts — see
-    :func:`config_hash`.
+    :func:`config_hash`.  ``outcomes`` is the run's store fold,
+    :meth:`~repro.crawler.storage.MeasurementStore.outcomes`.
 
     ``extra_measured`` merges additional keys into the *measured*
     section only — execution-layout observations (e.g. the streaming

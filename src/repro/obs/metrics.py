@@ -295,14 +295,8 @@ class MetricsRegistry:
                 self.merge(data)
 
     def scrape(self, prefix: str = "") -> List[Tuple[str, float]]:
-        """Sorted ``(key, value)`` view of the counters.
-
-        The streaming layer diffs two scrapes taken around one site's
-        crawl to attach *site-local* counter deltas to ``site-end``
-        events.  Deltas — unlike cumulative snapshots — are identical
-        whether the site ran serially or inside a shard whose registry
-        only ever saw that shard's sites.
-        """
+        """Sorted ``(key, value)`` view of the counters (optionally only
+        those whose key starts with ``prefix``)."""
         return [
             (key, metric.value)
             for key, metric in sorted(self._metrics.items())

@@ -16,8 +16,9 @@ and routes every event through a set of detectors:
   documents).
 
 Determinism contract (DESIGN §6.5): alerts are pure functions of the
-event sequence, which is itself byte-identical at any worker count under
-the §6.1 rules — so the full alert stream is regression-testable, and
+event sequence, which is the crawl's stored visits in visit-id order —
+the same at any worker count, and the same for a live crawl and its
+recording — so the full alert stream is regression-testable, and
 the ledger's ``alerts`` section is compared byte-for-byte by
 ``repro-obs diff``.  Detector thresholds and alert names are literal
 module constants (lint rule OBS003), and detectors never write back into
@@ -32,7 +33,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
-from .stream import KIND_SITE_END, KIND_SITE_START, KIND_VISIT, EventStream, StreamEvent
+from .stream import KIND_VISIT, EventStream, StreamEvent, visit_event
 
 #: Alert severities, in escalation order.
 SEVERITY_WARNING = "warning"
@@ -494,62 +495,21 @@ def baseline_seconds_per_visit(record) -> Optional[float]:
 
 
 def events_from_store(store) -> Iterator[StreamEvent]:
-    """Reconstruct the crawl event sequence from a measurement store.
+    """The crawl's event sequence: one ``visit`` event per stored visit.
 
-    Visits are streamed in visit-id order, which is site-block order
-    (DESIGN §6.1), so rank changes exactly at site boundaries; this lets
-    recorded crawls — including bundle replays — be monitored against
-    the same detectors as live runs.  ``site-end`` events carry outcome
-    counts but no metric deltas (the registry that produced them is
-    gone).
+    Visits stream in visit-id order — the order a live crawl publishes
+    them in (:func:`~repro.crawler.commander._crawl_sites`) — so a
+    recorded crawl, including a bundle replay, drives the detectors
+    through exactly the events, and raises exactly the alerts, its live
+    run did.
     """
-    rank: Optional[int] = None
-    site = ""
-    visits = 0
-    successes = 0
     for visit in store.iter_visits(success_only=False):
-        if visit.site_rank != rank:
-            if rank is not None:
-                yield StreamEvent(
-                    kind=KIND_SITE_END,
-                    site_rank=rank,
-                    payload={"site": site, "visits": visits, "successes": successes},
-                )
-            rank = visit.site_rank
-            site = visit.site
-            visits = 0
-            successes = 0
-            yield StreamEvent(
-                kind=KIND_SITE_START,
-                site_rank=rank,
-                payload={"site": site},
-            )
-        visits += 1
-        successes += 1 if visit.success else 0
-        yield StreamEvent(
-            kind=KIND_VISIT,
-            site_rank=visit.site_rank,
-            profile=visit.profile_name,
-            payload={
-                "visit_id": visit.visit_id,
-                "page": visit.page_url,
-                "success": visit.success,
-                "reason": visit.failure_reason,
-                "seconds": round(visit.duration, 6),
-                "attempt": visit.attempt,
-                "partial": visit.partial,
-            },
-        )
-    if rank is not None:
-        yield StreamEvent(
-            kind=KIND_SITE_END,
-            site_rank=rank,
-            payload={"site": site, "visits": visits, "successes": successes},
-        )
+        yield visit_event(visit)
 
 
 def publish_store_events(store, stream: EventStream) -> int:
-    """Publish a store's reconstructed events; returns the count accepted."""
+    """Publish a store's visit events in visit-id order; returns the
+    count accepted."""
     accepted = 0
     for event in events_from_store(store):
         if stream.publish(event):

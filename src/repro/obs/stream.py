@@ -1,26 +1,25 @@
 """Bounded, deterministic event bus for live crawl telemetry.
 
-The stream is the in-flight counterpart of the trace: while spans and
-metrics describe a run *after* it finished, :class:`StreamEvent` records
-flow through an :class:`EventStream` as the crawl executes, feeding the
-rolling-window detectors in :mod:`repro.obs.monitor` (and, eventually,
-any streaming crawl→analysis consumer).
+The stream is the in-flight view of the crawl's stored visits: one
+``visit`` :class:`StreamEvent` per stored visit row, built by
+:func:`visit_event`, flows through an :class:`EventStream` to the
+rolling-window detectors in :mod:`repro.obs.monitor`.
 
 Determinism contract (extends DESIGN §6):
 
+* **Stored visits in visit-id order.**  A serial crawl publishes each
+  site's visits right after storing the site's batch, sorted by visit
+  id; a sharded crawl publishes the merged store's visits after the
+  shard merge; a recorded crawl (a db or a bundle replay) publishes its
+  store's visits.  All three read the same rows in the same order, so
+  the sequence is byte-identical whether the crawl ran serially,
+  sharded, or was replayed.
 * **Scoped bounds.**  The bus is bounded *per scope* (one scope per site
-  rank, plus one run-level scope), never globally.  A global bound would
-  make the drop decision depend on how sites interleave across shards;
-  a per-site bound makes "which events survive" a pure function of that
-  site's own event sequence, identical at any worker count.
-* **Rank-ordered replay.**  Shard workers buffer events in their private
-  streams; the parent republishes each worker's events grouped by site
-  rank, in schedule order — the same discipline :meth:`Tracer.adopt`
-  applies to spans.  Under ``FakeClock`` the merged event sequence is
-  byte-identical for ``workers=1`` and ``workers=N``.
-* **Deterministic payloads.**  Payload values must be pure functions of
-  the seed and configuration (simulated durations, outcome flags, metric
-  deltas) — never wall-clock readings, PIDs, or paths.
+  rank), never globally, so "which events survive" is a pure function
+  of that site's own event sequence.
+* **Deterministic payloads.**  Payload values are columns of the stored
+  visit (simulated durations, outcome flags) — never wall-clock
+  readings, PIDs, or paths.
 """
 
 from __future__ import annotations
@@ -29,47 +28,22 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from .trace import SpanRecord
-
-#: Per-scope event capacity.  One scope is one site (or the run-level
-#: scope for parent-only span events); the cap bounds memory per site
-#: independently of shard layout.
+#: Per-scope event capacity.  One scope is one site; the cap bounds
+#: memory per site independently of shard layout.
 DEFAULT_SCOPE_CAPACITY = 10_000
 
 #: Scope key used for events that are not tied to a site rank.
 RUN_SCOPE = "run"
 
-#: Event kinds emitted by the crawler and the span hook.
-KIND_SITE_START = "site-start"
+#: The kind of the event published per stored visit.
 KIND_VISIT = "visit"
-KIND_SITE_END = "site-end"
-KIND_SPAN = "span"
-
-#: Span names that produce ``span`` events.  The allowlist is load-bearing
-#: for determinism: site-scoped names (``site``, ``profile``, ``retry``)
-#: carry a ``site:<rank>`` key so shard replay can file them by rank;
-#: the rest only ever close in the parent process.  Unlisted spans
-#: (e.g. storage internals) emit no events, so adding spans elsewhere
-#: cannot perturb the monitored stream.
-SPAN_EVENT_NAMES = (
-    "plan",
-    "crawl",
-    "site",
-    "profile",
-    "retry",
-    "filter-list",
-    "dataset",
-    "experiment",
-    "pipeline",
-    "bundle-replay",
-)
 
 
 @dataclass(frozen=True)
 class StreamEvent:
-    """One telemetry event.  Picklable for shard transport.
+    """One telemetry event.
 
-    ``site_rank`` is ``None`` for run-scope events (parent-only spans).
+    ``site_rank`` is ``None`` for events not tied to a site.
     ``payload`` must hold JSON-safe, deterministic values only.
     """
 
@@ -88,33 +62,21 @@ class StreamEvent:
         return json.dumps(body, sort_keys=True, separators=(",", ":"))
 
 
-def rank_from_key(key: str) -> Optional[int]:
-    """Extract the site rank from a ``site:<rank>``-style span key."""
-    if not key.startswith("site:"):
-        return None
-    head = key[len("site:"):].split("/", 1)[0]
-    try:
-        return int(head)
-    except ValueError:
-        return None
-
-
-def span_event(record: SpanRecord) -> Optional[StreamEvent]:
-    """The ``span`` event for a finished span, or ``None`` if the span's
-    name is not in :data:`SPAN_EVENT_NAMES`."""
-    if record.name not in SPAN_EVENT_NAMES:
-        return None
-    payload: Dict[str, object] = {
-        "name": record.name,
-        "key": record.key,
-        "seconds": round(record.duration, 6),
-        "status": str(record.attrs.get("status", "ok")),
-    }
+def visit_event(visit) -> StreamEvent:
+    """The ``visit`` event for one stored visit (a ``VisitRecord``)."""
     return StreamEvent(
-        kind=KIND_SPAN,
-        site_rank=rank_from_key(record.key),
-        profile=str(record.attrs.get("profile", "")),
-        payload=payload,
+        kind=KIND_VISIT,
+        site_rank=visit.site_rank,
+        profile=visit.profile_name,
+        payload={
+            "visit_id": visit.visit_id,
+            "page": visit.page_url,
+            "success": visit.success,
+            "reason": visit.failure_reason,
+            "seconds": round(visit.duration, 6),
+            "attempt": visit.attempt,
+            "partial": visit.partial,
+        },
     )
 
 
@@ -123,9 +85,8 @@ class EventStream:
 
     Subscribers are dispatched synchronously, in subscription order, for
     every accepted event; dropped events (scope over capacity) are
-    counted per scope and never dispatched.  The buffered :attr:`events`
-    list doubles as the shard transport: workers ship it to the parent,
-    which republishes by rank (see :meth:`Commander._run_sharded`).
+    counted per scope and never dispatched.  :attr:`events` buffers every
+    accepted event.
     """
 
     def __init__(
@@ -171,23 +132,6 @@ class EventStream:
         for callback in self._subscribers:
             callback(event)
         return True
-
-    def publish_span(self, record: SpanRecord) -> bool:
-        """Publish the ``span`` event for a finished span, if any."""
-        event = span_event(record)
-        if event is None:
-            return False
-        return self.publish(event)
-
-    def merge_dropped(self, dropped: Mapping[str, int]) -> None:
-        """Fold a worker stream's drop counts into this one.
-
-        Workers apply the same per-scope cap the parent would have, so
-        republishing a worker's (already capped) buffer never re-drops;
-        the worker-side counts are carried over instead.
-        """
-        for scope in sorted(dropped):
-            self.dropped[scope] = self.dropped.get(scope, 0) + dropped[scope]
 
     def dropped_total(self) -> int:
         return sum(self.dropped.values())

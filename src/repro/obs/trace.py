@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..devtools.clock import Clock, SystemClock
 from ..errors import ObsError, ReproError
@@ -153,12 +153,6 @@ class Tracer:
         self.clock = clock if clock is not None else SystemClock()
         self.enabled = enabled
         self.records: List[SpanRecord] = []
-        #: Optional hook called with each record as it *closes* (children
-        #: before parents — close order, not start order).  The streaming
-        #: layer sets this to publish ``span`` events; :meth:`adopt` never
-        #: fires it, because adopted records already closed (and were
-        #: published) in their worker.
-        self.on_finish: Optional[Callable[[SpanRecord], None]] = None
         self._stack: List[SpanRecord] = []
         self._occurrences: Dict[str, int] = {}
 
@@ -217,18 +211,12 @@ class Tracer:
                 "nest (use `with` blocks)"
             )
         now = self.clock.now()
-        closed: List[SpanRecord] = []
         while self._stack[-1] is not record:
             abandoned = self._stack.pop()
             abandoned.end = now
             abandoned.attrs.setdefault("status", "error")
-            closed.append(abandoned)
         record.end = now
         self._stack.pop()
-        closed.append(record)
-        if self.on_finish is not None:
-            for finished in closed:
-                self.on_finish(finished)
 
     def current_span_id(self) -> Optional[str]:
         return self._stack[-1].span_id if self._stack else None

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import AnalysisDataset, TrackingAnalyzer
+from repro.blocklist import build_filter_list
 from repro.browser.profile import PAPER_PROFILES
 from repro.bundle import record_from_store
 from repro.cli import AnalysisContext
@@ -18,6 +19,7 @@ from repro.experiments import (
     replication,
     run_pipeline,
     security_headers,
+    study_comparability,
     variance_metric,
 )
 from repro.web import WebGenerator
@@ -137,7 +139,12 @@ class TestAblationsFollowIncludePartial:
         store.close()
 
     def test_paper_row_is_the_context_dataset(self, salvage_store):
-        ctx = AnalysisContext(salvage_store, seed=2023, include_partial=True)
+        ctx = AnalysisContext(
+            salvage_store,
+            seed=2023,
+            filter_list=build_filter_list(WebGenerator(2023).ecosystem),
+            include_partial=True,
+        )
         strict = AnalysisDataset.from_store(salvage_store)
         assert (len(strict), len(ctx.dataset)) == (25, 29)
         paper = ablation_blocklist.run(ctx).points[0]
@@ -172,7 +179,16 @@ class TestBundleReplayKeepsCrawlProfiles:
         replay = ExperimentContext.from_bundle(tmp_path / "bundle")
         assert replay.profile_names == live.profile_names == ["Sim1", "Sim2"]
         assert replay.dataset.profiles == ["Sim1", "Sim2"]
-        for module in (ablations, case_cookies, security_headers):
+        # Experiments that re-crawl do so with the archived profiles.
+        assert replay.config.profiles == live.config.profiles
+        for module in (
+            ablations,
+            case_cookies,
+            security_headers,
+            replication,
+            ablation_timeout,
+            study_comparability,
+        ):
             assert module.render(module.run(replay)) == module.render(
                 module.run(live)
             )

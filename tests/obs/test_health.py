@@ -17,18 +17,33 @@ from repro.obs.health import (
 from repro.obs.trace import Tracer
 
 
+def _outcome(visits, successes, failures=None, recovered=0):
+    """One profile's row of ``MeasurementStore.outcomes()``."""
+    return {
+        "visits": visits,
+        "successes": successes,
+        "failures": failures or {},
+        "retries": recovered,
+        "recovered": recovered,
+    }
+
+
 class TestProfileHealth:
     def test_folds_timeouts_and_errors(self):
         rows = profile_health(
-            visits={"Sim1": 10, "Old": 10},
-            successes={"Sim1": 8, "Old": 10},
-            failures={"Sim1": {"timeout": 1, "crawler-error": 1}},
+            {
+                "Sim1": _outcome(
+                    10, 8, {"timeout": 1, "crawler-error": 1}, recovered=2
+                ),
+                "Old": _outcome(10, 10),
+            }
         )
         assert [row.profile for row in rows] == ["Old", "Sim1"]
         sim1 = rows[1]
         assert sim1.timeouts == 1
         assert sim1.errors == 1
         assert sim1.failures == 2
+        assert sim1.recovered == 2
         assert sim1.success_rate == 0.8
 
     def test_zero_visits_has_zero_rate(self):
@@ -72,11 +87,7 @@ class TestStageTimings:
 class TestRendering:
     def test_report_contains_table1_columns(self):
         report = HealthReport(
-            profiles=profile_health(
-                visits={"Sim1": 4},
-                successes={"Sim1": 3},
-                failures={"Sim1": {"timeout": 1}},
-            ),
+            profiles=profile_health({"Sim1": _outcome(4, 3, {"timeout": 1})}),
             sites_crawled=2,
             pages_discovered=4,
         )

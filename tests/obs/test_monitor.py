@@ -6,8 +6,12 @@ count, and the ledger's ``alerts`` section round-trips through the run
 record unchanged.
 """
 
+from itertools import groupby
+
 import pytest
 
+from repro.bundle import Bundle, record_from_store
+from repro.crawler import RetryPolicy, sample_paper_buckets
 from repro.crawler.commander import Commander
 from repro.crawler.storage import MeasurementStore
 from repro.devtools.clock import FakeClock
@@ -36,7 +40,7 @@ from repro.obs.monitor import (
     SEVERITY_WARNING,
     STALL_REASON,
 )
-from repro.obs.stream import KIND_SITE_END, KIND_SITE_START, KIND_VISIT
+from repro.obs.stream import KIND_VISIT
 from repro.web import WebConfig, WebGenerator
 
 RANKS = [1, 2, 3, 5, 8]
@@ -102,7 +106,7 @@ class TestFailureSpikeDetector:
 
     def test_non_visit_events_are_ignored(self):
         detector = FailureSpikeDetector(expected_rate=0.1, window=1)
-        event = StreamEvent(kind=KIND_SITE_START, site_rank=1)
+        event = StreamEvent(kind="other", site_rank=1)
         assert detector.observe(event) == []
 
 
@@ -345,21 +349,15 @@ class TestEventsFromStore:
 
     def test_reconstructed_sequence_is_site_blocked(self, store):
         events = list(events_from_store(store))
-        kinds = [event.kind for event in events]
-        assert kinds[0] == KIND_SITE_START and kinds[-1] == KIND_SITE_END
-        assert kinds.count(KIND_SITE_START) == 2
-        assert kinds.count(KIND_SITE_END) == 2
-        # site-end outcome counts agree with the visit events they close.
-        for end in (e for e in events if e.kind == KIND_SITE_END):
-            visits = [
-                e
-                for e in events
-                if e.kind == KIND_VISIT and e.site_rank == end.site_rank
-            ]
-            assert end.payload["visits"] == len(visits)
-            assert end.payload["successes"] == sum(
-                1 for e in visits if e.payload["success"]
-            )
+        # One visit event per stored visit, in visit-id order ...
+        assert {event.kind for event in events} == {KIND_VISIT}
+        assert [event.payload["visit_id"] for event in events] == [
+            visit.visit_id for visit in store.iter_visits(success_only=False)
+        ]
+        ids = [event.payload["visit_id"] for event in events]
+        assert ids == sorted(ids) and len(ids) == store.visit_count()
+        # ... which is site-block order: the rank changes once per site.
+        assert [rank for rank, _ in groupby(e.site_rank for e in events)] == [1, 2]
 
     def test_publish_store_events_feeds_a_monitor(self, store):
         stream = EventStream()
@@ -370,6 +368,85 @@ class TestEventsFromStore:
         assert monitor.events_seen == accepted
         monitor.finish()
         assert not monitor.has_critical  # generous expectation: quiet run
+
+
+def _retry_crawl_answers(workers, tmp_path):
+    """One monitored, ledgered retry crawl, read back three ways.
+
+    Returns the crawl's ledger record, the alerts a monitor raises over
+    the crawl's store, and the replay record of the crawl's bundle.
+    """
+    seed = 2023
+    expected = default_expected_failure_rate()
+    obs = ObsContext.create(
+        seed=seed,
+        clock=FakeClock(),
+        ledger=RunLedger(str(tmp_path / "crawl-ledger")),
+        stream=EventStream(),
+    )
+    obs.attach_monitor(Monitor.for_crawl(expected_rate=expected, window=10))
+    generator = WebGenerator(seed)
+    store = MeasurementStore(obs=obs)
+    Commander(
+        generator,
+        store,
+        max_pages_per_site=5,
+        workers=workers,
+        obs=obs,
+        retry_policy=RetryPolicy(max_attempts=3),
+        salvage_partial=True,
+        stateful=True,
+    ).run(sample_paper_buckets(seed, per_bucket=2))
+    store_monitor = Monitor.for_crawl(expected_rate=expected, window=10)
+    stream = EventStream()
+    stream.subscribe(store_monitor.handle)
+    publish_store_events(store, stream)
+    store_monitor.finish()
+    record_from_store(
+        store,
+        seed=seed,
+        path=tmp_path / "bundle",
+        retries=2,
+        salvage_partial=True,
+        stateful=True,
+        generator=generator,
+    )
+    store.close()
+    replay_obs = ObsContext.create(
+        seed=seed,
+        clock=FakeClock(),
+        ledger=RunLedger(str(tmp_path / "replay-ledger")),
+        stream=EventStream(),
+    )
+    replay_obs.attach_monitor(Monitor.for_crawl(expected_rate=expected, window=10))
+    Bundle.open(tmp_path / "bundle").replay(obs=replay_obs).close()
+    return (
+        obs.ledger.load("latest"),
+        store_monitor.alerts_payload(),
+        replay_obs.ledger.load("latest"),
+    )
+
+
+class TestOneRetryCrawlOneAnswer:
+    """A retry crawl's live run, its store and its bundle replay report
+    the same alerts and the same outcomes, serially and sharded."""
+
+    @pytest.fixture(scope="class", params=[1, 2], ids=["serial", "sharded"])
+    def answers(self, request, tmp_path_factory):
+        return _retry_crawl_answers(request.param, tmp_path_factory.mktemp("retry"))
+
+    def test_every_reader_raises_the_live_alerts(self, answers):
+        crawl, store_alerts, replay = answers
+        live_alerts = [dict(alert) for alert in crawl.alerts]
+        assert live_alerts, "the retry crawl should raise alerts"
+        assert live_alerts == store_alerts
+        assert [dict(alert) for alert in replay.alerts] == live_alerts
+
+    def test_replay_record_reports_the_live_outcomes(self, answers):
+        crawl, _, replay = answers
+        outcomes = crawl.deterministic["outcomes"]
+        assert sum(row["retries"] for row in outcomes.values()) > 0
+        assert replay.deterministic["outcomes"] == outcomes
 
 
 class TestAlertRecord:

@@ -1,4 +1,4 @@
-"""The bounded event bus: publish/subscribe, per-scope caps, span hook."""
+"""The bounded event bus: publish/subscribe and per-scope caps."""
 
 import json
 
@@ -6,18 +6,7 @@ import pytest
 
 from repro.devtools.clock import FakeClock
 from repro.obs import EventStream, ObsContext, StreamEvent
-from repro.obs.stream import (
-    DEFAULT_SCOPE_CAPACITY,
-    KIND_SITE_END,
-    KIND_SITE_START,
-    KIND_SPAN,
-    KIND_VISIT,
-    RUN_SCOPE,
-    SPAN_EVENT_NAMES,
-    rank_from_key,
-    span_event,
-)
-from repro.obs.trace import Tracer
+from repro.obs.stream import DEFAULT_SCOPE_CAPACITY, KIND_VISIT, RUN_SCOPE
 
 
 def _visit(rank=1, profile="Old", **payload):
@@ -42,48 +31,9 @@ class TestStreamEvent:
         )
 
     def test_run_scope_events_have_no_rank(self):
-        event = StreamEvent(kind=KIND_SPAN)
+        event = StreamEvent(kind=KIND_VISIT)
         assert event.site_rank is None
         assert EventStream.scope_key(event) == RUN_SCOPE
-
-
-class TestRankFromKey:
-    def test_site_keys_parse(self):
-        assert rank_from_key("site:5") == 5
-        assert rank_from_key("site:5/profile:Old") == 5
-
-    def test_non_site_keys_are_run_scope(self):
-        assert rank_from_key("crawl") is None
-        assert rank_from_key("pipeline") is None
-        assert rank_from_key("site:not-a-rank") is None
-
-
-class TestSpanEvent:
-    def _record(self, tracer=None, name="site", key="site:7", **attrs):
-        tracer = tracer or Tracer(seed=1, clock=FakeClock())
-        with tracer.span(name, key=key, **attrs):
-            pass
-        return tracer.records[-1]
-
-    def test_allowlisted_span_becomes_event(self):
-        event = span_event(self._record())
-        assert event.kind == KIND_SPAN
-        assert event.site_rank == 7
-        assert event.payload["name"] == "site"
-        assert event.payload["key"] == "site:7"
-        assert event.payload["status"] == "ok"
-
-    def test_unlisted_span_is_ignored(self):
-        assert "db-write" not in SPAN_EVENT_NAMES
-        assert span_event(self._record(name="db-write", key="db")) is None
-
-    def test_profile_attr_carries_over(self):
-        record = self._record(
-            name="profile", key="site:2/profile:Sim1", profile="Sim1"
-        )
-        event = span_event(record)
-        assert event.profile == "Sim1"
-        assert event.site_rank == 2
 
 
 class TestEventStream:
@@ -122,40 +72,11 @@ class TestEventStream:
         assert not stream.publish(_visit())
         assert stream.events == [] and seen == []
 
-    def test_merge_dropped_accumulates(self):
-        stream = EventStream()
-        stream.merge_dropped({"3": 2, "1": 1})
-        stream.merge_dropped({"3": 1})
-        assert stream.dropped == {"1": 1, "3": 3}
-        assert stream.dropped_total() == 4
-
     def test_default_capacity_is_per_site(self):
         assert EventStream().scope_capacity == DEFAULT_SCOPE_CAPACITY
 
 
-class TestTracerHook:
-    def test_context_publishes_span_events_as_spans_close(self):
-        obs = ObsContext.create(seed=3, clock=FakeClock(), stream=EventStream())
-        with obs.tracer.span("crawl", key="crawl"):
-            with obs.tracer.span("site", key="site:4"):
-                pass
-        kinds = [(event.kind, event.payload["name"]) for event in obs.stream.events]
-        # Children close (and publish) before parents.
-        assert kinds == [(KIND_SPAN, "site"), (KIND_SPAN, "crawl")]
-
-    def test_disabled_stream_leaves_tracer_unhooked(self):
-        obs = ObsContext.create(seed=3, clock=FakeClock())
-        assert not obs.stream.enabled
-        with obs.tracer.span("crawl", key="crawl"):
-            pass
-        assert obs.stream.events == []
-
-
 class TestKindConstants:
-    def test_crawl_kinds_are_distinct(self):
-        kinds = {KIND_SITE_START, KIND_VISIT, KIND_SITE_END, KIND_SPAN}
-        assert len(kinds) == 4
-
     def test_attach_monitor_requires_enabled_stream(self):
         from repro.errors import ObsError
         from repro.obs import Monitor

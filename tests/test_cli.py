@@ -144,6 +144,67 @@ class TestBundleSource:
         assert code == 0
 
 
+class TestBundleFilterList:
+    """``--from-bundle`` classifies with the list the bundle archived, not
+    one regenerated from the seed: the CLI prints what the library's
+    replayed context renders."""
+
+    @pytest.fixture(scope="class")
+    def trimmed_bundle(self, tmp_path_factory):
+        from repro.blocklist import generate_easylist
+        from repro.bundle import Bundle, record_from_store
+        from repro.crawler import Commander, MeasurementStore, sample_paper_buckets
+        from repro.web import WebGenerator
+
+        root = tmp_path_factory.mktemp("cli-trimmed")
+        generator = WebGenerator(7)
+        with MeasurementStore() as store:
+            Commander(generator, store, max_pages_per_site=3).run(
+                sample_paper_buckets(7, per_bucket=1)
+            )
+            full = record_from_store(
+                store, seed=7, path=root / "full", generator=generator
+            )
+            lines = generate_easylist(generator.ecosystem).splitlines()
+            rules = [line for line in lines if line and line[0] not in "!["]
+            dropped = set(rules[1::2])
+            Bundle.record(
+                store,
+                blueprints=[generator.site(rank) for rank in full.config.ranks],
+                config=full.config,
+                path=root / "trimmed",
+                filter_list_text="\n".join(
+                    line for line in lines if line not in dropped
+                ),
+            )
+        return str(root / "trimmed")
+
+    def test_analyze_prints_the_library_rendering(self, trimmed_bundle, capsys):
+        from repro.experiments import ExperimentContext, case_tracking
+
+        assert main(
+            ["analyze", "--from-bundle", trimmed_bundle,
+             "--experiments", "case_tracking"]
+        ) == 0
+        printed = capsys.readouterr().out.split("=" * 70 + "\n", 2)[2]
+        ctx = ExperimentContext.from_bundle(trimmed_bundle)
+        assert printed == case_tracking.render(case_tracking.run(ctx)) + "\n\n"
+
+    def test_export_writes_the_library_nodes(self, trimmed_bundle, tmp_path):
+        from repro.experiments import ExperimentContext
+        from repro.export import export_node_comparisons_csv
+
+        cli_out = tmp_path / "cli.csv"
+        assert main(
+            ["export", "--from-bundle", trimmed_bundle,
+             "--what", "nodes", "--out", str(cli_out)]
+        ) == 0
+        library_out = tmp_path / "library.csv"
+        ctx = ExperimentContext.from_bundle(trimmed_bundle)
+        export_node_comparisons_csv(ctx.dataset, str(library_out))
+        assert cli_out.read_bytes() == library_out.read_bytes()
+
+
 class TestIncludePartialFlag:
     def test_export_include_partial_flag(self, crawl_db, tmp_path):
         # Seed 5's tiny crawl may have no partials; the contract here is
