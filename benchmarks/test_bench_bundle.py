@@ -19,6 +19,7 @@ from repro.analysis import AnalysisDataset
 from repro.blocklist import build_filter_list
 from repro.bundle import Bundle, diff_against_store, record_from_store
 from repro.crawler import Commander, MeasurementStore, sample_paper_buckets
+from repro.experiments import ExperimentContext
 from repro.web import WebGenerator
 
 from .conftest import emit
@@ -57,7 +58,7 @@ def _bundled_pipeline(workdir):
     )
     store.close()
     reopened = Bundle.open(workdir / "crawl")
-    dataset = AnalysisDataset.from_bundle(reopened)
+    dataset = ExperimentContext.from_bundle(reopened).dataset
     seconds = time.perf_counter() - started
     return reopened, dataset, seconds
 

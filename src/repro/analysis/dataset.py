@@ -88,41 +88,6 @@ class AnalysisDataset:
         ).finalize(store)
 
     @classmethod
-    def from_bundle(
-        cls,
-        bundle,
-        filter_list: Optional[FilterList] = None,
-        profiles: Optional[Sequence[str]] = None,
-        require_all: bool = True,
-        obs: Optional[ObsContext] = None,
-        include_partial: bool = False,
-    ) -> "AnalysisDataset":
-        """Build the dataset from a recorded crawl bundle (no live crawl).
-
-        ``bundle`` is a :class:`~repro.bundle.Bundle` or a path to one.
-        The store is replayed in memory and, unless a ``filter_list`` is
-        passed, the classification runs on the *archived* filter list —
-        the whole point of bundling is that later analyses see exactly
-        the artifact the crawl saw.
-        """
-        from ..bundle import Bundle  # deferred: keeps repro.analysis import-light
-
-        if not isinstance(bundle, Bundle):
-            bundle = Bundle.open(bundle)
-        obs = obs if obs is not None else NULL_OBS
-        store = bundle.replay(obs=obs)
-        if filter_list is None:
-            filter_list = FilterList.from_text(bundle.filter_list_text())
-        return cls.from_store(
-            store,
-            filter_list=filter_list,
-            profiles=profiles,
-            require_all=require_all,
-            obs=obs,
-            include_partial=include_partial,
-        )
-
-    @classmethod
     def from_tree_sets(
         cls,
         tree_sets: Sequence[Mapping[str, DependencyTree]],

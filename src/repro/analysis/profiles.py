@@ -185,6 +185,9 @@ class ProfileAnalyzer:
     ) -> Dict[str, float]:
         """Relative node/third-party/children differences Sim1 vs NoAction."""
         totals = {row.profile: row for row in self.totals(dataset)}
+        for name in (interactive, noaction):
+            if name not in totals:
+                raise AnalysisError(f"profile {name!r} is not in the dataset")
         sim = totals[interactive]
         noact = totals[noaction]
         children_sim: List[float] = []

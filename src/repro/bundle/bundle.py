@@ -409,8 +409,6 @@ class Bundle:
             # The replayed rows publish the events the live crawl did, so
             # archived runs raise the alerts their live runs raised.
             publish_store_events(store, obs.stream)
-            if obs.monitor is not None:
-                obs.monitor.finish()
         if obs.ledger is not None:
             obs.ledger.append(
                 build_run_record(
@@ -490,8 +488,10 @@ def record_from_store(
     """Record a bundle from a finished store, rebuilding crawl context.
 
     The blueprint summary and filter list regenerate from ``seed`` (both
-    are pure functions of it); the ranks, profiles, and pages-per-site
-    cap come from the store itself.  Knobs that cannot be read back out
+    are pure functions of it); the ranks, crawl-order profiles, and
+    pages-per-site cap come from the store itself — exactly what
+    :meth:`~repro.experiments.ExperimentContext.from_store` reads back,
+    so a replayed context equals the live one.  Knobs that cannot be read back out
     of the store — retry budget, salvage, repeats, timeout, statefulness
     — are passed through and archived so a fidelity diff can re-run the
     identical crawl.
@@ -507,11 +507,7 @@ def record_from_store(
             f"generator seed {generator.seed} does not match "
             f"recorded seed {seed}"
         )
-    ranks = sorted(
-        rank
-        for rank in (store.site_rank(site) for site in store.sites())
-        if rank is not None
-    )
+    ranks = store.ranks()
     config = BundleConfig(
         seed=seed,
         ranks=tuple(ranks),

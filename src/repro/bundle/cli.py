@@ -53,7 +53,7 @@ def _write_obs(obs: ObsContext, args: argparse.Namespace) -> None:
 
 def _cmd_record(args: argparse.Namespace) -> int:
     obs = _obs_for(args)
-    with MeasurementStore(args.db, obs=obs) as store:
+    with MeasurementStore.open_readonly(args.db) as store:
         bundle = record_from_store(
             store,
             seed=args.seed,
@@ -126,7 +126,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     obs = _obs_for(args)
     bundle = Bundle.open(args.bundle)
     if args.db:
-        with MeasurementStore(args.db, obs=obs) as store:
+        with MeasurementStore.open_readonly(args.db) as store:
             report = diff_against_store(bundle, store, obs=obs)
     else:
         report = diff_against_fresh_crawl(bundle, workers=args.workers, obs=obs)
@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     record = sub.add_parser("record", help="freeze a finished crawl db")
-    record.add_argument("--db", required=True)
+    record.add_argument("--db", required=True, help="an existing crawl db (read-only)")
     record.add_argument("--seed", type=int, required=True)
     record.add_argument("--out", required=True, help="bundle directory to create")
     record.add_argument(
@@ -180,7 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     diff.add_argument("bundle")
     diff.add_argument(
-        "--db", default="", help="diff against this store instead of a fresh crawl"
+        "--db",
+        default="",
+        help="diff against this existing db (read-only) instead of a fresh crawl",
     )
     diff.add_argument(
         "--workers", type=int, default=1, help="shard the fresh re-crawl"

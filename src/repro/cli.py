@@ -8,11 +8,12 @@ Subcommands::
     python -m repro inspect  --seed 1 --rank 1 [--profile Sim1] [--visit 3]
     python -m repro easylist --seed 1 [--out easylist.txt]
 
-``crawl`` persists an OpenWPM-style SQLite database; ``analyze`` rebuilds
-trees from it and prints any subset of the paper's tables/figures;
-``inspect`` simulates a single page visit and renders its dependency tree.
-The ``--seed`` must match between crawl and analyze so the synthetic
-EasyList and site ranks regenerate identically.
+``crawl`` persists an OpenWPM-style SQLite database, the one writable
+``--db``; ``analyze`` and ``export`` open an existing one read-only,
+rebuild trees from it and print any subset of the paper's
+tables/figures; ``inspect`` simulates a single page visit and renders
+its dependency tree.  The ``--seed`` must match between crawl and
+analyze so the synthetic web and its EasyList regenerate identically.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .analysis import AnalysisDataset
 from .blocklist import FilterList, build_filter_list, generate_easylist
 from .browser import BrowserEngine, PAPER_PROFILES, profile_by_name
 from .bundle import Bundle
 from .crawler import Commander, MeasurementStore, RetryPolicy, sample_paper_buckets
 from .errors import ReproError
 from . import export as export_mod
-from .experiments import ALL_EXPERIMENTS, ExperimentConfig
+from .experiments import ALL_EXPERIMENTS, ExperimentContext
 from .obs import (
     NULL_OBS,
     EventStream,
@@ -40,45 +40,6 @@ from .obs import (
 from .reporting.treeview import render_tree, render_tree_summary
 from .trees import TreeBuilder
 from .web import WebGenerator
-
-
-class AnalysisContext:
-    """Duck-typed stand-in for ExperimentContext backed by a stored crawl.
-
-    Experiments that re-crawl (replication, timeout ablation, study
-    comparability) read ``config``/``ranks``; both are reconstructed from
-    the seed and the stored visits so every experiment runs on a stored
-    db, not just the dataset-only ones.  ``filter_list`` classifies the
-    dataset: the list :func:`_open_source` resolved with the store.
-    """
-
-    def __init__(
-        self,
-        store: MeasurementStore,
-        seed: int,
-        filter_list: FilterList,
-        obs: ObsContext = NULL_OBS,
-        include_partial: bool = False,
-    ) -> None:
-        self.store = store
-        self.generator = WebGenerator(seed)
-        ranks = [store.site_rank(site) for site in store.sites()]
-        self.ranks = sorted(rank for rank in ranks if rank is not None)
-        self.config = ExperimentConfig(
-            seed=seed, pages_per_site=store.pages_per_site_cap()
-        )
-        self.filter_list = filter_list
-        self.dataset = AnalysisDataset.from_store(
-            store,
-            filter_list=self.filter_list,
-            obs=obs,
-            include_partial=include_partial,
-        )
-        self.summary = None
-
-    @property
-    def profile_names(self) -> List[str]:
-        return self.store.profiles()
 
 
 def _obs_for(args: argparse.Namespace) -> ObsContext:
@@ -158,7 +119,8 @@ def _open_source(args: argparse.Namespace, obs: ObsContext):
     A bundle replays into an in-memory store and supplies its own seed
     and the filter list it archived; passing a conflicting ``--seed`` is
     an error rather than a silently wrong regeneration of the synthetic
-    web.  A db is classified with the list regenerated from the seed.
+    web.  A db must exist and is opened read-only; it is classified with
+    the list regenerated from the seed.
     """
     if args.from_bundle and args.db:
         raise SystemExit("pass either --db or --from-bundle, not both")
@@ -172,7 +134,7 @@ def _open_source(args: argparse.Namespace, obs: ObsContext):
         store, seed = bundle.replay(obs=obs), bundle.seed
         list_text = bundle.filter_list_text()
     elif args.db:
-        store = MeasurementStore(args.db, obs=obs)
+        store = MeasurementStore.open_readonly(args.db)
         seed = args.seed if args.seed is not None else 2023
         list_text = generate_easylist(WebGenerator(seed).ecosystem)
     else:
@@ -186,7 +148,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     obs = _obs_for(args)
     store, seed, filter_list = _open_source(args, obs)
     try:
-        ctx = AnalysisContext(
+        ctx = ExperimentContext.from_store(
             store,
             seed=seed,
             filter_list=filter_list,
@@ -233,7 +195,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
             }[args.what]
             rows = exporter(store, args.out, include_partial=args.include_partial)
         else:
-            ctx = AnalysisContext(
+            ctx = ExperimentContext.from_store(
                 store,
                 seed=seed,
                 filter_list=filter_list,
@@ -328,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     crawl.set_defaults(func=_cmd_crawl)
 
     analyze = sub.add_parser("analyze", help="run paper analyses on a stored crawl")
-    analyze.add_argument("--db", default="")
+    analyze.add_argument("--db", default="", help="an existing crawl db (read-only)")
     analyze.add_argument(
         "--from-bundle",
         default="",
@@ -353,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.set_defaults(func=_cmd_analyze)
 
     export = sub.add_parser("export", help="dump crawl/analysis data to files")
-    export.add_argument("--db", default="")
+    export.add_argument("--db", default="", help="an existing crawl db (read-only)")
     export.add_argument(
         "--from-bundle",
         default="",

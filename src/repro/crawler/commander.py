@@ -265,8 +265,6 @@ class Commander:
             # the trace, or byte-identity across worker counts breaks.
             crawl_span.set("sites", summary.sites_crawled)
             crawl_span.set("visits", summary.total_visits)
-        if self.obs.monitor is not None:
-            self.obs.monitor.finish()
         if self.obs.ledger is not None:
             self.obs.ledger.append(
                 build_run_record(

@@ -119,8 +119,9 @@ class MeasurementStore:
     Use as a context manager or call :meth:`close` explicitly.  Writes are
     transactional: one transaction per :meth:`store_visit`, one per batch
     for :meth:`store_visits` / :meth:`merge`.  On-disk stores run in WAL
-    journal mode with an enlarged page cache so that many readers (the
-    parallel analysis workers) can snapshot while a writer consolidates.
+    journal mode with an enlarged page cache so that readers (shard
+    consumers, the command-line tools) can snapshot while a writer
+    consolidates.
     """
 
     def __init__(
@@ -135,6 +136,8 @@ class MeasurementStore:
         if readonly:
             if path == ":memory:":
                 raise StorageError("cannot open an in-memory store read-only")
+            if not os.path.isfile(path):
+                raise StorageError(f"no such database: {path}")
             uri = f"file:{_uri_quote(os.path.abspath(path))}?mode=ro"
             self._conn = sqlite3.connect(uri, uri=True)
             try:
@@ -163,9 +166,10 @@ class MeasurementStore:
     def open_readonly(cls, path: str) -> "MeasurementStore":
         """Open an existing on-disk store as a read-only snapshot.
 
-        Shard consumers and auditors use this to read concurrently
-        without taking write locks (and without being able to corrupt
-        the store).
+        Shard consumers and every command-line reader use this to read
+        concurrently without taking write locks (and without being able
+        to corrupt the store).  A path that is not a file raises
+        :class:`StorageError` instead of creating an empty store.
         """
         return cls(path, readonly=True)
 
@@ -504,11 +508,12 @@ class MeasurementStore:
         rows = self._conn.execute("SELECT DISTINCT site FROM visits ORDER BY site")
         return [row[0] for row in rows]
 
-    def site_rank(self, site: str) -> Optional[int]:
-        row = self._conn.execute(
-            "SELECT site_rank FROM visits WHERE site = ? LIMIT 1", (site,)
-        ).fetchone()
-        return row[0] if row else None
+    def ranks(self) -> List[int]:
+        """The crawled sites' ranks, ascending."""
+        rows = self._conn.execute(
+            "SELECT DISTINCT site_rank FROM visits ORDER BY site_rank"
+        )
+        return [row[0] for row in rows]
 
     def pages_crawled_by_all(
         self, profiles: Sequence[str], include_partial: bool = False

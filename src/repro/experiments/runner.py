@@ -19,7 +19,6 @@ from ..blocklist.easylist import generate_easylist
 from ..browser.profile import BrowserProfile, PAPER_PROFILES, profile_by_name
 from ..crawler import CrawlSummary, MeasurementStore, sample_paper_buckets
 from ..analysis import AnalysisDataset
-from ..errors import ExperimentError
 from ..obs import NULL_OBS, ObsContext
 from ..obs.ledger import build_run_record
 from ..pipeline import stream_crawl
@@ -143,59 +142,79 @@ class ExperimentContext:
             )
 
     @classmethod
-    def from_bundle(cls, bundle, obs: Optional[ObsContext] = None) -> "ExperimentContext":
-        """Materialize a context from a recorded crawl bundle — no crawl.
+    def from_store(
+        cls,
+        store: MeasurementStore,
+        *,
+        seed: int,
+        filter_list: FilterList,
+        obs: Optional[ObsContext] = None,
+        include_partial: bool = False,
+    ) -> "ExperimentContext":
+        """The one context over a stored crawl (a db or a replayed bundle).
 
-        ``bundle`` is a :class:`~repro.bundle.Bundle` or a path to one.
-        The store replays in memory, the filter list and the crawl's
-        profiles (in crawl order) come from the archive, and the web
-        generator rebuilds from the archived seed, so experiments that
-        re-crawl (replication, the timeout ablation, study
-        comparability) re-crawl with the archived profiles, as the live
-        context does.  ``summary`` is ``None``, as for any stored-crawl
-        context.
+        Nothing is crawled: the profiles (crawl order), ranks and
+        pages-per-site cap come from the store, the web generator from
+        ``seed``, and ``filter_list`` classifies the dataset.  Experiments
+        that re-crawl therefore re-crawl with the stored profiles, as the
+        live context does.  ``summary`` is ``None``.
+        """
+        ctx = cls.__new__(cls)
+        ctx.obs = obs if obs is not None else NULL_OBS
+        ctx.profile_names = store.profiles_in_crawl_order()
+        ctx.config = ExperimentConfig(
+            seed=seed,
+            pages_per_site=store.pages_per_site_cap(),
+            profiles=tuple(profile_by_name(name) for name in ctx.profile_names),
+        )
+        ctx.generator = WebGenerator(seed)
+        ctx.store = store
+        ctx.ranks = store.ranks()
+        ctx.summary = None
+        ctx.filter_list = filter_list
+        ctx.dataset = AnalysisDataset.from_store(
+            store, filter_list=filter_list, obs=ctx.obs, include_partial=include_partial
+        )
+        return ctx
+
+    @classmethod
+    def from_bundle(cls, bundle, obs: Optional[ObsContext] = None) -> "ExperimentContext":
+        """Replay a recorded bundle (or a path to one) into :meth:`from_store`.
+
+        The store replays in memory and the archived filter list
+        classifies it.  A bundle archives exactly what :meth:`from_store`
+        reads, so the replayed context equals the live one.
         """
         from ..bundle import Bundle  # deferred: repro.bundle imports crawler too
 
         if not isinstance(bundle, Bundle):
             bundle = Bundle.open(bundle)
-        ctx = cls.__new__(cls)
-        ctx.obs = obs if obs is not None else NULL_OBS
-        bundle_config = bundle.config
-        ctx.config = ExperimentConfig(
-            seed=bundle_config.seed,
-            pages_per_site=bundle_config.pages_per_site,
-            profiles=tuple(profile_by_name(name) for name in bundle_config.profiles),
-        )
-        ctx.profile_names = list(bundle_config.profiles)
-        spans_before = len(ctx.obs.tracer.records)
-        with ctx.obs.tracer.span("pipeline", key="pipeline"):
-            ctx.generator = WebGenerator(bundle_config.seed)
-            ctx.store = bundle.replay(obs=ctx.obs)
-            ctx.ranks = list(bundle_config.ranks)
-            ctx.summary = None
-            with ctx.obs.tracer.span("filter-list", key="filter-list"):
-                ctx.filter_list = FilterList.from_text(bundle.filter_list_text())
-            ctx.dataset = AnalysisDataset.from_store(
-                ctx.store, filter_list=ctx.filter_list, obs=ctx.obs
+        obs = obs if obs is not None else NULL_OBS
+        spans_before = len(obs.tracer.records)
+        with obs.tracer.span("pipeline", key="pipeline"):
+            store = bundle.replay(obs=obs)
+            with obs.tracer.span("filter-list", key="filter-list"):
+                filter_list = FilterList.from_text(bundle.filter_list_text())
+            ctx = cls.from_store(
+                store, seed=bundle.seed, filter_list=filter_list, obs=obs
             )
-        if ctx.obs.ledger is not None:
-            ctx.obs.ledger.append(
+        if obs.ledger is not None:
+            obs.ledger.append(
                 build_run_record(
                     "pipeline",
-                    seed=bundle_config.seed,
+                    seed=bundle.seed,
                     config=resolved_pipeline_config(ctx.config),
-                    obs=ctx.obs,
-                    records=ctx.obs.tracer.records[spans_before:],
+                    obs=obs,
+                    records=obs.tracer.records[spans_before:],
                     label="from-bundle",
                     primary_phase="pipeline",
-                    outcomes=ctx.store.outcomes(),
+                    outcomes=store.outcomes(),
                     filter_list_version=bundle.manifest.filter_list_version,
-                    store_schema_version=ctx.store.schema_version,
+                    store_schema_version=store.schema_version,
                     bundle_digest=bundle.manifest.digest(),
                     alerts=(
-                        ctx.obs.monitor.alerts_payload()
-                        if ctx.obs.monitor is not None
+                        obs.monitor.alerts_payload()
+                        if obs.monitor is not None
                         else None
                     ),
                 )
@@ -209,26 +228,14 @@ _CACHE: Dict[ExperimentConfig, ExperimentContext] = {}
 def run_pipeline(
     config: Optional[ExperimentConfig] = None,
     obs: Optional[ObsContext] = None,
-    from_bundle: Optional[str] = None,
 ) -> ExperimentContext:
     """Run (or reuse) the pipeline for ``config``.
 
     An *enabled* observability context bypasses the cache: telemetry has
     to describe work that actually ran, and cached contexts may have been
-    built without (or with someone else's) instrumentation.
-
-    ``from_bundle`` replays a recorded crawl bundle instead of crawling;
-    ``config`` must then be ``None`` (the bundle carries the resolved
-    config it was recorded with) and the cache is bypassed — the bundle
-    on disk, not this process, is the cache.
+    built without (or with someone else's) instrumentation.  A recorded
+    crawl replays through :meth:`ExperimentContext.from_bundle` instead.
     """
-    if from_bundle is not None:
-        if config is not None:
-            raise ExperimentError(
-                "pass either a config or from_bundle, not both: a bundle "
-                "replays the configuration it archived"
-            )
-        return ExperimentContext.from_bundle(from_bundle, obs=obs)
     config = config or ExperimentConfig()
     if obs is not None and obs.enabled:
         return ExperimentContext(config, obs=obs)

@@ -5,8 +5,9 @@ different numbers because their setups differ.  This experiment simulates
 three study pairs and scores their agreement:
 
 * **same study, re-run** — same configuration, a later crawl of the same
-  web (a fresh commander run re-visits every page; the Web's dynamics are
-  the only difference);
+  sites (the sites are visited starting one site later, so every visit
+  gets a fresh id and fresh per-visit draws; the Web's dynamics are the
+  only difference);
 * **different methodology** — the full five-profile study versus a
   NoAction-only crawl (the "fast crawler" many papers use);
 * **different web** — the same setup pointed at a different synthetic web
@@ -35,21 +36,17 @@ class StudyComparabilityResult:
 def _crawl_dataset(
     ctx: ExperimentContext,
     seed: int,
+    ranks: List[int],
     profiles=None,
-    visit_salt: int = 0,
 ) -> AnalysisDataset:
     generator = WebGenerator(seed, config=ctx.config.web_config)
     store = MeasurementStore()
-    commander = Commander(
+    Commander(
         generator,
         store,
         profiles=profiles or ctx.config.profiles,
         max_pages_per_site=ctx.config.pages_per_site,
-    )
-    # Salting the visit-id space makes the re-run a genuinely different
-    # set of visits to the same pages (a later crawl of the same web).
-    commander._next_visit_id = 1 + visit_salt  # noqa: SLF001 - deliberate knob
-    commander.run(ctx.ranks[: max(4, len(ctx.ranks) // 2)])
+    ).run(ranks)
     from ..blocklist import build_filter_list
 
     dataset = AnalysisDataset.from_store(
@@ -61,16 +58,22 @@ def _crawl_dataset(
 
 def run(ctx: ExperimentContext) -> StudyComparabilityResult:
     comparator = StudyComparator(top_k=5)
-    base = comparator.summarize("study A (reference)", _crawl_dataset(ctx, ctx.config.seed))
+    seed = ctx.config.seed
+    ranks = ctx.ranks[: max(4, len(ctx.ranks) // 2)]
+    base = comparator.summarize("study A (reference)", _crawl_dataset(ctx, seed, ranks))
+    # Visit-id blocks are dealt site by site in crawl order, so starting
+    # one site later gives every site a new block: the same pages,
+    # visited again with fresh per-visit draws.
     rerun = comparator.summarize(
-        "study B (re-run, later)", _crawl_dataset(ctx, ctx.config.seed, visit_salt=100_000)
+        "study B (re-run, later)",
+        _crawl_dataset(ctx, seed, ranks[1:] + ranks[:1]),
     )
     noaction = comparator.summarize(
         "study C (NoAction only)",
-        _crawl_dataset(ctx, ctx.config.seed, profiles=(PROFILE_NOACTION,)),
+        _crawl_dataset(ctx, seed, ranks, profiles=(PROFILE_NOACTION,)),
     )
     other_web = comparator.summarize(
-        "study D (different web)", _crawl_dataset(ctx, ctx.config.seed + 1)
+        "study D (different web)", _crawl_dataset(ctx, seed + 1, ranks)
     )
     return StudyComparabilityResult(
         reports=[

@@ -31,7 +31,6 @@ whose first argument is not a subcommand is treated as ``health``
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -59,55 +58,64 @@ from .trace import read_jsonl
 _SUBCOMMANDS = ("health", "watch", "runs", "show", "profile", "diff")
 
 
+def _source_parser() -> argparse.ArgumentParser:
+    """The crawl-source flags ``health`` and ``watch`` share."""
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument(
+        "--db", default="", help="read an existing crawl db (opened read-only)"
+    )
+    source.add_argument(
+        "--from-bundle", default="", help="replay a recorded crawl bundle"
+    )
+    source.add_argument("--seed", type=int, default=2023)
+    source.add_argument(
+        "--sites-per-bucket",
+        type=int,
+        default=10,
+        help="sites per popularity bucket (x5 buckets; default 10 -> 50 sites)",
+    )
+    source.add_argument("--pages-per-site", type=int, default=4)
+    source.add_argument(
+        "--jobs", type=int, default=1, help="worker processes for the sharded crawl"
+    )
+    source.add_argument(
+        "--retries",
+        type=int,
+        default=0,
+        help="re-attempts per failed retryable visit (0 = single attempt)",
+    )
+    source.add_argument(
+        "--salvage-partial",
+        action="store_true",
+        help="store the partial traffic of timed-out visits",
+    )
+    source.add_argument(
+        "--ledger",
+        default="",
+        help="append this run's record to a ledger (a --db source records none)",
+    )
+    source.add_argument(
+        "--fake-clock",
+        action="store_true",
+        help="freeze span timestamps (deterministic output for tests)",
+    )
+    return source
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-obs",
         description="Crawl health, run ledger, and cross-run drift reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    source = _source_parser()
 
     health = sub.add_parser(
-        "health", help="per-profile outcomes and stage timings"
-    )
-    health.add_argument("--db", default="", help="report on an existing crawl db")
-    health.add_argument(
-        "--from-bundle",
-        default="",
-        help="replay a recorded bundle and report on the replayed store",
-    )
-    health.add_argument("--seed", type=int, default=2023)
-    health.add_argument(
-        "--sites-per-bucket",
-        type=int,
-        default=10,
-        help="sites per popularity bucket (x5 buckets; default 10 -> 50 sites)",
-    )
-    health.add_argument("--pages-per-site", type=int, default=4)
-    health.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for the sharded crawl"
-    )
-    health.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="re-attempts per failed retryable visit (0 = single attempt)",
-    )
-    health.add_argument(
-        "--salvage-partial",
-        action="store_true",
-        help="store the partial traffic of timed-out visits",
+        "health", parents=[source], help="per-profile outcomes and stage timings"
     )
     health.add_argument("--trace", default="", help="write the span trace (JSONL)")
     health.add_argument(
         "--metrics-out", default="", help="write merged metrics (JSON)"
-    )
-    health.add_argument(
-        "--ledger", default="", help="append this run's record to a ledger"
-    )
-    health.add_argument(
-        "--fake-clock",
-        action="store_true",
-        help="freeze span timestamps (deterministic output for tests)",
     )
     health.add_argument(
         "--show-trace", action="store_true", help="also print the span tree"
@@ -115,38 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
     health.set_defaults(func=_cmd_health)
 
     watch = sub.add_parser(
-        "watch", help="live crawl monitor: streaming telemetry and alerts"
-    )
-    watch.add_argument("--db", default="", help="monitor an existing crawl db")
-    watch.add_argument(
-        "--from-bundle",
-        default="",
-        help="replay a recorded bundle through the monitor",
-    )
-    watch.add_argument("--seed", type=int, default=2023)
-    watch.add_argument(
-        "--sites-per-bucket",
-        type=int,
-        default=10,
-        help="sites per popularity bucket (x5 buckets; default 10 -> 50 sites)",
-    )
-    watch.add_argument("--pages-per-site", type=int, default=4)
-    watch.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for the sharded crawl"
-    )
-    watch.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="re-attempts per failed retryable visit (0 = single attempt)",
-    )
-    watch.add_argument(
-        "--salvage-partial",
-        action="store_true",
-        help="store the partial traffic of timed-out visits",
-    )
-    watch.add_argument(
-        "--ledger", default="", help="append this run's record to a ledger"
+        "watch",
+        parents=[source],
+        help="live crawl monitor: streaming telemetry and alerts",
     )
     watch.add_argument(
         "--baseline",
@@ -170,11 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--monitor-gate",
         action="store_true",
         help="exit 1 when any critical alert fired",
-    )
-    watch.add_argument(
-        "--fake-clock",
-        action="store_true",
-        help="freeze span timestamps (deterministic output for tests)",
     )
     watch.set_defaults(func=_cmd_watch)
 
@@ -249,71 +223,51 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _ledger_for(args: argparse.Namespace) -> Optional[RunLedger]:
-    return RunLedger(args.ledger) if getattr(args, "ledger", "") else None
+    return RunLedger(args.ledger) if args.ledger else None
 
 
-def _report_from_db(args: argparse.Namespace) -> int:
-    if not os.path.exists(args.db):
-        print(f"repro-obs: no such database: {args.db}", file=sys.stderr)
-        return 2
-    with MeasurementStore.open_readonly(args.db) as store:
-        report = build_health_report(store=store)
-        print(render_health_report(report))
-    return 0
-
-
-def _report_from_bundle(args: argparse.Namespace) -> int:
-    from ..bundle import Bundle  # deferred: repro.bundle imports crawler too
-
-    clock = FakeClock() if args.fake_clock else None
-    obs = ObsContext.create(
-        seed=args.seed, clock=clock, ledger=_ledger_for(args)
+def _obs_for(
+    args: argparse.Namespace, stream: Optional[EventStream] = None
+) -> ObsContext:
+    """The run's telemetry; reading a stored db records no run."""
+    return ObsContext.create(
+        seed=args.seed,
+        clock=FakeClock() if args.fake_clock else None,
+        ledger=None if args.db else _ledger_for(args),
+        stream=stream,
     )
-    bundle = Bundle.open(args.from_bundle)
-    store = bundle.replay(obs=obs)
-    report = build_health_report(store=store, records=obs.tracer.records)
-    print(render_health_report(report))
-    _write_telemetry(obs, args)
-    store.close()
-    return 0
 
 
-def _report_from_crawl(args: argparse.Namespace) -> int:
-    clock = FakeClock() if args.fake_clock else None
-    obs = ObsContext.create(
-        seed=args.seed, clock=clock, ledger=_ledger_for(args)
-    )
-    generator = WebGenerator(args.seed)
+def _open_store(args: argparse.Namespace, obs: ObsContext) -> MeasurementStore:
+    """The crawl to report on: a stored db, a replayed bundle, or a
+    fresh seeded crawl.
+
+    Each source publishes its stored visits on ``obs``'s stream when it
+    is enabled: the db here, the bundle and the crawl as they run.
+    """
+    if args.db:
+        store = MeasurementStore.open_readonly(args.db)
+        if obs.stream.enabled:
+            publish_store_events(store, obs.stream)
+        return store
+    if args.from_bundle:
+        from ..bundle import Bundle  # deferred: repro.bundle imports crawler too
+
+        return Bundle.open(args.from_bundle).replay(obs=obs)
     store = MeasurementStore(obs=obs)
-    commander = Commander(
-        generator,
+    Commander(
+        WebGenerator(args.seed),
         store,
         max_pages_per_site=args.pages_per_site,
         workers=args.jobs,
         obs=obs,
         retry_policy=RetryPolicy.with_retries(args.retries),
         salvage_partial=args.salvage_partial,
-    )
-    ranks = sample_paper_buckets(args.seed, per_bucket=args.sites_per_bucket)
-    commander.run(ranks)
-    report = build_health_report(store=store, records=obs.tracer.records)
-    print(render_health_report(report))
-    if args.show_trace:
-        print()
-        print(render_trace(obs.tracer.records))
-    _write_telemetry(obs, args)
-    store.close()
-    return 0
+    ).run(sample_paper_buckets(args.seed, per_bucket=args.sites_per_bucket))
+    return store
 
 
-def _write_telemetry(obs: ObsContext, args: argparse.Namespace) -> None:
-    if args.trace:
-        count = obs.tracer.write_jsonl(args.trace)
-        print(f"\nwrote {count} spans to {args.trace}")
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(obs.metrics.to_json() + "\n")
-        print(f"wrote {len(obs.metrics)} metrics to {args.metrics_out}")
+def _print_ledger_line(obs: ObsContext) -> None:
     if obs.ledger is not None:
         entries = obs.ledger.entries()
         if entries:
@@ -321,23 +275,31 @@ def _write_telemetry(obs: ObsContext, args: argparse.Namespace) -> None:
 
 
 def _cmd_health(args: argparse.Namespace) -> int:
-    if args.db:
-        return _report_from_db(args)
-    if args.from_bundle:
-        return _report_from_bundle(args)
-    return _report_from_crawl(args)
+    obs = _obs_for(args)
+    with _open_store(args, obs) as store:
+        report = build_health_report(store=store, records=obs.tracer.records)
+    print(render_health_report(report))
+    if args.show_trace:
+        print()
+        print(render_trace(obs.tracer.records))
+    if args.trace:
+        count = obs.tracer.write_jsonl(args.trace)
+        print(f"\nwrote {count} spans to {args.trace}")
+    if args.metrics_out:
+        with open(args.metrics_out, "w", encoding="utf-8") as handle:
+            handle.write(obs.metrics.to_json() + "\n")
+        print(f"wrote {len(obs.metrics)} metrics to {args.metrics_out}")
+    _print_ledger_line(obs)
+    return 0
 
 
 def _print_alert(alert) -> None:
     print(f"! {alert.format()}")
 
 
-def _monitor_for(
-    args: argparse.Namespace,
-    ledger: Optional[RunLedger],
-    page_fail_probability: Optional[float] = None,
-) -> Monitor:
+def _monitor_for(args: argparse.Namespace) -> Monitor:
     """Build the watch monitor from CLI flags."""
+    ledger = _ledger_for(args)
     if args.baseline and ledger is None:
         raise ReproError("--baseline needs --ledger")
     baseline = (
@@ -347,7 +309,7 @@ def _monitor_for(
     )
     expected = args.expected_failure_rate
     if expected is None:
-        expected = default_expected_failure_rate(page_fail_probability)
+        expected = default_expected_failure_rate()
     return Monitor.for_crawl(
         expected_rate=expected,
         baseline_seconds=baseline,
@@ -356,70 +318,20 @@ def _monitor_for(
     )
 
 
-def _finish_watch(
-    monitor: Monitor,
-    stream: EventStream,
-    args: argparse.Namespace,
-    obs: Optional[ObsContext] = None,
-) -> int:
-    monitor.finish()
+def _cmd_watch(args: argparse.Namespace) -> int:
+    monitor = _monitor_for(args)
+    obs = _obs_for(args, stream=EventStream())
+    obs.attach_monitor(monitor)
+    _open_store(args, obs).close()
     print()
     print(render_alerts(monitor.alerts))
-    dropped = stream.dropped_total()
+    dropped = obs.stream.dropped_total()
     note = f", {dropped} dropped" if dropped else ""
     print(f"{monitor.events_seen} events monitored{note}")
-    if obs is not None and obs.ledger is not None:
-        entries = obs.ledger.entries()
-        if entries:
-            print(f"ledger: run {entries[-1].run_id[:12]} -> {obs.ledger.root}")
+    _print_ledger_line(obs)
     if args.monitor_gate and monitor.has_critical:
         return 1
     return 0
-
-
-def _cmd_watch(args: argparse.Namespace) -> int:
-    ledger = _ledger_for(args)
-    if args.db:
-        if not os.path.exists(args.db):
-            print(f"repro-obs: no such database: {args.db}", file=sys.stderr)
-            return 2
-        monitor = _monitor_for(args, ledger)
-        stream = EventStream()
-        stream.subscribe(monitor.handle)
-        with MeasurementStore.open_readonly(args.db) as store:
-            publish_store_events(store, stream)
-        return _finish_watch(monitor, stream, args)
-    clock = FakeClock() if args.fake_clock else None
-    if args.from_bundle:
-        from ..bundle import Bundle  # deferred: repro.bundle imports crawler too
-
-        monitor = _monitor_for(args, ledger)
-        obs = ObsContext.create(
-            seed=args.seed, clock=clock, ledger=ledger, stream=EventStream()
-        )
-        obs.attach_monitor(monitor)
-        store = Bundle.open(args.from_bundle).replay(obs=obs)
-        store.close()
-        return _finish_watch(monitor, obs.stream, args, obs=obs)
-    obs = ObsContext.create(
-        seed=args.seed, clock=clock, ledger=ledger, stream=EventStream()
-    )
-    generator = WebGenerator(args.seed)
-    monitor = _monitor_for(args, ledger, generator.config.page_fail_probability)
-    obs.attach_monitor(monitor)
-    store = MeasurementStore(obs=obs)
-    commander = Commander(
-        generator,
-        store,
-        max_pages_per_site=args.pages_per_site,
-        workers=args.jobs,
-        obs=obs,
-        retry_policy=RetryPolicy.with_retries(args.retries),
-        salvage_partial=args.salvage_partial,
-    )
-    commander.run(sample_paper_buckets(args.seed, per_bucket=args.sites_per_bucket))
-    store.close()
-    return _finish_watch(monitor, obs.stream, args, obs=obs)
 
 
 def _cmd_runs(args: argparse.Namespace) -> int:

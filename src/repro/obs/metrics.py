@@ -7,10 +7,10 @@ Design constraints, in order:
    histograms merge by summation (commutative), metric keys are sorted on
    export, and histogram buckets are fixed at registration — no dynamic
    rebinning that could depend on arrival order.
-2. **Mergeable.**  ``Commander._run_sharded`` workers and the parallel
-   dataset builders each record into a private registry; the parent calls
-   :meth:`MetricsRegistry.merge` on the exported dicts.  ``workers=1`` and
-   ``workers=N`` therefore produce identical merged metrics.
+2. **Mergeable.**  ``Commander._run_sharded`` workers and each
+   ``StreamingDataset`` fold record into a private registry; the owner
+   calls :meth:`MetricsRegistry.merge` on the exported dicts.  ``workers=1``
+   and ``workers=N`` therefore produce identical merged metrics.
 3. **Free when disabled.**  A disabled registry hands out a shared no-op
    metric, so instrumented hot paths pay one attribute load and a no-op
    call — nothing else.

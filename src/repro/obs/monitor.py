@@ -125,10 +125,6 @@ class Detector:
     def observe(self, event: StreamEvent) -> List[Alert]:
         return []
 
-    def finish(self) -> List[Alert]:
-        """Called once after the final event; flush end-of-run findings."""
-        return []
-
 
 class _Hysteresis:
     """Escalation-edge alerting: emit only when severity *rises*.
@@ -373,7 +369,6 @@ class Monitor:
         self.on_alert = on_alert
         self.alerts: List[Alert] = []
         self.events_seen = 0
-        self._finished = False
 
     @classmethod
     def for_crawl(
@@ -411,21 +406,9 @@ class Monitor:
         self.events_seen += 1
         for detector in self.detectors:
             for alert in detector.observe(event):
-                self._emit(alert)
-
-    def finish(self) -> None:
-        """Flush detector end-of-run findings (idempotent)."""
-        if self._finished:
-            return
-        self._finished = True
-        for detector in self.detectors:
-            for alert in detector.finish():
-                self._emit(alert)
-
-    def _emit(self, alert: Alert) -> None:
-        self.alerts.append(alert)
-        if self.on_alert is not None:
-            self.on_alert(alert)
+                self.alerts.append(alert)
+                if self.on_alert is not None:
+                    self.on_alert(alert)
 
     @property
     def has_critical(self) -> bool:

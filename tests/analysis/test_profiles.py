@@ -69,6 +69,10 @@ class TestInteractionEffect:
         assert effect["node_increase"] > 0.1
         assert effect["third_party_increase"] > 0.1
 
+    def test_unknown_profile_rejected(self, dataset):
+        with pytest.raises(AnalysisError, match="'Nope'"):
+            ProfileAnalyzer().interaction_effect(dataset, noaction="Nope")
+
     def test_depth_test_runs(self, dataset):
         # Significance needs the bench-scale crawl; on the small fixture we
         # check the test executes and the direction matches the paper

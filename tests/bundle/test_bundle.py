@@ -36,8 +36,8 @@ from repro.bundle.cli import main as bundle_main
 from repro.crawler import Commander, MeasurementStore, RetryPolicy
 from repro.crawler.storage import SCHEMA_VERSION
 from repro.devtools.clock import FakeClock
-from repro.errors import BundleError, ExperimentError
-from repro.experiments.runner import run_pipeline
+from repro.errors import BundleError
+from repro.experiments import ExperimentContext
 from repro.obs import ObsContext
 from repro.web import WebGenerator
 
@@ -133,7 +133,10 @@ class TestReplay:
     def test_dataset_exports_byte_identical(
         self, bundle, dataset, filter_list, tmp_path
     ):
-        replayed = AnalysisDataset.from_bundle(bundle, filter_list=filter_list)
+        with bundle.replay() as replayed_store:
+            replayed = AnalysisDataset.from_store(
+                replayed_store, filter_list=filter_list
+            )
         live_out = tmp_path / "live-nodes.csv"
         replay_out = tmp_path / "replay-nodes.csv"
         assert export.export_node_comparisons_csv(
@@ -154,8 +157,9 @@ class TestReplay:
         assert live_obs.tracer.to_jsonl() == replay_obs.tracer.to_jsonl()
 
     def test_archived_filter_list_matches_live(self, bundle, filter_list):
-        replayed = AnalysisDataset.from_bundle(bundle)  # archived filter list
-        live = AnalysisDataset.from_bundle(bundle, filter_list=filter_list)
+        replayed = ExperimentContext.from_bundle(bundle).dataset  # archived list
+        with bundle.replay() as replayed_store:
+            live = AnalysisDataset.from_store(replayed_store, filter_list=filter_list)
         live_nodes = [
             (n.key, n.is_tracking) for e in live for n in e.comparison.nodes()
         ]
@@ -175,16 +179,10 @@ class TestReplay:
             stale.replay()
 
     def test_run_pipeline_from_bundle(self, bundle_dir, dataset):
-        ctx = run_pipeline(from_bundle=str(bundle_dir))
+        ctx = ExperimentContext.from_bundle(str(bundle_dir))
         assert ctx.summary is None
         assert len(ctx.dataset) == len(dataset)
         assert ctx.config.seed == 99
-
-    def test_run_pipeline_rejects_config_plus_bundle(self, bundle_dir):
-        from repro.experiments.runner import ExperimentConfig
-
-        with pytest.raises(ExperimentError, match="not both"):
-            run_pipeline(ExperimentConfig(), from_bundle=str(bundle_dir))
 
 
 class TestIntegrity:

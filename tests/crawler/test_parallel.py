@@ -142,9 +142,7 @@ class TestShardHandoff:
         handoffs = []
 
         def on_shard(handoff):
-            ranks = sorted(
-                handoff.store.site_rank(site) for site in handoff.store.sites()
-            )
+            ranks = handoff.store.ranks()
             planned = sorted(handoff.ranks)
             handoffs.append((handoff.index, handoff.store, ranks, planned))
 

@@ -209,6 +209,12 @@ class TestMergeAndSnapshots:
         with pytest.raises(StorageError):
             MeasurementStore.open_readonly(":memory:")
 
+    def test_readonly_missing_path_rejected_and_not_created(self, tmp_path):
+        path = tmp_path / "typo.sqlite"
+        with pytest.raises(StorageError, match="no such database"):
+            MeasurementStore.open_readonly(str(path))
+        assert not path.exists()
+
     def test_on_disk_store_uses_wal(self, tmp_path):
         with MeasurementStore(str(tmp_path / "db.sqlite")) as store:
             mode = store._conn.execute("PRAGMA journal_mode").fetchone()[0]
@@ -402,6 +408,22 @@ class TestQueries:
 
     def test_site_rank(self):
         with MeasurementStore() as store:
+            assert store.ranks() == []
+            store.store_visit(
+                VisitResult(
+                    visit=VisitRecord(
+                        visit_id=100,
+                        profile_name="Sim1",
+                        site="f.com",
+                        site_rank=7,
+                        page_url="https://f.com/",
+                        success=False,
+                        started_at=0.0,
+                        duration=30.0,
+                        failure_reason="timeout",
+                    )
+                )
+            )
             self.populate(store)
-            assert store.site_rank("e.com") == 1
-            assert store.site_rank("missing.com") is None
+            # One rank per site, ascending, failed visits included.
+            assert store.ranks() == [1, 7]

@@ -6,9 +6,10 @@ from repro.analysis import AnalysisDataset, TrackingAnalyzer
 from repro.blocklist import build_filter_list
 from repro.browser.profile import PAPER_PROFILES
 from repro.bundle import record_from_store
-from repro.cli import AnalysisContext
+from repro.cli import main as cli_main
 from repro.crawler import Commander, MeasurementStore, sample_paper_buckets
 from repro.experiments import (
+    ALL_EXPERIMENTS,
     ExperimentConfig,
     ExperimentContext,
     ablation_blocklist,
@@ -89,6 +90,30 @@ class TestImplicitTrust:
         assert result.graph_edges > 3
 
 
+class TestStudyComparability:
+    def test_rerun_is_a_new_crawl_of_the_same_sites(self, ctx, monkeypatch):
+        datasets = []
+        crawl_dataset = study_comparability._crawl_dataset
+
+        def recording(*args, **kwargs):
+            datasets.append(crawl_dataset(*args, **kwargs))
+            return datasets[-1]
+
+        monkeypatch.setattr(study_comparability, "_crawl_dataset", recording)
+        study_comparability.run(ctx)
+        reference, rerun = datasets[:2]
+
+        def trees(dataset):
+            return {
+                (entry.page_url, profile): tree.keys()
+                for entry in dataset
+                for profile, tree in entry.comparison.trees.items()
+            }
+
+        assert set(rerun.sites()) == set(reference.sites())
+        assert trees(rerun) != trees(reference)
+
+
 class TestTimeoutAblation:
     def test_monotone_success(self, ctx):
         result = ablation_timeout.run(ctx)
@@ -139,7 +164,7 @@ class TestAblationsFollowIncludePartial:
         store.close()
 
     def test_paper_row_is_the_context_dataset(self, salvage_store):
-        ctx = AnalysisContext(
+        ctx = ExperimentContext.from_store(
             salvage_store,
             seed=2023,
             filter_list=build_filter_list(WebGenerator(2023).ecosystem),
@@ -162,9 +187,10 @@ class TestAblationsFollowIncludePartial:
 
 class TestBundleReplayKeepsCrawlProfiles:
     """A replayed context analyses the profiles the crawl ran, in crawl
-    order, as the live context that recorded it does."""
+    order, as the live context that recorded it does — and so does the
+    command line, over the bundle and over a db of the same crawl."""
 
-    def test_replay_renders_like_live(self, tmp_path):
+    def test_replay_renders_like_live(self, tmp_path, capsys):
         live = ExperimentContext(
             ExperimentConfig(
                 seed=7,
@@ -181,15 +207,31 @@ class TestBundleReplayKeepsCrawlProfiles:
         assert replay.dataset.profiles == ["Sim1", "Sim2"]
         # Experiments that re-crawl do so with the archived profiles.
         assert replay.config.profiles == live.config.profiles
-        for module in (
-            ablations,
-            case_cookies,
-            security_headers,
-            replication,
-            ablation_timeout,
-            study_comparability,
+        rendered = {}
+        for name in (
+            "ablations",
+            "case_cookies",
+            "security_headers",
+            "replication",
+            "ablation_timeout",
+            "study_comparability",
         ):
-            assert module.render(module.run(replay)) == module.render(
-                module.run(live)
-            )
+            module = ALL_EXPERIMENTS[name]
+            rendered[name] = module.render(module.run(live))
+            assert module.render(module.run(replay)) == rendered[name]
         assert case_cookies.run(replay).report.total_cookies > 0
+
+        recrawling = ["replication", "ablation_timeout", "study_comparability"]
+        expected = f"dataset: {len(live.dataset)} comparable pages\n\n" + "".join(
+            f"{'=' * 70}\n[{name}]\n{'=' * 70}\n{rendered[name]}\n\n"
+            for name in recrawling
+        )
+        db = live.store.snapshot_to(str(tmp_path / "live.sqlite"))
+        capsys.readouterr()
+        for source in (
+            ["--from-bundle", str(tmp_path / "bundle")],
+            ["--db", db, "--seed", "7"],
+        ):
+            argv = ["analyze", *source, "--experiments", ",".join(recrawling)]
+            assert cli_main(argv) == 0
+            assert capsys.readouterr().out == expected, source

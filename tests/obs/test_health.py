@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.bundle.cli import main as bundle_main
+from repro.cli import main as repro_main
 from repro.crawler.commander import run_measurement
 from repro.devtools.clock import FakeClock
 from repro.obs import ObsContext
@@ -15,6 +17,21 @@ from repro.obs.health import (
     stage_timings,
 )
 from repro.obs.trace import Tracer
+
+
+#: Every command-line reader of a ``--db``, keyed by its console script.
+_MAINS = {"repro": repro_main, "repro-bundle": bundle_main, "repro-obs": obs_main}
+
+
+@pytest.fixture(scope="module")
+def recorded_bundle(tmp_path_factory):
+    from repro.bundle import record_from_store
+
+    store = run_measurement(3, [1, 2], max_pages_per_site=2)
+    path = str(tmp_path_factory.mktemp("health") / "crawl.bundle")
+    record_from_store(store, seed=3, path=path)
+    store.close()
+    return path
 
 
 def _outcome(visits, successes, failures=None, recovered=0):
@@ -149,10 +166,27 @@ class TestCli:
         assert code == 0
         assert "Per-profile outcomes" in out
 
-    def test_missing_db_fails_cleanly(self, tmp_path, capsys):
-        code = obs_main(["--db", str(tmp_path / "absent.sqlite")])
-        assert code == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["repro", "analyze"],
+            ["repro", "export", "--what", "visits", "--out", "OUT"],
+            ["repro-bundle", "record", "--seed", "3", "--out", "OUT"],
+            ["repro-bundle", "diff", "BUNDLE"],
+            ["repro-obs", "health"],
+            ["repro-obs", "watch"],
+        ],
+        ids=lambda argv: "-".join(argv[:2]),
+    )
+    def test_missing_db_fails_cleanly(self, argv, recorded_bundle, tmp_path, capsys):
+        # A mistyped --db must not become an empty store that is then
+        # analysed, exported or archived.
+        db = tmp_path / "absent.sqlite"
+        paths = {"OUT": str(tmp_path / "out"), "BUNDLE": recorded_bundle}
+        tool, *args = [paths.get(arg, arg) for arg in argv]
+        assert _MAINS[tool](args + ["--db", str(db)]) == 2
         assert "no such database" in capsys.readouterr().err
+        assert not db.exists()
 
 
 class TestCliFromBundle:

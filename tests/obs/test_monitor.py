@@ -189,8 +189,6 @@ class TestMonitor:
         monitor = Monitor.for_crawl(expected_rate=0.05, window=2)
         for success in (False, False):
             monitor.handle(_visit(success=success))
-        monitor.finish()
-        monitor.finish()  # idempotent
         assert monitor.events_seen == 2
         assert monitor.has_critical
         counts = monitor.severity_counts()
@@ -366,7 +364,6 @@ class TestEventsFromStore:
         accepted = publish_store_events(store, stream)
         assert accepted == len(stream.events) > 0
         assert monitor.events_seen == accepted
-        monitor.finish()
         assert not monitor.has_critical  # generous expectation: quiet run
 
 
@@ -401,7 +398,6 @@ def _retry_crawl_answers(workers, tmp_path):
     stream = EventStream()
     stream.subscribe(store_monitor.handle)
     publish_store_events(store, stream)
-    store_monitor.finish()
     record_from_store(
         store,
         seed=seed,
