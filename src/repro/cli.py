@@ -168,17 +168,24 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
             return 2
         print(f"dataset: {len(ctx.dataset)} comparable pages\n")
+        failed = False
         for experiment_id in selected:
             module = ALL_EXPERIMENTS[experiment_id]
             print(f"{'=' * 70}\n[{experiment_id}]\n{'=' * 70}")
-            with obs.tracer.span(
-                "experiment", key=f"experiment:{experiment_id}", id=experiment_id
-            ):
-                result = module.run(ctx)
-            print(module.render(result))
+            # One experiment that cannot run on this crawl (say, table6
+            # without NoAction) must not cost the others their output.
+            try:
+                with obs.tracer.span(
+                    "experiment", key=f"experiment:{experiment_id}", id=experiment_id
+                ):
+                    result = module.run(ctx)
+                print(module.render(result))
+            except ReproError as exc:
+                failed = True
+                print(f"error: {experiment_id}: {exc}", file=sys.stderr)
             print()
         _write_obs(obs, args)
-        return 0
+        return 2 if failed else 0
     finally:
         store.close()
 

@@ -192,6 +192,21 @@ class MeasurementStore:
         )
 
     def close(self) -> None:
+        """Close the connection; a closed on-disk store is one file.
+
+        A writable on-disk store leaves WAL mode on the way out: a
+        read-only reader cannot remove the ``-wal``/``-shm`` files of a
+        WAL database, so every later ``--db`` read would leave them
+        beside it.  The switch checkpoints and deletes them.  While
+        another connection holds the file it fails at once (no busy
+        wait) and the file stays in WAL.
+        """
+        if not self.readonly and self.path != ":memory:":
+            self._conn.execute("PRAGMA busy_timeout = 0")
+            try:
+                self._conn.execute("PRAGMA journal_mode=DELETE")
+            except sqlite3.OperationalError:
+                pass
         self._conn.close()
 
     def __enter__(self) -> "MeasurementStore":

@@ -1,10 +1,11 @@
 """Injectable clocks: the one place the package may read wall-clock time.
 
-The determinism contract (enforced by ``repro-lint`` rule DET002) forbids
-``time.time()`` / ``datetime.now()`` in library code because wall-clock
-reads make output depend on the machine running it.  Code that genuinely
-needs elapsed-time reporting — CLI glue printing "finished in 3.2s" —
-takes a :class:`Clock` argument instead and defaults to
+The determinism contract forbids ``time.time()`` / ``datetime.now()``
+in library code because wall-clock reads make output depend on the
+machine running it; a reading that reaches a stored visit or a span
+fails the golden digests and the FakeClock telemetry tests.  Code that
+genuinely needs elapsed-time reporting — CLI glue printing "finished in
+3.2s" — takes a :class:`Clock` argument instead and defaults to
 :class:`SystemClock`; tests inject a :class:`FakeClock` and get stable
 output.
 
@@ -30,7 +31,7 @@ class SystemClock(Clock):
     """The sanctioned real clock (monotonic, for measuring durations)."""
 
     def now(self) -> float:
-        return time.perf_counter()  # repro: ok[DET002] the one sanctioned wall-clock read
+        return time.perf_counter()  # the one sanctioned wall-clock read
 
 
 class FakeClock(Clock):

@@ -1,9 +1,10 @@
 """``repro-lint``: AST-based determinism & invariant checker.
 
 The reproduction guarantees byte-identical output across worker counts
-and machines; that guarantee rests on code-level invariants (seeded RNG
-streams, sorted iteration, the ReproError hierarchy, schema-consistent
-SQL) that this subpackage enforces statically.  See ``framework`` for
+and machines.  Tier-1's byte-identity tests hold most of that guarantee
+by re-running a measurement and comparing its output; this subpackage
+keeps the invariants those tests cannot see (sorted directory listings,
+deterministic alerting, total ``ORDER BY`` orders).  See ``framework`` for
 the rule/suppression machinery, ``rules`` for the rule pack, ``program``
 for ``lint_project`` (files fanned out over processes), and ``cli`` for
 the command-line front end.

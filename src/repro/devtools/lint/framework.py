@@ -1,6 +1,6 @@
 """Core of ``repro-lint``: rule registry, module context, suppressions.
 
-A *rule* is a class with a ``rule_id`` (``DET001``-style), a one-line
+A *rule* is a class with a ``rule_id`` (``DET004``-style), a one-line
 ``summary``, and a ``check(module)`` generator yielding
 :class:`Violation` objects.  Rules register themselves with the
 :func:`register` decorator; :func:`build_rules` instantiates the
@@ -8,7 +8,7 @@ registry (optionally filtered) in stable rule-id order.
 
 Suppressions are per-line comments::
 
-    value = time.time()  # repro: ok[DET002] operator-facing timing only
+    names = os.listdir(root)  # repro: ok[DET004] only counted, never ordered
 
 The bracket lists one or more rule ids (comma-separated); the trailing
 reason is mandatory — a suppression without one does not suppress and is
@@ -91,13 +91,9 @@ def dotted_name(node: ast.AST) -> Optional[str]:
 class ModuleContext:
     """Everything a rule needs to know about one source file."""
 
-    def __init__(self, path: str, source: str, tree: ast.Module) -> None:
+    def __init__(self, path: str, tree: ast.Module) -> None:
         self.path = path
-        self.source = source
         self.tree = tree
-        self.lines = source.splitlines()
-        # Normalised for path-based exemptions (e.g. DET001 and rng.py).
-        self.posix_path = path.replace("\\", "/")
 
     def module_aliases(self, module: str) -> Set[str]:
         """Local names bound to ``import module`` (including ``as`` aliases)."""
@@ -116,21 +112,6 @@ class ModuleContext:
             if isinstance(node, ast.ImportFrom) and node.module == module:
                 for alias in node.names:
                     names[alias.asname or alias.name] = alias.name
-        return names
-
-    def imported_from_suffix(self, suffix: str) -> Dict[str, str]:
-        """Like :meth:`imported_from`, matching the module's last component.
-
-        ``from ..errors import StorageError`` and ``from repro.errors import
-        StorageError`` both match suffix ``"errors"``; this is how ERR001
-        recognises the package error hierarchy without cross-file analysis.
-        """
-        names: Dict[str, str] = {}
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.ImportFrom) and node.module is not None:
-                if node.module.rsplit(".", 1)[-1] == suffix:
-                    for alias in node.names:
-                        names[alias.asname or alias.name] = alias.name
         return names
 
 
@@ -270,8 +251,8 @@ def stale_suppression_violations(
     """SUP002 for every suppression that silences nothing on its line.
 
     A registered id only counts as stale when that rule actually *ran*
-    (``active_rule_ids``): ``--select DET001`` must not flag a DET002
-    suppression as stale, nor ``--ignore DET002`` a DET002 marker.  An id
+    (``active_rule_ids``): ``--select SQL002`` must not flag a DET004
+    suppression as stale, nor ``--ignore DET004`` a DET004 marker.  An id
     that names no registered rule (a typo, a deleted rule) can never
     fire, so it is stale whatever ran.
     """
@@ -346,7 +327,7 @@ def check_source(
             suppressions=find_suppressions(source),
             tree=None,
         )
-    module = ModuleContext(path=path, source=source, tree=tree)
+    module = ModuleContext(path=path, tree=tree)
     raw = [violation for rule in rules for violation in rule.check(module)]
     return FileCheck(
         path=path, raw=raw, suppressions=find_suppressions(source), tree=tree

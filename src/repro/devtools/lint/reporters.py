@@ -6,9 +6,9 @@ The JSON document is versioned so CI consumers can detect format drift::
       "version": 1,
       "files_checked": 96,
       "violation_count": 2,
-      "counts": {"DET002": 1, "ERR001": 1},
+      "counts": {"DET004": 1, "SQL002": 1},
       "violations": [
-        {"path": "...", "line": 10, "col": 4, "rule": "DET002",
+        {"path": "...", "line": 10, "col": 4, "rule": "DET004",
          "message": "..."}
       ]
     }

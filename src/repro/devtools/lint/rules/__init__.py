@@ -6,6 +6,6 @@ Importing this package registers every rule with the framework registry;
 
 from __future__ import annotations
 
-from . import determinism, errorpolicy, obs, sql  # noqa: F401  (register rules)
+from . import determinism, obs, sql  # noqa: F401  (register rules)
 
-__all__ = ["determinism", "errorpolicy", "obs", "sql"]
+__all__ = ["determinism", "obs", "sql"]

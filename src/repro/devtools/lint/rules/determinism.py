@@ -1,11 +1,11 @@
-"""Determinism rules: DET001 (randomness), DET002 (wall clock),
-DET003 (unordered iteration into ordered sinks), DET004 (directory order).
+"""Determinism rule DET004: directory listings must be sorted.
 
 The reproduction's headline guarantee is that a crawl and its analyses
-are byte-identical regardless of worker count or host machine.  Each rule
-here encodes one way that guarantee historically breaks in measurement
-code: process-global RNGs, wall-clock reads, hash-order iteration, and
-filesystem listing order.
+are byte-identical regardless of worker count or host machine.
+Filesystem listing order differs across machines, and no test re-runs
+a listing on another filesystem, so this rule guards it statically.
+Randomness, wall-clock reads and hash-order iteration are guarded by the
+tests that re-run a measurement and compare its output (DESIGN §6.3).
 """
 
 from __future__ import annotations
@@ -14,221 +14,6 @@ import ast
 from typing import Iterator, Set
 
 from ..framework import LintRule, ModuleContext, Violation, dotted_name, register
-
-#: ``random`` module-level functions that consume the process-global RNG.
-_GLOBAL_RANDOM_FUNCS = frozenset(
-    {
-        "betavariate",
-        "choice",
-        "choices",
-        "expovariate",
-        "gammavariate",
-        "gauss",
-        "getrandbits",
-        "lognormvariate",
-        "normalvariate",
-        "paretovariate",
-        "randbytes",
-        "randint",
-        "random",
-        "randrange",
-        "sample",
-        "seed",
-        "shuffle",
-        "triangular",
-        "uniform",
-        "vonmisesvariate",
-        "weibullvariate",
-    }
-)
-
-_RNG_CONSTRUCTORS = frozenset({"Random", "SystemRandom"})
-
-#: ``time`` module functions that read the host clock.
-_CLOCK_FUNCS = frozenset(
-    {
-        "time",
-        "time_ns",
-        "monotonic",
-        "monotonic_ns",
-        "perf_counter",
-        "perf_counter_ns",
-        "localtime",
-        "gmtime",
-    }
-)
-
-_DATETIME_FACTORIES = frozenset({"now", "utcnow", "today"})
-
-
-@register
-class UnseededRandomness(LintRule):
-    """DET001: all randomness must flow through ``repro.rng``.
-
-    Flags calls to the process-global ``random.*`` functions and
-    construction of ``random.Random``/``random.SystemRandom`` anywhere but
-    ``repro/rng.py`` — sibling streams must be derived with
-    ``derive_seed``/``child_rng`` so results do not depend on call order
-    or process layout.
-    """
-
-    rule_id = "DET001"
-    summary = "unseeded randomness; route through repro.rng.derive_seed/child_rng"
-
-    def check(self, module: ModuleContext) -> Iterator[Violation]:
-        if module.posix_path.endswith("repro/rng.py"):
-            return
-        aliases = module.module_aliases("random")
-        from_random = module.imported_from("random")
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = dotted_name(node.func)
-            if name is None:
-                continue
-            head, _, tail = name.partition(".")
-            if head in aliases and tail in _GLOBAL_RANDOM_FUNCS:
-                yield self.flag(
-                    module,
-                    node,
-                    f"call to process-global random.{tail}(); "
-                    "use repro.rng.child_rng(seed, *labels) instead",
-                )
-            elif head in aliases and tail in _RNG_CONSTRUCTORS:
-                yield self.flag(
-                    module,
-                    node,
-                    f"random.{tail}() constructed outside repro/rng.py; "
-                    "derive it with repro.rng.child_rng",
-                )
-            elif "." not in name and from_random.get(name) in _RNG_CONSTRUCTORS:
-                yield self.flag(
-                    module,
-                    node,
-                    f"{name}() (random.{from_random[name]}) constructed outside "
-                    "repro/rng.py; derive it with repro.rng.child_rng",
-                )
-            elif "." not in name and from_random.get(name) in _GLOBAL_RANDOM_FUNCS:
-                yield self.flag(
-                    module,
-                    node,
-                    f"call to process-global random.{from_random[name]}(); "
-                    "use repro.rng.child_rng(seed, *labels) instead",
-                )
-
-
-@register
-class WallClockRead(LintRule):
-    """DET002: no wall-clock reads in library code.
-
-    ``time.time()`` and friends make output depend on the host; simulated
-    measurement time lives in the browser engine's visit clock, and
-    operator-facing timing goes through the injectable
-    ``repro.devtools.clock`` shim.
-    """
-
-    rule_id = "DET002"
-    summary = "wall-clock read; inject a repro.devtools.clock.Clock instead"
-
-    def check(self, module: ModuleContext) -> Iterator[Violation]:
-        time_aliases = module.module_aliases("time")
-        from_time = module.imported_from("time")
-        datetime_aliases = module.module_aliases("datetime")
-        datetime_classes = {
-            local
-            for local, original in module.imported_from("datetime").items()
-            if original in ("datetime", "date")
-        }
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = dotted_name(node.func)
-            if name is None:
-                continue
-            parts = name.split(".")
-            if len(parts) == 2 and parts[0] in time_aliases and parts[1] in _CLOCK_FUNCS:
-                yield self.flag(
-                    module, node, f"wall-clock read time.{parts[1]}(); inject a Clock"
-                )
-            elif len(parts) == 1 and from_time.get(name) in _CLOCK_FUNCS:
-                yield self.flag(
-                    module,
-                    node,
-                    f"wall-clock read time.{from_time[name]}(); inject a Clock",
-                )
-            elif parts[-1] in _DATETIME_FACTORIES and len(parts) >= 2:
-                base = parts[:-1]
-                if base[0] in datetime_aliases or base[-1] in datetime_classes:
-                    yield self.flag(
-                        module,
-                        node,
-                        f"wall-clock read {name}(); inject a Clock",
-                    )
-
-
-def _is_unordered(node: ast.AST) -> bool:
-    """Expressions whose iteration order depends on the hash seed."""
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        name = dotted_name(node.func)
-        if name in ("set", "frozenset"):
-            return True
-        if isinstance(node.func, ast.Attribute) and node.func.attr == "keys":
-            return True
-    return False
-
-
-def _unordered_source(node: ast.AST) -> ast.AST:
-    """The unordered expression feeding ``node``, unwrapping generators."""
-    if isinstance(node, ast.GeneratorExp) and node.generators:
-        iterable = node.generators[0].iter
-        if _is_unordered(iterable):
-            return iterable
-    return node
-
-
-@register
-class UnorderedIntoOrderedSink(LintRule):
-    """DET003: set/dict-key iteration must not feed an ordered sink raw.
-
-    ``list(a_set)``, ``tuple(d.keys())``, ``",".join(a_set)`` and list
-    comprehensions over sets produce sequences whose order varies with
-    ``PYTHONHASHSEED``; every ordered output must go through
-    ``sorted(...)`` first.
-    """
-
-    rule_id = "DET003"
-    summary = "unordered set/dict.keys() feeds an ordered sink; wrap in sorted(...)"
-
-    _SINKS = frozenset({"list", "tuple", "enumerate"})
-
-    def check(self, module: ModuleContext) -> Iterator[Violation]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                name = dotted_name(node.func)
-                is_join = (
-                    isinstance(node.func, ast.Attribute) and node.func.attr == "join"
-                )
-                if (name in self._SINKS or is_join) and node.args:
-                    candidate = _unordered_source(node.args[0])
-                    if _is_unordered(candidate):
-                        sink = "str.join" if is_join else name
-                        yield self.flag(
-                            module,
-                            candidate,
-                            f"unordered iteration feeds ordered sink {sink}(); "
-                            "wrap the set/keys() in sorted(...)",
-                        )
-            elif isinstance(node, ast.ListComp) and node.generators:
-                iterable = node.generators[0].iter
-                if _is_unordered(iterable):
-                    yield self.flag(
-                        module,
-                        iterable,
-                        "list comprehension over an unordered set/keys(); "
-                        "wrap the iterable in sorted(...)",
-                    )
 
 
 @register

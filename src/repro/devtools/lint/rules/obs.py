@@ -1,36 +1,12 @@
-"""Observability rules: OBS001 (no ``print`` in library code),
-OBS002 (metric and span names must be literal constants), and OBS003
-(alert names / detector thresholds literal; detectors read-only).
+"""Observability rule OBS003: alerting stays deterministic.
 
-A measurement pipeline that prints from the middle of the crawl cannot
-be audited: stray stdout interleaves nondeterministically across worker
-processes and never reaches the trace or the metrics registry.  Library
-modules therefore emit telemetry via :mod:`repro.obs` and leave printing
-to the presentation layer (OBS001).
-
-Telemetry names are part of the schema the run ledger byte-compares:
-a span or counter named through an f-string or concatenation mints a
-new time series per dynamic value, breaks cross-run diffs, and defeats
-grep.  Dynamic identity belongs in span ``key=`` / metric labels, so
-the first argument of ``span(...)``, ``counter(...)``, ``gauge(...)``,
-and ``histogram(...)`` must be a string literal or a name bound to one
-(OBS002).
-
-The live monitor extends the same schema discipline to alerting
-(OBS003).  Alert names and detector thresholds feed the run ledger's
-byte-compared ``alerts`` section, so both must be literal constants or
-names bound to them — a threshold computed at the call site drifts
-between runs and defeats cross-run comparison.  Detectors themselves
-are *observers*: a detector that mutates the metrics registry from its
-callback changes the telemetry it is judging, making alert output
-dependent on detector evaluation order.
-
-Exempt from OBS001 by construction:
-
-* ``repro/reporting/`` and ``repro/devtools/`` — rendering and developer
-  tooling *are* the presentation layer;
-* ``cli.py`` / ``__main__.py`` modules — command-line glue whose job is
-  to print.
+The live monitor's alert names and detector thresholds feed the run
+ledger's byte-compared ``alerts`` section, so both must be literal
+constants or names bound to them — a threshold computed at the call
+site drifts between runs and defeats cross-run comparison.  Detectors
+themselves are *observers*: a detector that mutates the metrics
+registry from its callback changes the telemetry it is judging, and no
+test compares a monitored run's metrics with an unmonitored one's.
 """
 
 from __future__ import annotations
@@ -39,75 +15,6 @@ import ast
 from typing import Iterator
 
 from ..framework import LintRule, ModuleContext, Violation, dotted_name, register
-
-#: Path fragments marking presentation/tooling packages (always allowed).
-_EXEMPT_FRAGMENTS = ("/reporting/", "/devtools/")
-
-#: Module basenames that are command-line glue (always allowed).
-_EXEMPT_BASENAMES = ("cli.py", "__main__.py")
-
-
-def _is_exempt(posix_path: str) -> bool:
-    if any(fragment in posix_path for fragment in _EXEMPT_FRAGMENTS):
-        return True
-    return posix_path.rsplit("/", 1)[-1] in _EXEMPT_BASENAMES
-
-
-@register
-class NoPrintInLibraryCode(LintRule):
-    rule_id = "OBS001"
-    summary = "print() in library code; use repro.obs / repro.reporting instead"
-
-    def check(self, module: ModuleContext) -> Iterator[Violation]:
-        if _is_exempt(module.posix_path):
-            return
-        for node in ast.walk(module.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "print"
-            ):
-                yield self.flag(
-                    module,
-                    node,
-                    "library code must not print; record telemetry via "
-                    "repro.obs or render through repro.reporting",
-                )
-
-
-#: Telemetry constructors whose first argument names a series/span.
-_NAMED_TELEMETRY_CALLS = ("counter", "gauge", "histogram", "span")
-
-
-@register
-class LiteralTelemetryNames(LintRule):
-    rule_id = "OBS002"
-    summary = "metric/span name built dynamically; use a literal constant"
-
-    def check(self, module: ModuleContext) -> Iterator[Violation]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call) or not node.args:
-                continue
-            func = node.func
-            if isinstance(func, ast.Attribute):
-                call_name = func.attr
-            elif isinstance(func, ast.Name):
-                call_name = func.id
-            else:
-                continue
-            if call_name not in _NAMED_TELEMETRY_CALLS:
-                continue
-            name_arg = node.args[0]
-            # Literals and names bound to module-level constants are
-            # fine; anything *built* at the call site is a violation.
-            if isinstance(name_arg, (ast.JoinedStr, ast.BinOp, ast.Call)):
-                yield self.flag(
-                    module,
-                    name_arg,
-                    f"{call_name}() name must be a literal constant; put "
-                    "dynamic identity in key=/labels, not the series name",
-                )
-
 
 #: Keyword fragments marking a detector tuning knob.
 _THRESHOLD_MARKERS = ("threshold", "factor", "rate", "window", "limit", "gap")

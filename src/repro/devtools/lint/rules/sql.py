@@ -1,36 +1,19 @@
-"""SQL001/SQL002: SQL strings must agree with the module's schema constant.
+"""SQL002: an ``ORDER BY`` over the store must pin a total order.
 
-The measurement store (``repro/crawler/storage.py``) keeps its schema in
-a module-level ``_SCHEMA`` string and writes with positional ``INSERT
-INTO t VALUES (?, ...)`` statements — a shape where adding a column to
-the schema but not to an insert fails only at runtime, possibly deep into
-a long crawl.  This rule cross-checks, per module:
-
-* every table named in ``FROM``/``INTO``/``UPDATE``/``JOIN`` exists in
-  the schema;
-* positional inserts carry exactly one ``?`` per schema column (explicit
-  column lists are checked by name and count);
-* identifiers in constant queries resolve to columns of the referenced
-  tables;
-* ``CREATE INDEX`` statements inside the schema reference real tables
-  and columns.
-
-SQL002 guards ordering totality: a query whose results feed deterministic
-serialization (exports, digests, bundles) must sort by a *total* order, or
-rows that tie on the sort key come back in an SQLite-internal order that
-is stable per file but not per history of inserts/vacuums.  The rule
-checks every constant single-table ``SELECT ... ORDER BY``: the bare
-columns of the ``ORDER BY`` clause, together with columns pinned by
-``col = ?`` / ``col = literal`` equality in ``WHERE``, must cover a
-unique key of the table — its ``PRIMARY KEY``, the ``GROUP BY`` columns,
-the ``SELECT DISTINCT`` columns, or (for PK-less log tables) a logical
-key registered in :data:`UniqueOrdering.logical_keys`.  Clauses with any
-non-bare-column term (``ORDER BY MIN(x)``) are skipped — expressions are
-outside static reach, like f-string SQL.
-
-Modules without a ``_SCHEMA``/``SCHEMA`` string constant are skipped, and
-only plain string constants are analysed — f-strings that splice table
-names or placeholder lists are outside static reach.
+A query whose results feed deterministic serialization (exports,
+digests, bundles) must sort by a *total* order, or rows that tie on the
+sort key come back in an SQLite-internal order that is stable per file
+but not per history of inserts/vacuums — and no test rebuilds a store
+through a different history, so only this rule sees it.  The rule
+checks every constant single-table ``SELECT ... ORDER BY`` in a module
+with a ``_SCHEMA``/``SCHEMA`` string constant: the bare columns of the
+``ORDER BY`` clause, together with columns pinned by ``col = ?`` /
+``col = literal`` equality in ``WHERE``, must cover a unique key of the
+table — its ``PRIMARY KEY``, the ``GROUP BY`` columns, the ``SELECT
+DISTINCT`` columns, or (for PK-less log tables) a logical key registered
+in :data:`UniqueOrdering.logical_keys`.  Clauses with any non-bare-column
+term (``ORDER BY MIN(x)``) are skipped — expressions are outside static
+reach, like f-string SQL.
 """
 
 from __future__ import annotations
@@ -47,32 +30,12 @@ _CREATE_TABLE_RE = re.compile(
     r"CREATE\s+TABLE(?:\s+IF\s+NOT\s+EXISTS)?\s+(\w+)\s*\((.*?)\)\s*;",
     re.IGNORECASE | re.DOTALL,
 )
-_CREATE_INDEX_RE = re.compile(
-    r"CREATE\s+INDEX(?:\s+IF\s+NOT\s+EXISTS)?\s+\w+\s+ON\s+(\w+)\s*\(([^)]*)\)",
-    re.IGNORECASE,
-)
-# Deliberately case-sensitive: prose like "Insert one visit's rows" must
-# not be mistaken for SQL, and this codebase writes SQL keywords upper-case.
-_SQL_HEAD_RE = re.compile(r"\s*(SELECT|INSERT|UPDATE|DELETE)\b")
-_TABLE_REF_RE = re.compile(r"\b(?:FROM|INTO|UPDATE|JOIN)\s+(\w+)", re.IGNORECASE)
-_INSERT_RE = re.compile(
-    r"\s*INSERT\s+INTO\s+(\w+)\s*(?:\(([^)]*)\))?\s*VALUES\s*\((.*)\)",
-    re.IGNORECASE | re.DOTALL,
-)
+# Deliberately case-sensitive: prose like "Select the rows" must not be
+# mistaken for SQL, and this codebase writes SQL keywords upper-case.
+_SELECT_RE = re.compile(r"\s*SELECT\b")
+_TABLE_REF_RE = re.compile(r"\b(?:FROM|JOIN)\s+(\w+)", re.IGNORECASE)
 _IDENTIFIER_RE = re.compile(r"[A-Za-z_]\w*")
-_STRING_LITERAL_RE = re.compile(r"'[^']*'")
-
-#: SQL keywords, functions and type names that are not column references.
-_SQL_WORDS = frozenset(
-    """
-    abs and as asc avg between by case cast coalesce count delete desc
-    distinct else end exists from full group having if ifnull in inner
-    insert instr into is join key left length like limit lower ltrim max
-    min not notnull null offset on or order outer primary replace right
-    rowid rtrim select set substr sum then trim union update upper using
-    values when where
-    """.split()
-)
+_TABLE_CONSTRAINTS = frozenset({"primary", "foreign", "unique", "check", "constraint"})
 
 
 def _split_columns(body: str) -> List[str]:
@@ -94,25 +57,8 @@ def _split_columns(body: str) -> List[str]:
     return parts
 
 
-_TABLE_CONSTRAINTS = frozenset({"primary", "foreign", "unique", "check", "constraint"})
-
-
-def _parse_schema(schema_sql: str) -> Dict[str, List[str]]:
-    """Table name → ordered column names, from CREATE TABLE statements."""
-    tables: Dict[str, List[str]] = {}
-    for match in _CREATE_TABLE_RE.finditer(schema_sql):
-        table, body = match.group(1), match.group(2)
-        columns: List[str] = []
-        for item in _split_columns(body):
-            words = item.split()
-            if not words or words[0].lower() in _TABLE_CONSTRAINTS:
-                continue
-            columns.append(words[0])
-        tables[table] = columns
-    return tables
-
-
-def _schema_constant(module: ModuleContext) -> Optional[Tuple[ast.AST, str]]:
+def _schema_constant(module: ModuleContext) -> Optional[str]:
+    """The module's top-level ``_SCHEMA``/``SCHEMA`` string, if any."""
     for node in module.tree.body:
         targets: List[ast.expr] = []
         value: Optional[ast.expr] = None
@@ -127,134 +73,12 @@ def _schema_constant(module: ModuleContext) -> Optional[Tuple[ast.AST, str]]:
                 and isinstance(value, ast.Constant)
                 and isinstance(value.value, str)
             ):
-                return node, value.value
+                return value.value
     return None
 
 
-@register
-class SchemaConsistency(LintRule):
-    rule_id = "SQL001"
-    summary = "SQL string disagrees with the module's _SCHEMA constant"
-
-    def check(self, module: ModuleContext) -> Iterator[Violation]:
-        found = _schema_constant(module)
-        if found is None:
-            return
-        schema_node, schema_sql = found
-        tables = _parse_schema(schema_sql)
-        yield from self._check_indexes(module, schema_node, schema_sql, tables)
-        for node in ast.walk(module.tree):
-            if not (
-                isinstance(node, ast.Constant)
-                and isinstance(node.value, str)
-                and _SQL_HEAD_RE.match(node.value)
-            ):
-                continue
-            if node.value == schema_sql:
-                continue
-            yield from self._check_query(module, node, node.value, tables)
-
-    def _check_indexes(
-        self,
-        module: ModuleContext,
-        schema_node: ast.AST,
-        schema_sql: str,
-        tables: Dict[str, List[str]],
-    ) -> Iterator[Violation]:
-        for match in _CREATE_INDEX_RE.finditer(schema_sql):
-            table = match.group(1)
-            if table not in tables:
-                yield self.flag(
-                    module,
-                    schema_node,
-                    f"CREATE INDEX references unknown table {table}",
-                )
-                continue
-            for column in _IDENTIFIER_RE.findall(match.group(2)):
-                if column not in tables[table]:
-                    yield self.flag(
-                        module,
-                        schema_node,
-                        f"CREATE INDEX references unknown column "
-                        f"{table}.{column}",
-                    )
-
-    def _check_query(
-        self,
-        module: ModuleContext,
-        node: ast.AST,
-        sql: str,
-        tables: Dict[str, List[str]],
-    ) -> Iterator[Violation]:
-        referenced = _TABLE_REF_RE.findall(sql)
-        if not referenced:
-            # No FROM/INTO/UPDATE/JOIN clause — nothing to cross-check.
-            return
-        unknown_tables = [table for table in referenced if table not in tables]
-        for table in unknown_tables:
-            yield self.flag(
-                module,
-                node,
-                f"query references unknown table {table} "
-                f"(schema defines: {', '.join(sorted(tables))})",
-            )
-        if unknown_tables:
-            return
-        insert = _INSERT_RE.match(sql)
-        if insert is not None:
-            yield from self._check_insert(module, node, insert, tables)
-            return
-        known_columns = {
-            column for table in referenced for column in tables[table]
-        }
-        cleaned = _STRING_LITERAL_RE.sub("", sql)
-        flagged = set()
-        for word in _IDENTIFIER_RE.findall(cleaned):
-            if word.lower() in _SQL_WORDS or word in tables or word in known_columns:
-                continue
-            if word in flagged:
-                continue
-            flagged.add(word)
-            yield self.flag(
-                module,
-                node,
-                f"identifier {word} is not a column of "
-                f"{', '.join(sorted(set(referenced)))}",
-            )
-
-    def _check_insert(
-        self,
-        module: ModuleContext,
-        node: ast.AST,
-        insert: "re.Match[str]",
-        tables: Dict[str, List[str]],
-    ) -> Iterator[Violation]:
-        table, column_list, values = insert.group(1), insert.group(2), insert.group(3)
-        columns = tables[table]
-        expected = len(columns)
-        if column_list is not None:
-            listed = _IDENTIFIER_RE.findall(column_list)
-            for column in listed:
-                if column not in columns:
-                    yield self.flag(
-                        module,
-                        node,
-                        f"INSERT lists unknown column {table}.{column}",
-                    )
-            expected = len(listed)
-        if re.fullmatch(r"[\s?,]*", values):
-            placeholders = values.count("?")
-            if placeholders != expected:
-                yield self.flag(
-                    module,
-                    node,
-                    f"INSERT INTO {table} has {placeholders} placeholders for "
-                    f"{expected} columns",
-                )
-
-
 def _parse_primary_keys(schema_sql: str) -> Dict[str, List[str]]:
-    """Table name → PRIMARY KEY columns (inline or table-level)."""
+    """Table name → PRIMARY KEY columns (inline or table-level; empty if none)."""
     keys: Dict[str, List[str]] = {}
     for match in _CREATE_TABLE_RE.finditer(schema_sql):
         table, body = match.group(1), match.group(2)
@@ -315,29 +139,23 @@ class UniqueOrdering(LintRule):
     }
 
     def check(self, module: ModuleContext) -> Iterator[Violation]:
-        found = _schema_constant(module)
-        if found is None:
+        schema_sql = _schema_constant(module)
+        if schema_sql is None:
             return
-        _, schema_sql = found
-        tables = _parse_schema(schema_sql)
         primary_keys = _parse_primary_keys(schema_sql)
         for node in ast.walk(module.tree):
-            if not (
+            if (
                 isinstance(node, ast.Constant)
                 and isinstance(node.value, str)
-                and _SQL_HEAD_RE.match(node.value)
+                and _SELECT_RE.match(node.value)
             ):
-                continue
-            yield from self._check_query(
-                module, node, node.value, tables, primary_keys
-            )
+                yield from self._check_query(module, node, node.value, primary_keys)
 
     def _check_query(
         self,
         module: ModuleContext,
         node: ast.AST,
         sql: str,
-        tables: Dict[str, List[str]],
         primary_keys: Dict[str, List[str]],
     ) -> Iterator[Violation]:
         order_match = _ORDER_BY_RE.search(sql)
@@ -348,8 +166,8 @@ class UniqueOrdering(LintRule):
             # Joins and subqueries are outside this rule's static reach.
             return
         table = referenced.pop()
-        if table not in tables:
-            return  # SQL001's department
+        if table not in primary_keys:
+            return  # a table the schema does not define
         order_columns = _bare_columns(order_match.group(1))
         if order_columns is None:
             return  # expression term (MIN(x), COUNT(...)) — skip

@@ -42,9 +42,9 @@ class TransientCrawlError(CrawlError):
     """Base for *retryable* visit failures.
 
     Subclasses must carry a machine-readable ``failure_reason`` naming a
-    fault from :mod:`repro.web.faults` (enforced by lint rule ERR002):
-    the retry layer dispatches on the reason, so a transient error
-    without one would be retried blindly — or not at all.
+    fault from :mod:`repro.web.faults`: the retry layer dispatches on the
+    reason, so a transient error without one would be retried blindly —
+    or not at all (the golden digests and the retry tests catch it).
     """
 
     #: The fault-taxonomy reason; subclasses set it (class attribute or

@@ -151,11 +151,6 @@ class Histogram:
         self.counts[bisect.bisect_left(self.edges, value)] += 1
         self.count += 1
 
-    def bucket_label(self, index: int) -> str:
-        if index >= len(self.edges):
-            return f"> {self.edges[-1]:g}"
-        return f"<= {self.edges[index]:g}"
-
 
 class NullMetric:
     """The shared do-nothing metric a disabled registry hands out."""
@@ -293,15 +288,6 @@ class MetricsRegistry:
         for data in exports:
             if data:
                 self.merge(data)
-
-    def scrape(self, prefix: str = "") -> List[Tuple[str, float]]:
-        """Sorted ``(key, value)`` view of the counters (optionally only
-        those whose key starts with ``prefix``)."""
-        return [
-            (key, metric.value)
-            for key, metric in sorted(self._metrics.items())
-            if isinstance(metric, Counter) and key.startswith(prefix)
-        ]
 
     # -- access ------------------------------------------------------------
 

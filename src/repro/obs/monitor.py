@@ -160,17 +160,9 @@ class FailureSpikeDetector(Detector):
 
     name = ALERT_FAILURE_SPIKE
 
-    def __init__(
-        self,
-        expected_rate: float,
-        window: int = FAILURE_WINDOW,
-        warn_factor: float = FAILURE_WARN_FACTOR,
-        critical_factor: float = FAILURE_CRITICAL_FACTOR,
-    ) -> None:
+    def __init__(self, expected_rate: float, window: int = FAILURE_WINDOW) -> None:
         self.expected_rate = expected_rate
         self.window = window
-        self.warn_factor = warn_factor
-        self.critical_factor = critical_factor
         self._outcomes: deque = deque(maxlen=window)
         self._state = _Hysteresis()
 
@@ -181,8 +173,8 @@ class FailureSpikeDetector(Detector):
         if len(self._outcomes) < self.window:
             return []
         rate = sum(self._outcomes) / self.window
-        warn_limit = self.expected_rate * self.warn_factor
-        critical_limit = self.expected_rate * self.critical_factor
+        warn_limit = self.expected_rate * FAILURE_WARN_FACTOR
+        critical_limit = self.expected_rate * FAILURE_CRITICAL_FACTOR
         severity = _severity_for(rate, warn_limit, critical_limit)
         if not self._state.escalate(severity):
             return []
@@ -216,16 +208,10 @@ class ThroughputDetector(Detector):
     name = ALERT_THROUGHPUT_DEGRADED
 
     def __init__(
-        self,
-        baseline_seconds: float,
-        window: int = THROUGHPUT_WINDOW,
-        warn_factor: float = THROUGHPUT_WARN_FACTOR,
-        critical_factor: float = THROUGHPUT_CRITICAL_FACTOR,
+        self, baseline_seconds: float, window: int = THROUGHPUT_WINDOW
     ) -> None:
         self.baseline_seconds = baseline_seconds
         self.window = window
-        self.warn_factor = warn_factor
-        self.critical_factor = critical_factor
         self._durations: deque = deque(maxlen=window)
         self._state = _Hysteresis()
 
@@ -237,8 +223,8 @@ class ThroughputDetector(Detector):
             return []
         # fsum is exact, so the mean never depends on accumulation order.
         mean = math.fsum(self._durations) / self.window
-        warn_limit = self.baseline_seconds * self.warn_factor
-        critical_limit = self.baseline_seconds * self.critical_factor
+        warn_limit = self.baseline_seconds * THROUGHPUT_WARN_FACTOR
+        critical_limit = self.baseline_seconds * THROUGHPUT_CRITICAL_FACTOR
         severity = _severity_for(mean, warn_limit, critical_limit)
         if not self._state.escalate(severity):
             return []
@@ -296,15 +282,8 @@ class ProfileSkewDetector(Detector):
 
     name = ALERT_PROFILE_SKEW
 
-    def __init__(
-        self,
-        window: int = SKEW_WINDOW,
-        warn_gap: float = SKEW_WARN_GAP,
-        critical_gap: float = SKEW_CRITICAL_GAP,
-    ) -> None:
+    def __init__(self, window: int = SKEW_WINDOW) -> None:
         self.window = window
-        self.warn_gap = warn_gap
-        self.critical_gap = critical_gap
         self._outcomes: Dict[str, deque] = {}
         self._state = _Hysteresis()
 
@@ -328,11 +307,11 @@ class ProfileSkewDetector(Detector):
         best = max(rates, key=lambda profile: (rates[profile], profile))
         worst = min(rates, key=lambda profile: (rates[profile], profile))
         gap = rates[best] - rates[worst]
-        severity = _severity_for(gap, self.warn_gap, self.critical_gap)
+        severity = _severity_for(gap, SKEW_WARN_GAP, SKEW_CRITICAL_GAP)
         if not self._state.escalate(severity):
             return []
         threshold = (
-            self.critical_gap if severity == SEVERITY_CRITICAL else self.warn_gap
+            SKEW_CRITICAL_GAP if severity == SEVERITY_CRITICAL else SKEW_WARN_GAP
         )
         return [
             Alert(
@@ -355,7 +334,7 @@ class Monitor:
 
     ``on_alert`` is an optional callback fired per alert in emission
     order — CLIs set it to render alerts live (the library itself never
-    prints, OBS001).  Attach to a context with
+    prints).  Attach to a context with
     :meth:`ObsContext.attach_monitor`, which subscribes :meth:`handle`
     to the context's event stream.
     """
@@ -413,12 +392,6 @@ class Monitor:
     @property
     def has_critical(self) -> bool:
         return any(alert.severity == SEVERITY_CRITICAL for alert in self.alerts)
-
-    def severity_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for alert in self.alerts:
-            counts[alert.severity] = counts.get(alert.severity, 0) + 1
-        return dict(sorted(counts.items()))
 
     def alerts_payload(self) -> List[Dict[str, object]]:
         """The ledger-ready ``alerts`` section, in emission order."""

@@ -23,7 +23,7 @@ def _networkx():
     try:
         import networkx
     except ImportError as exc:  # pragma: no cover - environment-specific
-        raise ImportError(  # repro: ok[ERR001] optional-dependency guards raise ImportError by convention
+        raise ImportError(  # optional-dependency guards raise ImportError by convention
             "graph export needs the optional dependency networkx"
         ) from exc
     return networkx

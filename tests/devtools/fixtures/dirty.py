@@ -1,40 +1,26 @@
 """Seeded lint fixture: exactly one violation per registered rule.
 
-Never imported — ``tests/devtools/test_lint_cli.py`` and
-``test_lint_framework.py`` lint this file and assert that every rule in
-the pack fires exactly once.  Keep one violation per rule; the tests
-assert the exact multiset of rule ids.
+Never imported — ``tests/devtools/test_lint_cli.py`` lints this file and
+asserts that every rule in the pack fires exactly once.  Keep one
+violation per rule; the tests assert the exact multiset of rule ids.
 """
 
 import glob
 import os
-import random
-import time
 
 _SCHEMA = """
-CREATE TABLE t (a INTEGER, b TEXT);
+CREATE TABLE t (a INTEGER PRIMARY KEY, b TEXT);
 """
 
-BAD_INSERT = "INSERT INTO t VALUES (?, ?, ?)"  # SQL001: 3 placeholders, 2 columns
-
-
-def det001_unseeded() -> float:
-    return random.random()  # DET001: process-global RNG
-
-
-def det002_wall_clock() -> float:
-    return time.time()  # DET002: wall-clock read
-
-
-def det003_unordered_sink(items):
-    return list(set(items))  # DET003: set feeds an ordered sink
+BY_B = "SELECT * FROM t ORDER BY b"  # SQL002: b does not cover the key a
 
 
 def det004_unsorted_listing(path):
     return [name for name in os.listdir(path)]  # DET004: unsorted listing
 
-def err001_builtin_raise():
-    raise RuntimeError("boom")  # ERR001: builtin exception
+
+def obs003_dynamic_alert_name(site):
+    return Alert(f"spike-{site}", "warning", "msg")  # OBS003: built alert name
 
 
 def glob_is_fine_when_sorted(pattern):

@@ -10,7 +10,13 @@ from repro.devtools.lint.cli import main
 FIXTURE = str(pathlib.Path(__file__).parent / "fixtures" / "dirty.py")
 
 #: The fixture seeds exactly one violation per registered rule.
-EXPECTED_FIXTURE_RULES = ["DET001", "DET002", "DET003", "DET004", "ERR001", "SQL001"]
+EXPECTED_FIXTURE_RULES = ["DET004", "OBS003", "SQL002"]
+
+#: Rules retired because tier-1 catches what they flagged (DESIGN §6.3).
+DELETED_RULES = [
+    "CONC001", "CONC002", "CONC003", "DET001", "DET002", "DET003", "DET101",
+    "DET103", "ERR001", "ERR002", "OBS001", "OBS002", "SQL001",
+]
 
 
 class TestExitCodes:
@@ -23,7 +29,8 @@ class TestExitCodes:
     def test_seeded_fixture_exits_nonzero_with_all_rules(self, capsys):
         assert main([FIXTURE, "--jobs", "1"]) == 1
         out = capsys.readouterr().out
-        fired = [line.split()[1] for line in out.splitlines() if ":" in line and " " in line][:6]
+        lines = [line for line in out.splitlines() if ":" in line and " " in line]
+        fired = [line.split()[1] for line in lines][: len(EXPECTED_FIXTURE_RULES)]
         assert sorted(fired) == EXPECTED_FIXTURE_RULES
 
     def test_missing_path_exits_two(self, capsys):
@@ -45,15 +52,18 @@ class TestOutputModes:
         assert all(count == 1 for count in document["counts"].values())
 
     def test_select_narrows_rules(self, capsys):
-        assert main([FIXTURE, "--select", "SQL001", "--format", "json"]) == 1
+        assert main([FIXTURE, "--select", "SQL002", "--format", "json"]) == 1
         document = json.loads(capsys.readouterr().out)
-        assert document["counts"] == {"SQL001": 1}
+        assert document["counts"] == {"SQL002": 1}
 
-    @pytest.mark.parametrize(
-        "rule_id", ["CONC001", "CONC002", "CONC003", "DET101", "DET103"]
-    )
+    @pytest.mark.parametrize("rule_id", DELETED_RULES)
     def test_select_deleted_rule_exits_two(self, rule_id, capsys):
         assert main([FIXTURE, "--select", rule_id]) == 2
+        assert f"unknown rule id: {rule_id}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rule_id", DELETED_RULES)
+    def test_ignore_deleted_rule_exits_two(self, rule_id, capsys):
+        assert main([FIXTURE, "--ignore", rule_id]) == 2
         assert f"unknown rule id: {rule_id}" in capsys.readouterr().err
 
     def test_ignore_drops_rules(self, capsys):
@@ -65,10 +75,12 @@ class TestOutputModes:
         out = capsys.readouterr().out
         for rule_id in EXPECTED_FIXTURE_RULES + ["SUP001", "SYN001"]:
             assert rule_id in out
+        for rule_id in DELETED_RULES:
+            assert rule_id not in out
 
     def test_parallel_output_matches_serial(self, tmp_path, capsys):
         for name in ("a", "b", "c"):
-            (tmp_path / f"{name}.py").write_text("import time\nt = time.time()\n")
+            (tmp_path / f"{name}.py").write_text("import os\nn = os.listdir(p)\n")
         assert main([str(tmp_path), "--jobs", "1"]) == 1
         serial_out = capsys.readouterr().out
         assert main([str(tmp_path), "--jobs", "3"]) == 1
@@ -86,4 +98,4 @@ class TestModuleEntryPoint:
             text=True,
         )
         assert result.returncode == 1
-        assert "SQL001" in result.stdout
+        assert "SQL002" in result.stdout

@@ -16,38 +16,38 @@ from repro.errors import LintError, ReproError
 
 class TestSuppressions:
     def test_suppression_with_reason_silences_rule(self):
-        src = "import time\nt = time.time()  # repro: ok[DET002] CLI timing only\n"
+        src = "import os\nn = os.listdir(p)  # repro: ok[DET004] only counted\n"
         assert lint_source(src) == []
 
     def test_suppression_without_reason_does_not_silence(self):
-        src = "import time\nt = time.time()  # repro: ok[DET002]\n"
+        src = "import os\nn = os.listdir(p)  # repro: ok[DET004]\n"
         rule_ids = sorted(v.rule_id for v in lint_source(src))
-        assert rule_ids == ["DET002", "SUP001"]
+        assert rule_ids == ["DET004", "SUP001"]
 
     def test_suppression_for_other_rule_does_not_silence(self):
-        src = "import time\nt = time.time()  # repro: ok[DET001] wrong rule\n"
-        assert [v.rule_id for v in lint_source(src)] == ["DET002"]
+        src = "import os\nn = os.listdir(p)  # repro: ok[OBS003] wrong rule\n"
+        assert [v.rule_id for v in lint_source(src)] == ["DET004"]
 
     def test_multiple_rule_ids_in_one_comment(self):
         src = (
-            "import time, random\n"
-            "t = time.time() + random.random()"
-            "  # repro: ok[DET001, DET002] fixture exercising both\n"
+            "import os\n"
+            'n, a = os.listdir(p), Alert(f"spike-{s}", SEV, "m")'
+            "  # repro: ok[DET004, OBS003] fixture exercising both\n"
         )
         assert lint_source(src) == []
 
     def test_marker_inside_string_is_inert(self):
-        src = 'doc = "# repro: ok[DET002]"\nimport time\nt = time.time()\n'
-        assert [v.rule_id for v in lint_source(src)] == ["DET002"]
+        src = 'doc = "# repro: ok[DET004]"\nimport os\nn = os.listdir(p)\n'
+        assert [v.rule_id for v in lint_source(src)] == ["DET004"]
 
     def test_reasonless_marker_inside_string_is_not_sup001(self):
-        src = 'doc = "example: # repro: ok[DET002]"\n'
+        src = 'doc = "example: # repro: ok[DET004]"\n'
         assert lint_source(src) == []
 
     def test_find_suppressions_parses_ids_and_reason(self):
-        src = "x = 1  # repro: ok[DET001, SQL001] because reasons\n"
+        src = "x = 1  # repro: ok[DET004, SQL002] because reasons\n"
         marker = find_suppressions(src)[1]
-        assert marker.rule_ids == ("DET001", "SQL001")
+        assert marker.rule_ids == ("DET004", "SQL002")
         assert marker.reason == "because reasons"
 
 
@@ -67,7 +67,7 @@ class TestPseudoRules:
 
     def test_duplicate_rule_id_rejected(self):
         class Fake(LintRule):
-            rule_id = "DET001"
+            rule_id = "DET004"
             summary = "impostor"
 
         with pytest.raises(LintError, match="duplicate"):
@@ -76,27 +76,15 @@ class TestPseudoRules:
 
 class TestRegistry:
     def test_expected_rule_pack(self):
-        assert registered_rule_ids() == [
-            "DET001",
-            "DET002",
-            "DET003",
-            "DET004",
-            "ERR001",
-            "ERR002",
-            "OBS001",
-            "OBS002",
-            "OBS003",
-            "SQL001",
-            "SQL002",
-        ]
+        assert registered_rule_ids() == ["DET004", "OBS003", "SQL002"]
 
     def test_select_and_ignore(self):
-        assert [r.rule_id for r in build_rules(select=["DET001", "SQL001"])] == [
-            "DET001",
-            "SQL001",
+        assert [r.rule_id for r in build_rules(select=["SQL002", "DET004"])] == [
+            "DET004",
+            "SQL002",
         ]
-        remaining = [r.rule_id for r in build_rules(ignore=["DET003"])]
-        assert "DET003" not in remaining and len(remaining) == 10
+        remaining = [r.rule_id for r in build_rules(ignore=["OBS003"])]
+        assert remaining == ["DET004", "SQL002"]
 
     def test_unknown_rule_id_raises_lint_error(self):
         with pytest.raises(LintError, match="unknown rule id"):
@@ -114,9 +102,9 @@ class TestWalker:
             lint_project(["tests/devtools/does-not-exist"])
 
     def test_violations_are_sorted_and_jobs_invariant(self, tmp_path):
-        (tmp_path / "b.py").write_text("import time\nt = time.time()\n")
+        (tmp_path / "b.py").write_text('Alert(f"spike-{s}", SEV, "m")\n')
         (tmp_path / "a.py").write_text(
-            "import random\nx = random.random()\ny = random.random()\n"
+            "import os\nx = os.listdir(p)\ny = os.listdir(q)\n"
         )
         serial = lint_project([str(tmp_path)], jobs=1)
         parallel = lint_project([str(tmp_path)], jobs=2)
@@ -124,11 +112,11 @@ class TestWalker:
         assert serial.files_checked == 2
         violations = serial.violations
         assert [v.sort_key for v in violations] == sorted(v.sort_key for v in violations)
-        assert [v.rule_id for v in violations] == ["DET001", "DET001", "DET002"]
+        assert [v.rule_id for v in violations] == ["DET004", "DET004", "OBS003"]
 
     def test_duplicate_inputs_deduplicated(self, tmp_path):
         target = tmp_path / "a.py"
-        target.write_text("import time\nt = time.time()\n")
+        target.write_text("import os\nn = os.listdir(p)\n")
         report = lint_project([str(target), str(tmp_path)])
         assert report.files_checked == 1
         assert len(report.violations) == 1

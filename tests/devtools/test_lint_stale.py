@@ -5,10 +5,10 @@ import pytest
 from repro.devtools.lint import lint_project
 from repro.devtools.lint.cli import main
 
-STALE = "value = 1  # repro: ok[DET002] operator-facing timing only\n"
+STALE = "value = 1  # repro: ok[DET004] only counted, never ordered\n"
 LIVE = (
-    "import time\n"
-    "value = time.time()  # repro: ok[DET002] operator-facing timing only\n"
+    "import os\n"
+    "value = os.listdir(p)  # repro: ok[DET004] only counted, never ordered\n"
 )
 NAMES_NO_RULE = (
     "x = 1  # repro: ok[DET999] no such rule\n"
@@ -26,7 +26,7 @@ class TestStaleDetection:
         report = lint_project([str(root)])
         assert rules_fired(report) == ["SUP002"]
         (violation,) = report.violations
-        assert "DET002" in violation.message
+        assert "DET004" in violation.message
         assert "drop the marker" in violation.message
 
     def test_suppression_with_a_firing_rule_is_not_stale(self, make_project):
@@ -36,11 +36,11 @@ class TestStaleDetection:
 
     def test_rule_must_have_run_to_count_as_stale(self, make_project):
         root = make_project({"mod.py": STALE})
-        report = lint_project([str(root)], select=["DET001"])
+        report = lint_project([str(root)], select=["SQL002"])
         assert report.violations == []
 
     @pytest.mark.parametrize(
-        "narrowing", [{}, {"select": ["DET001"]}, {"ignore": ["DET002"]}]
+        "narrowing", [{}, {"select": ["SQL002"]}, {"ignore": ["DET004"]}]
     )
     def test_marker_naming_no_rule_is_stale(self, make_project, narrowing):
         root = make_project({"mod.py": NAMES_NO_RULE})

@@ -53,14 +53,14 @@ class TestSyntaxErrors:
         root = make_project(
             {
                 "bad.py": "def f(:\n",
-                "use.py": "def collect(m):\n    return list(m.keys())\n",
+                "use.py": "import os\ndef collect(p):\n    return os.listdir(p)\n",
             }
         )
         report = lint_project([str(root)])
-        assert rules_fired(report) == ["DET003", "SYN001"]
+        assert rules_fired(report) == ["DET004", "SYN001"]
         by_rule = {v.rule_id: v.path for v in report.violations}
         assert by_rule["SYN001"].endswith("bad.py")
-        assert by_rule["DET003"].endswith("use.py")
+        assert by_rule["DET004"].endswith("use.py")
 
 
 class TestVanishingFiles:
@@ -74,20 +74,20 @@ class TestVanishingFiles:
     def test_lint_files_does_not_abort(self, tmp_path, monkeypatch):
         gone = tmp_path / "gone.py"
         gone.write_text("x = 1\n")
-        (tmp_path / "here.py").write_text("import time\nt = time.time()\n")
+        (tmp_path / "here.py").write_text("import os\nn = os.listdir(p)\n")
         discovered = program.collect_files([str(tmp_path)])
         gone.unlink()
         monkeypatch.setattr(program, "collect_files", lambda paths: discovered)
         report = lint_project([str(tmp_path)], jobs=2)
-        assert rules_fired(report) == ["DET002", "IO001"]
+        assert rules_fired(report) == ["DET004", "IO001"]
         assert report.files_checked == 2
 
     def test_program_driver_reports_io001(self, tmp_path):
         missing = tmp_path / "gone.py"
         present = tmp_path / "here.py"
-        present.write_text("import time\nt = time.time()\n")
+        present.write_text("import os\nn = os.listdir(p)\n")
         gone, here = analyze_paths([missing, present])
         assert gone.parse_failed
         assert [v.rule_id for v in gone.raw] == ["IO001"]
         assert "unreadable" in gone.raw[0].message
-        assert [v.rule_id for v in here.raw] == ["DET002"]
+        assert [v.rule_id for v in here.raw] == ["DET004"]

@@ -73,12 +73,6 @@ class TestHistogramBinning:
             hist.observe(value)
         assert hist.count == 3
 
-    def test_bucket_labels(self):
-        hist = Histogram((1, 5))
-        assert hist.bucket_label(0) == "<= 1"
-        assert hist.bucket_label(1) == "<= 5"
-        assert hist.bucket_label(2) == "> 5"
-
 
 class TestRegistry:
     def test_counter_accumulates(self):
@@ -217,22 +211,3 @@ class TestFiniteValueGuard:
             registry.histogram("h", (1,)).observe(math.nan)
         with pytest.raises(ObsError):
             registry.gauge("g").set(math.inf)
-
-
-class TestScrape:
-    def test_scrape_returns_sorted_counter_snapshot(self):
-        registry = MetricsRegistry()
-        registry.counter("crawl.visits", profile="Old").inc(2)
-        registry.counter("crawl.retries").inc()
-        registry.gauge("depth").set(3)  # gauges are not scraped
-        snapshot = registry.scrape()
-        assert snapshot == [
-            ("crawl.retries", 1.0),
-            ("crawl.visits{profile=Old}", 2.0),
-        ]
-
-    def test_scrape_prefix_filters(self):
-        registry = MetricsRegistry()
-        registry.counter("crawl.visits").inc()
-        registry.counter("storage.batches").inc()
-        assert registry.scrape(prefix="storage.") == [("storage.batches", 1.0)]

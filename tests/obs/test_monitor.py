@@ -164,7 +164,7 @@ class TestSiteStallDetector:
 
 class TestProfileSkewDetector:
     def test_gap_between_full_windows(self):
-        detector = ProfileSkewDetector(window=2, warn_gap=0.25, critical_gap=0.75)
+        detector = ProfileSkewDetector(window=2)
         alerts = []
         alerts += detector.observe(_visit(success=True, profile="Old"))
         alerts += detector.observe(_visit(success=False, profile="NoAction"))
@@ -191,8 +191,6 @@ class TestMonitor:
             monitor.handle(_visit(success=success))
         assert monitor.events_seen == 2
         assert monitor.has_critical
-        counts = monitor.severity_counts()
-        assert sum(counts.values()) == len(monitor.alerts)
 
     def test_on_alert_fires_in_emission_order(self):
         seen = []

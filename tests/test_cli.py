@@ -27,6 +27,23 @@ class TestCrawl:
             assert store.visit_count() > 0
             assert len(store.profiles()) == 5
 
+    def test_closed_db_is_one_file_for_readers(self, tmp_path, monkeypatch, capsys):
+        # Read-only readers cannot remove a WAL db's -wal/-shm files, so
+        # the crawl must not leave the db in WAL mode.
+        from repro.obs.cli import main as obs_main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["crawl", "--db", "run.sqlite", "--seed", "5",
+                     "--sites-per-bucket", "1", "--pages-per-site", "1"]) == 0
+        assert main(["export", "--db", "run.sqlite", "--seed", "5",
+                     "--what", "visits", "--out", "visits.csv"]) == 0
+        assert obs_main(["health", "--db", "run.sqlite"]) == 0
+        capsys.readouterr()
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "run.sqlite",
+            "visits.csv",
+        ]
+
     def test_recrawl_into_same_db_exits_two(self, tmp_path, capsys):
         argv = ["crawl", "--db", str(tmp_path / "run.sqlite"), "--seed", "5",
                 "--sites-per-bucket", "1", "--pages-per-site", "1"]
@@ -203,6 +220,44 @@ class TestBundleFilterList:
         ctx = ExperimentContext.from_bundle(trimmed_bundle)
         export_node_comparisons_csv(ctx.dataset, str(library_out))
         assert cli_out.read_bytes() == library_out.read_bytes()
+
+
+class TestAnalyzeRunsEverySelectedExperiment:
+    """An experiment that cannot run on a crawl does not end ``repro
+    analyze``: table6 needs NoAction, which a Sim1+Sim2 crawl lacks."""
+
+    @pytest.fixture(scope="class")
+    def sim_bundle(self, tmp_path_factory):
+        from repro.browser import PAPER_PROFILES
+        from repro.bundle import record_from_store
+        from repro.crawler import Commander, MeasurementStore, sample_paper_buckets
+        from repro.web import WebGenerator
+
+        path = tmp_path_factory.mktemp("cli-sim") / "bundle"
+        generator = WebGenerator(7)
+        with MeasurementStore() as store:
+            Commander(
+                generator, store, profiles=PAPER_PROFILES[1:3], max_pages_per_site=3
+            ).run(sample_paper_buckets(7, per_bucket=1))
+            record_from_store(store, seed=7, path=path, generator=generator)
+        return str(path)
+
+    def test_failing_experiment_is_reported_and_skipped(self, sim_bundle, capsys):
+        from repro.experiments import ExperimentContext, case_unique, table5
+
+        code = main(
+            ["analyze", "--from-bundle", sim_bundle,
+             "--experiments", "table5,table6,case_unique"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        for experiment_id in ("table5", "table6", "case_unique"):
+            assert f"[{experiment_id}]" in captured.out
+        ctx = ExperimentContext.from_bundle(sim_bundle)
+        for module in (table5, case_unique):
+            assert module.render(module.run(ctx)) + "\n\n" in captured.out
+        assert captured.err.startswith("error: table6: ")
+        assert "table5" not in captured.err and "case_unique" not in captured.err
 
 
 class TestIncludePartialFlag:

@@ -1,9 +1,10 @@
 """The self-application gate: ``repro-lint`` must be clean over ``src/``.
 
-This is the teeth of the determinism contract — any new unseeded
-randomness, wall-clock read, unsorted set iteration into an ordered
-output, non-ReproError raise, or schema-inconsistent SQL fails CI here
-(or carries an explicit ``# repro: ok[RULE] reason`` suppression).
+This is the teeth of the rules tier-1's byte-identity tests cannot
+stand in for — an unsorted directory listing, a computed alert name or
+detector threshold, a detector writing to the metrics registry, or an
+``ORDER BY`` that is not total fails CI here (or carries an explicit
+``# repro: ok[RULE] reason`` suppression).
 
 The one ``lint_project`` pass below also audits every suppression for
 staleness (SUP002): a marker whose rule no longer fires, or that names no
