@@ -25,7 +25,7 @@ REPEATS = 3
 
 def _crawl(obs):
     generator = WebGenerator(SEED)
-    store = MeasurementStore(obs=obs)
+    store = MeasurementStore()
     ranks = sample_paper_buckets(SEED, per_bucket=SITES_PER_BUCKET)
     started = time.perf_counter()
     Commander(

@@ -14,7 +14,14 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 from ..blocklist.matcher import FilterList
 from ..crawler.storage import MeasurementStore
 from ..errors import AnalysisError, InvalidURLError
-from ..obs import NULL_OBS, ObsContext
+from ..obs import (
+    NULL_OBS,
+    MetricsRegistry,
+    ObsContext,
+    TREE_DEPTH_BUCKETS,
+    TREE_EDGE_BUCKETS,
+    TREE_NODE_BUCKETS,
+)
 from ..trees.builder import TreeBuilder
 from ..trees.normalize import NormalizationStats
 from ..trees.tree import DependencyTree
@@ -174,8 +181,8 @@ class StreamingDataset:
     * entries sort by ``page_url``, the order the vetting query of a
       single store yields (page URLs are unique across shards, so the
       sort is total);
-    * tree metrics go to a private registry that merges commutatively at
-      finalize, so folds made while a crawl still runs never show in the
+    * tree metrics are recorded at finalize, from the finalized entries'
+      trees, so folds made while a crawl still runs never show in the
       crawl's metrics or run record;
     * the normalizer's counts, which the dataset keeps, are sums per
       call (per distinct URL for ``unparseable``), so no fold order or
@@ -198,8 +205,7 @@ class StreamingDataset:
         self.require_all = require_all
         self.include_partial = include_partial
         self.obs = obs if obs is not None else NULL_OBS
-        self._fold_obs = ObsContext.from_config(self.obs.config())
-        self._builder = TreeBuilder(filter_list=filter_list, obs=self._fold_obs)
+        self._builder = TreeBuilder(filter_list=filter_list)
         self._entries: List[PageEntry] = []
         self._pages_vetted = 0
         self._finalized = False
@@ -250,7 +256,7 @@ class StreamingDataset:
             span.set("entries", len(self._entries))
             metrics = obs.metrics
             if metrics.enabled:
-                metrics.merge(self._fold_obs.metrics.as_dict())
+                _record_tree_metrics(metrics, self._entries)
                 metrics.counter("dataset.pages_vetted").inc(self._pages_vetted)
                 metrics.counter("dataset.entries").inc(len(self._entries))
         return AnalysisDataset(
@@ -259,6 +265,28 @@ class StreamingDataset:
             normalization=self._builder.normalizer.stats,
             include_partial=self.include_partial,
         )
+
+
+def _record_tree_metrics(
+    metrics: MetricsRegistry, entries: Sequence[PageEntry]
+) -> None:
+    """Record a dataset's tree metrics, once, from its entries' trees.
+
+    A fold keeps every tree it builds (vetting and tree building read
+    the same usable visits), so these are the metrics of every tree
+    built, whichever folds built them.
+    """
+    trees = [tree for entry in entries for tree in entry.comparison.trees.values()]
+    if not trees:
+        return
+    metrics.counter("trees.built").inc(len(trees))
+    nodes = metrics.histogram("trees.nodes", TREE_NODE_BUCKETS)
+    edges = metrics.histogram("trees.edges", TREE_EDGE_BUCKETS)
+    depths = metrics.histogram("trees.depth", TREE_DEPTH_BUCKETS)
+    for tree in trees:
+        nodes.observe(tree.node_count)
+        edges.observe(tree.node_count - 1)
+        depths.observe(tree.max_depth)
 
 
 def _site_of(page_url: str) -> str:

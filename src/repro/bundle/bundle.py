@@ -393,7 +393,7 @@ class Bundle:
                 f"bundle {self.path} has schema version {self.schema_version}; "
                 f"this code replays version {SCHEMA_VERSION}"
             )
-        store = MeasurementStore(path, obs=obs)
+        store = MeasurementStore(path)
         total_rows = 0
         spans_before = len(obs.tracer.records)
         with obs.tracer.span("bundle-replay", key="bundle-replay") as span:
@@ -422,11 +422,6 @@ class Bundle:
                     filter_list_version=self.manifest.filter_list_version,
                     store_schema_version=store.schema_version,
                     bundle_digest=self.manifest.digest(),
-                    alerts=(
-                        obs.monitor.alerts_payload()
-                        if obs.monitor is not None
-                        else None
-                    ),
                 )
             )
         return store

@@ -171,7 +171,7 @@ def diff_against_fresh_crawl(
     config = bundle.config
     generator = WebGenerator(config.seed)
     profiles = tuple(profile_by_name(name) for name in config.profiles)
-    with MeasurementStore(obs=obs) as store:
+    with MeasurementStore() as store:
         Commander(
             generator,
             store,

@@ -80,7 +80,7 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
             on_alert=lambda alert: print(f"! {alert.format()}"),
         )
         obs.attach_monitor(monitor)
-    store = MeasurementStore(args.db, obs=obs)
+    store = MeasurementStore(args.db)
     commander = Commander(
         generator,
         store,

@@ -35,11 +35,18 @@ import shutil
 import tempfile
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..browser.profile import BrowserProfile, PAPER_PROFILES
 from ..errors import CrawlError
-from ..obs import NULL_OBS, ObsConfig, ObsContext, VISIT_SECONDS_BUCKETS
+from ..obs import (
+    BATCH_SIZE_BUCKETS,
+    NULL_OBS,
+    MetricsRegistry,
+    ObsConfig,
+    ObsContext,
+    VISIT_SECONDS_BUCKETS,
+)
 from ..obs.ledger import build_run_record
 from ..obs.monitor import publish_store_events
 from ..obs.stream import visit_event
@@ -210,7 +217,9 @@ class Commander:
     ) -> CrawlSummary:
         """Crawl the sites at ``ranks`` with all profiles; returns a summary.
 
-        When the observability context carries a run ledger, the crawl
+        The summary and the crawl's metrics are read from the stored
+        visits once the crawl, and any shard merge, finished.  When the
+        observability context carries a run ledger, the crawl
         appends a ``kind="crawl"`` run record after its crawl span
         closes — provenance, per-phase profile, metrics snapshot, and the
         per-profile outcome breakdown, diffable against any other run.
@@ -261,6 +270,10 @@ class Commander:
                 summary.failures[name] = outcome["failures"]
                 summary.retries[name] = outcome["retries"]
                 summary.recovered[name] = outcome["recovered"]
+            if self.obs.metrics.enabled:
+                _record_crawl_metrics(
+                    self.obs.metrics, self.store, self.profiles, outcomes
+                )
             # Deterministic attrs only: worker count must not leak into
             # the trace, or byte-identity across worker counts breaks.
             crawl_span.set("sites", summary.sites_crawled)
@@ -276,11 +289,6 @@ class Commander:
                     primary_phase="crawl",
                     outcomes=outcomes,
                     store_schema_version=self.store.schema_version,
-                    alerts=(
-                        self.obs.monitor.alerts_payload()
-                        if self.obs.monitor is not None
-                        else None
-                    ),
                 )
             )
         return summary
@@ -361,20 +369,21 @@ class Commander:
     ) -> None:
         """Fan the schedule out to worker processes and merge their shards.
 
-        Workers record telemetry into private tracers/registries; the
-        parent re-attaches per-site span subtrees in schedule order and
-        merges metrics by summation, so the consolidated telemetry — like
-        the consolidated store — is identical to a serial run's.  Workers
-        publish no events: the parent publishes the merged store's visits,
-        in visit-id order, exactly the sequence a serial crawl publishes.
+        Workers record spans into private tracers; the parent re-attaches
+        per-site span subtrees in schedule order, so the consolidated
+        trace — like the consolidated store — is identical to a serial
+        run's.  Workers publish no events and record no metrics: the
+        parent publishes the merged store's visits, in visit-id order,
+        exactly the sequence a serial crawl publishes, and
+        :meth:`run` folds the metrics from the merged store.
 
         Shards are consumed as they complete (no ``pool.map`` barrier):
         results land in a layout-indexed list, so every downstream step —
-        store merge, span adoption, event publication, metric merge —
-        still runs in deterministic layout order while ``on_shard`` sees
-        each shard the moment it finishes.  When a shard or ``on_shard``
-        raises, the shards that have not started are cancelled, so the
-        error surfaces without crawling the rest.
+        store merge, span adoption, event publication — still runs in
+        deterministic layout order while ``on_shard`` sees each shard the
+        moment it finishes.  When a shard or ``on_shard`` raises, the
+        shards that have not started are cancelled, so the error surfaces
+        without crawling the rest.
         """
         count = min(self.workers * SHARDS_PER_WORKER, len(schedules))
         shards = [list(schedules[index::count]) for index in range(count)]
@@ -399,7 +408,7 @@ class Commander:
                 )
                 for index, shard in enumerate(shards)
             ]
-            shard_results: List[Optional[_ShardResult]] = [None] * len(specs)
+            shard_spans: List[List[SpanRecord]] = [[] for _ in specs]
             pool = ProcessPoolExecutor(max_workers=min(self.workers, len(specs)))
             try:
                 futures = {
@@ -408,7 +417,7 @@ class Commander:
                 }
                 for future in as_completed(futures):
                     index = futures[future]
-                    shard_results[index] = future.result()
+                    shard_spans[index] = future.result()
                     shard_stores[index] = MeasurementStore.open_readonly(
                         specs[index].db_path
                     )
@@ -432,8 +441,8 @@ class Commander:
             shutil.rmtree(tmpdir, ignore_errors=True)
         if self.obs.tracer.enabled:
             site_spans: Dict[int, List[SpanRecord]] = {}
-            for result in shard_results:
-                for group in split_roots(result.spans):
+            for spans in shard_spans:
+                for group in split_roots(spans):
                     rank = group[0].attrs.get("rank")
                     if isinstance(rank, int):
                         site_spans[rank] = group
@@ -441,10 +450,6 @@ class Commander:
                 self.obs.tracer.adopt(site_spans.get(schedule.rank, []))
         if self.obs.stream.enabled:
             publish_store_events(self.store, self.obs.stream)
-        if self.obs.metrics.enabled:
-            self.obs.metrics.merge_all(
-                result.metrics for result in shard_results if result.metrics
-            )
 
 
 @dataclass(frozen=True)
@@ -464,14 +469,6 @@ class _ShardSpec:
     obs_config: Optional[ObsConfig] = None
     retry_policy: RetryPolicy = NO_RETRIES
     salvage_partial: bool = False
-
-
-@dataclass
-class _ShardResult:
-    """What a worker sends back: its shard's spans and metrics."""
-
-    spans: List[SpanRecord] = field(default_factory=list)
-    metrics: Optional[Dict[str, Dict[str, object]]] = None
 
 
 def _plan_site(
@@ -517,11 +514,12 @@ def _crawl_sites(
     attempt)`` — see :mod:`repro.crawler.retry` for why that keeps serial
     and sharded crawls byte-identical.
 
-    Telemetry is keyed by ``(site, profile)`` — site spans carry their
-    rank, per-visit counters are labeled by profile — so the recorded
-    stream is a pure function of the schedule, not of shard layout.
+    Spans are keyed by ``(site, profile)`` — site spans carry their
+    rank — so the recorded trace is a pure function of the schedule, not
+    of shard layout.  Nothing here records metrics: :meth:`Commander.run`
+    folds them from the stored visits.
     """
-    tracer, metrics, stream = obs.tracer, obs.metrics, obs.stream
+    tracer, stream = obs.tracer, obs.stream
     clients = {
         profile.name: CrawlClient(
             profile,
@@ -532,42 +530,6 @@ def _crawl_sites(
         )
         for profile in profiles
     }
-    visit_counters = {
-        profile.name: metrics.counter("crawl.visits", profile=profile.name)
-        for profile in profiles
-    }
-    success_counters = {
-        profile.name: metrics.counter("crawl.successes", profile=profile.name)
-        for profile in profiles
-    }
-    retry_counters = {
-        profile.name: metrics.counter("crawl.retries", profile=profile.name)
-        for profile in profiles
-    }
-    recovered_counters = {
-        profile.name: metrics.counter("crawl.recovered", profile=profile.name)
-        for profile in profiles
-    }
-    duration_histogram = metrics.histogram(
-        "crawl.visit_seconds", VISIT_SECONDS_BUCKETS
-    )
-
-    def observe(profile_name: str, result, attempt: int) -> None:
-        visit_counters[profile_name].inc()
-        duration_histogram.observe(result.visit.duration)
-        if attempt > 1:
-            retry_counters[profile_name].inc()
-        if result.success:
-            success_counters[profile_name].inc()
-            if attempt > 1:
-                recovered_counters[profile_name].inc()
-        else:
-            metrics.counter(
-                "crawl.failures",
-                profile=profile_name,
-                reason=result.visit.failure_reason or "unknown",
-            ).inc()
-
     for schedule in schedules:
         plan = (
             plans.get(schedule.rank)
@@ -607,7 +569,6 @@ def _crawl_sites(
                                 attempt=1,
                             )
                             batch.append(result)
-                            observe(profile.name, result, attempt=1)
                             if not result.success and retry_policy.should_retry(
                                 result.visit.failure_reason, 1
                             ):
@@ -648,7 +609,6 @@ def _crawl_sites(
                                     attempt=attempt,
                                 )
                                 batch.append(result)
-                                observe(profile.name, result, attempt=attempt)
                                 if not result.success and retry_policy.should_retry(
                                     result.visit.failure_reason, attempt
                                 ):
@@ -670,17 +630,18 @@ def _crawl_sites(
                 stream.publish(visit_event(result.visit))
 
 
-def _crawl_shard(spec: _ShardSpec) -> _ShardResult:
+def _crawl_shard(spec: _ShardSpec) -> List[SpanRecord]:
     """Worker entry point: crawl one shard into a private on-disk store.
 
-    The worker's tracer has no open span, so its site spans are subtree
-    roots — exactly what the parent's :meth:`Tracer.adopt` expects.
+    Returns the shard's span records.  The worker's tracer has no open
+    span, so its site spans are subtree roots — exactly what the
+    parent's :meth:`Tracer.adopt` expects.
     """
     obs = ObsContext.from_config(spec.obs_config)
     generator = WebGenerator(
         spec.seed, config=spec.web_config, ecosystem_config=spec.ecosystem_config
     )
-    with MeasurementStore(spec.db_path, obs=obs) as store:
+    with MeasurementStore(spec.db_path) as store:
         _crawl_sites(
             generator,
             store,
@@ -694,10 +655,49 @@ def _crawl_shard(spec: _ShardSpec) -> _ShardResult:
             retry_policy=spec.retry_policy,
             salvage_partial=spec.salvage_partial,
         )
-    return _ShardResult(
-        spans=obs.tracer.records,
-        metrics=obs.metrics.as_dict() if obs.metrics.enabled else None,
-    )
+    return obs.tracer.records
+
+
+#: The outcome of a profile with no stored visits.
+_NO_OUTCOME: Mapping[str, object] = dict(
+    visits=0, successes=0, failures={}, retries=0, recovered=0
+)
+
+
+def _record_crawl_metrics(
+    metrics: MetricsRegistry,
+    store: MeasurementStore,
+    profiles: Sequence[BrowserProfile],
+    outcomes: Mapping[str, Mapping[str, object]],
+) -> None:
+    """Record a finished crawl's metrics, once, from its stored visits.
+
+    The ``crawl.*`` outcome counters are the store's outcome fold; the
+    visit-duration histogram and the ``storage.*`` batch metrics come
+    from one pass over the stored visits (a crawl stores each site's
+    visits as one batch).  The store is the same at any worker count, and
+    so are the metrics.
+    """
+    for profile in profiles:
+        name = profile.name
+        outcome = outcomes.get(name, _NO_OUTCOME)
+        metrics.counter("crawl.visits", profile=name).inc(outcome["visits"])
+        metrics.counter("crawl.successes", profile=name).inc(outcome["successes"])
+        metrics.counter("crawl.retries", profile=name).inc(outcome["retries"])
+        metrics.counter("crawl.recovered", profile=name).inc(outcome["recovered"])
+        for reason, count in outcome["failures"].items():
+            metrics.counter("crawl.failures", profile=name, reason=reason).inc(count)
+    durations = metrics.histogram("crawl.visit_seconds", VISIT_SECONDS_BUCKETS)
+    site_visits: Dict[int, int] = {}
+    for visit in store.iter_visits(success_only=False):
+        durations.observe(visit.duration)
+        site_visits[visit.site_rank] = site_visits.get(visit.site_rank, 0) + 1
+    if site_visits:
+        metrics.counter("storage.batches").inc(len(site_visits))
+        metrics.counter("storage.visits_flushed").inc(sum(site_visits.values()))
+        batch_sizes = metrics.histogram("storage.batch_size", BATCH_SIZE_BUCKETS)
+        for size in site_visits.values():
+            batch_sizes.observe(size)
 
 
 def run_measurement(
@@ -714,7 +714,7 @@ def run_measurement(
 ) -> MeasurementStore:
     """Convenience one-shot: generate the web, crawl it, return the store."""
     generator = generator or WebGenerator(seed)
-    store = store or MeasurementStore(obs=obs)
+    store = store or MeasurementStore()
     commander = Commander(
         generator,
         store,

@@ -27,7 +27,6 @@ from ..browser.network import (
     VisitResult,
 )
 from ..errors import StorageError
-from ..obs import BATCH_SIZE_BUCKETS, NULL_OBS, ObsContext
 
 #: Stored-schema generation, stamped into ``PRAGMA user_version`` on every
 #: writable open and checked wherever two stores meet (read-only snapshot
@@ -122,17 +121,19 @@ class MeasurementStore:
     journal mode with an enlarged page cache so that readers (shard
     consumers, the command-line tools) can snapshot while a writer
     consolidates.
+
+    The store records no telemetry: a crawl's metrics are folded from
+    its stored visits by the commander.  ``obs`` is accepted and ignored.
     """
 
     def __init__(
         self,
         path: str = ":memory:",
         readonly: bool = False,
-        obs: Optional[ObsContext] = None,
+        obs: Optional[object] = None,
     ) -> None:
         self.path = path
         self.readonly = readonly
-        self.obs = obs if obs is not None else NULL_OBS
         if readonly:
             if path == ":memory:":
                 raise StorageError("cannot open an in-memory store read-only")
@@ -268,13 +269,6 @@ class MeasurementStore:
         with self._conn:
             for result in batch:
                 self._insert_result(result)
-        metrics = self.obs.metrics
-        if metrics.enabled:
-            metrics.counter("storage.batches").inc()
-            metrics.counter("storage.visits_flushed").inc(len(batch))
-            metrics.histogram("storage.batch_size", BATCH_SIZE_BUCKETS).observe(
-                len(batch)
-            )
         return len(batch)
 
     def merge(self, other: "MeasurementStore") -> int:

@@ -92,7 +92,7 @@ class ExperimentContext:
         spans_before = len(self.obs.tracer.records)
         with self.obs.tracer.span("pipeline", key="pipeline"):
             self.generator = WebGenerator(config.seed, config=config.web_config)
-            self.store = MeasurementStore(obs=self.obs)
+            self.store = MeasurementStore()
             self.ranks: List[int] = sample_paper_buckets(
                 config.seed, per_bucket=config.sites_per_bucket
             )
@@ -128,11 +128,6 @@ class ExperimentContext:
                         generate_easylist(self.generator.ecosystem)
                     ),
                     store_schema_version=self.store.schema_version,
-                    alerts=(
-                        self.obs.monitor.alerts_payload()
-                        if self.obs.monitor is not None
-                        else None
-                    ),
                     # Layout observations are measured-section only: runs
                     # of one config at any worker count share their
                     # deterministic section (and provenance id), so
@@ -212,11 +207,6 @@ class ExperimentContext:
                     filter_list_version=bundle.manifest.filter_list_version,
                     store_schema_version=store.schema_version,
                     bundle_digest=bundle.manifest.digest(),
-                    alerts=(
-                        obs.monitor.alerts_payload()
-                        if obs.monitor is not None
-                        else None
-                    ),
                 )
             )
         return ctx

@@ -7,8 +7,9 @@ The package is a dependency-free observability layer:
   (derived via :mod:`repro.rng`) and injectable time
   (:mod:`repro.devtools.clock`), so traces are byte-identical under
   ``FakeClock`` at any worker count;
-* :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket
-  histograms with a commutative merge for shard aggregation;
+* :mod:`repro.obs.metrics` — counters and fixed-bucket histograms,
+  each folded once from what the run produced (the stored crawl, the
+  finalized dataset);
 * :mod:`repro.obs.stream` and :mod:`repro.obs.monitor` — one ``visit``
   event per stored visit, in visit-id order, through rolling-window
   anomaly detectors;
@@ -44,7 +45,6 @@ from .ledger import (
 from .metrics import (
     BATCH_SIZE_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     TREE_DEPTH_BUCKETS,
@@ -74,7 +74,7 @@ from .render import (
     render_profile,
     render_trace,
 )
-from .stream import DEFAULT_SCOPE_CAPACITY, EventStream, StreamEvent
+from .stream import EventStream, StreamEvent
 from .trace import Span, SpanRecord, Tracer, read_jsonl, split_roots
 
 
@@ -85,8 +85,8 @@ class ObsConfig:
     ``clock`` travels by value: a pickled ``FakeClock`` carries its
     current reading, so worker spans see the same frozen time the parent
     does — one of the ingredients of trace byte-identity across worker
-    counts.  Workers get no event stream: the parent publishes the
-    merged store's visits.
+    counts.  Workers only trace: the parent publishes the merged
+    store's visits and records the crawl's metrics from it.
     """
 
     enabled: bool = False
@@ -101,8 +101,8 @@ class ObsContext:
     instrumented entry points (``Commander.run``, ``run_pipeline``,
     ``Bundle.replay``) append a run record to it when present.  The
     ledger stays with the parent process — :meth:`config` deliberately
-    does not ship it to shard workers, whose telemetry reaches the
-    ledger through the parent's merged record.
+    does not ship it to shard workers, whose spans reach the ledger
+    through the parent's record.
     """
 
     def __init__(
@@ -176,11 +176,9 @@ __all__ = [
     "Alert",
     "BATCH_SIZE_BUCKETS",
     "Counter",
-    "DEFAULT_SCOPE_CAPACITY",
     "DiffThresholds",
     "EventStream",
     "FailureSpikeDetector",
-    "Gauge",
     "Histogram",
     "LedgerDiff",
     "LedgerEntry",

@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     health.add_argument("--trace", default="", help="write the span trace (JSONL)")
     health.add_argument(
-        "--metrics-out", default="", help="write merged metrics (JSON)"
+        "--metrics-out", default="", help="write the run's metrics (JSON)"
     )
     health.add_argument(
         "--show-trace", action="store_true", help="also print the span tree"
@@ -254,7 +254,7 @@ def _open_store(args: argparse.Namespace, obs: ObsContext) -> MeasurementStore:
         from ..bundle import Bundle  # deferred: repro.bundle imports crawler too
 
         return Bundle.open(args.from_bundle).replay(obs=obs)
-    store = MeasurementStore(obs=obs)
+    store = MeasurementStore()
     Commander(
         WebGenerator(args.seed),
         store,
@@ -325,9 +325,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     _open_store(args, obs).close()
     print()
     print(render_alerts(monitor.alerts))
-    dropped = obs.stream.dropped_total()
-    note = f", {dropped} dropped" if dropped else ""
-    print(f"{monitor.events_seen} events monitored{note}")
+    print(f"{monitor.events_seen} events monitored")
     _print_ledger_line(obs)
     if args.monitor_gate and monitor.has_critical:
         return 1

@@ -5,7 +5,7 @@ experimental setups; this module keeps the durable evidence for *our own*
 setups.  Every instrumented run — a ``Commander`` crawl, a full
 ``run_pipeline``, a bundle replay, a benchmark — appends one
 :class:`RunRecord` describing its provenance, its per-phase profile, its
-merged metrics, and its outcome summary, so any two runs (or a run and
+metrics, and its outcome summary, so any two runs (or a run and
 the archive it claims to reproduce) can be diffed later.
 
 Layout of a ledger directory::
@@ -17,7 +17,7 @@ A record is split into two sections with different comparison rules:
 
 * ``deterministic`` — seed, resolved-config hash, profile set,
   filter-list version, store schema + code versions, bundle identity,
-  the merged metrics snapshot, per-profile outcomes, and per-phase
+  the metrics snapshot, per-profile outcomes, and per-phase
   span/op counts.  Two runs of the same seed and config must agree here
   *byte for byte*, at any worker count; any delta is drift.
 * ``measured`` — wall seconds per phase, visits/sec, peak RSS.  Real
@@ -187,7 +187,6 @@ def build_run_record(
     filter_list_version: str = "",
     store_schema_version: int = 0,
     bundle_digest: str = "",
-    alerts: Optional[Sequence[Mapping[str, object]]] = None,
     extra_measured: Optional[Mapping[str, object]] = None,
 ) -> RunRecord:
     """Assemble a :class:`RunRecord` from one run's telemetry.
@@ -199,7 +198,9 @@ def build_run_record(
     duration is the run's wall clock (default: closed root spans of the
     slice).  ``config`` must already exclude worker/job counts — see
     :func:`config_hash`.  ``outcomes`` is the run's store fold,
-    :meth:`~repro.crawler.storage.MeasurementStore.outcomes`.
+    :meth:`~repro.crawler.storage.MeasurementStore.outcomes`.  The
+    ``alerts`` section is what ``obs.monitor`` has raised so far, if a
+    monitor is attached.
 
     ``extra_measured`` merges additional keys into the *measured*
     section only — execution-layout observations (e.g. the streaming
@@ -244,7 +245,9 @@ def build_run_record(
         label=label,
         deterministic=deterministic,
         measured=measured,
-        alerts=tuple(dict(alert) for alert in alerts) if alerts else (),
+        alerts=(
+            tuple(obs.monitor.alerts_payload()) if obs.monitor is not None else ()
+        ),
     )
 
 

@@ -1,18 +1,18 @@
-"""The metrics registry: counters, gauges, and fixed-bucket histograms.
+"""The metrics registry: counters and fixed-bucket histograms.
 
 Design constraints, in order:
 
 1. **Deterministic.**  Exported metrics are a pure function of what was
-   observed, never of observation order or process layout.  Counters and
-   histograms merge by summation (commutative), metric keys are sorted on
-   export, and histogram buckets are fixed at registration — no dynamic
-   rebinning that could depend on arrival order.
-2. **Mergeable.**  ``Commander._run_sharded`` workers and each
-   ``StreamingDataset`` fold record into a private registry; the owner
-   calls :meth:`MetricsRegistry.merge` on the exported dicts.  ``workers=1``
-   and ``workers=N`` therefore produce identical merged metrics.
-3. **Free when disabled.**  A disabled registry hands out a shared no-op
-   metric, so instrumented hot paths pay one attribute load and a no-op
+   observed, never of observation order or process layout.  Each metric
+   is recorded once, from what the run produced: the commander folds the
+   crawl's metrics from the finished store and ``StreamingDataset``
+   folds the tree metrics from the finalized entries, so no registry
+   travels between processes.  Counters and histograms are sums
+   (commutative), metric keys are sorted on export, and histogram
+   buckets are fixed at registration — no dynamic rebinning that could
+   depend on arrival order.
+2. **Free when disabled.**  A disabled registry hands out a shared no-op
+   metric, so an instrumented path pays one attribute load and a no-op
    call — nothing else.
 
 Histogram bucket edges are validated up front (:class:`~repro.errors.ObsError`
@@ -25,7 +25,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import ObsError
 
@@ -104,28 +104,6 @@ class Counter:
         self.value += amount
 
 
-class Gauge:
-    """A scalar tracking a level (queue depths, configured sizes).
-
-    Across shards gauges merge **max-wins** (see
-    :meth:`MetricsRegistry.merge`): ``max`` is commutative and
-    associative, so the surviving value is independent of merge order and
-    shard layout.  The convention that makes max-wins meaningful: ``0``
-    is "unset", and sharded code paths only set gauges whose maximum is
-    the quantity of interest (high-water marks, configured sizes that
-    agree across shards).
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value: float = 0
-
-    def set(self, value: float) -> None:
-        _require_finite(value, "Gauge.set")
-        self.value = value
-
-
 class Histogram:
     """Fixed-bucket histogram: counts per bucket plus a total count.
 
@@ -135,7 +113,7 @@ class Histogram:
 
     Histograms deliberately keep no float sum of observations: float
     addition is not associative, so a running sum would differ in the
-    last ulp between a serial run and a shard merge, breaking the
+    last ulp between two observation orders, breaking the
     byte-identical-exports contract.  Everything exported is an integer.
     """
 
@@ -160,20 +138,17 @@ class NullMetric:
     def inc(self, amount: float = 1) -> None:
         pass
 
-    def set(self, value: float) -> None:
-        pass
-
     def observe(self, value: float) -> None:
         pass
 
 
 _NULL_METRIC = NullMetric()
 
-Metric = Union[Counter, Gauge, Histogram]
+Metric = Union[Counter, Histogram]
 
 
 class MetricsRegistry:
-    """Holds every metric of one process (or one shard).
+    """Holds every metric of one run.
 
     Metrics are created on first use and identified by
     ``(name, sorted labels)``; re-registering the same name as a different
@@ -195,11 +170,6 @@ class MetricsRegistry:
         if not self.enabled:
             return _NULL_METRIC
         return self._get(name, labels, Counter, lambda: Counter())
-
-    def gauge(self, name: str, **labels: LabelValue) -> Union[Gauge, NullMetric]:
-        if not self.enabled:
-            return _NULL_METRIC
-        return self._get(name, labels, Gauge, lambda: Gauge())
 
     def histogram(
         self, name: str, edges: Sequence[float], **labels: LabelValue
@@ -227,67 +197,30 @@ class MetricsRegistry:
             )
         return metric
 
-    # -- export / merge ----------------------------------------------------
+    # -- export ------------------------------------------------------------
 
     def as_dict(self) -> Dict[str, Dict[str, object]]:
-        """Deterministic plain-dict export (sorted keys, JSON-ready)."""
+        """Deterministic plain-dict export (sorted keys, JSON-ready).
+
+        The ``gauges`` section is always empty; it stays in the layout so
+        exported metrics JSON and ledger records keep their bytes.
+        """
         counters: Dict[str, float] = {}
-        gauges: Dict[str, float] = {}
         histograms: Dict[str, Dict[str, object]] = {}
         for key in sorted(self._metrics):
             metric = self._metrics[key]
             if isinstance(metric, Counter):
                 counters[key] = metric.value
-            elif isinstance(metric, Gauge):
-                gauges[key] = metric.value
             else:
                 histograms[key] = {
                     "edges": list(metric.edges),
                     "counts": list(metric.counts),
                     "count": metric.count,
                 }
-        return {"counters": counters, "gauges": gauges, "histograms": histograms}
+        return {"counters": counters, "gauges": {}, "histograms": histograms}
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2)
-
-    def merge(self, data: Mapping[str, Mapping[str, object]]) -> None:
-        """Fold an :meth:`as_dict` export (e.g. from a worker) into this
-        registry.
-
-        Counters and histograms merge by summation, gauges by ``max`` —
-        all three are commutative and associative, so the merged result
-        is independent of both merge order and shard layout (DESIGN
-        §6.2).
-        """
-        for key, value in sorted(data.get("counters", {}).items()):
-            name, labels = _parse_key(key)
-            self.counter(name, **labels).inc(value)
-        for key, value in sorted(data.get("gauges", {}).items()):
-            name, labels = _parse_key(key)
-            gauge = self.gauge(name, **labels)
-            if isinstance(gauge, Gauge):
-                gauge.set(max(gauge.value, value))
-            else:
-                gauge.set(value)
-        for key, payload in sorted(data.get("histograms", {}).items()):
-            name, labels = _parse_key(key)
-            histogram = self.histogram(name, payload["edges"], **labels)
-            if isinstance(histogram, NullMetric):
-                continue
-            counts = list(payload["counts"])
-            if len(counts) != len(histogram.counts):
-                raise ObsError(f"histogram {key} merge: bucket count mismatch")
-            for index, count in enumerate(counts):
-                histogram.counts[index] += count
-            histogram.count += payload["count"]
-
-    def merge_all(
-        self, exports: Iterable[Mapping[str, Mapping[str, object]]]
-    ) -> None:
-        for data in exports:
-            if data:
-                self.merge(data)
 
     # -- access ------------------------------------------------------------
 
@@ -298,16 +231,3 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._metrics)
 
-
-def _parse_key(key: str) -> Tuple[str, Dict[str, str]]:
-    """Invert :func:`metric_key` (labels come back as strings)."""
-    if not key.endswith("}"):
-        return key, {}
-    name, _, raw = key[:-1].partition("{")
-    labels: Dict[str, str] = {}
-    for pair in raw.split(","):
-        if not pair:
-            continue
-        label, _, value = pair.partition("=")
-        labels[label] = value
-    return name, labels

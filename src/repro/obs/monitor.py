@@ -465,9 +465,9 @@ def events_from_store(store) -> Iterator[StreamEvent]:
 
 def publish_store_events(store, stream: EventStream) -> int:
     """Publish a store's visit events in visit-id order; returns the
-    count accepted."""
-    accepted = 0
+    count dispatched."""
+    dispatched = 0
     for event in events_from_store(store):
         if stream.publish(event):
-            accepted += 1
-    return accepted
+            dispatched += 1
+    return dispatched

@@ -124,10 +124,9 @@ def render_metrics(registry: MetricsRegistry) -> str:
     """Render a registry as sorted ``key value`` lines plus histograms."""
     data = registry.as_dict()
     lines: List[str] = []
-    for kind in ("counters", "gauges"):
-        for key, value in data[kind].items():
-            rendered = f"{value:g}" if isinstance(value, float) else str(value)
-            lines.append(f"{key} {rendered}")
+    for key, value in data["counters"].items():
+        rendered = f"{value:g}" if isinstance(value, float) else str(value)
+        lines.append(f"{key} {rendered}")
     for key, payload in data["histograms"].items():
         lines.append(f"{key} count={payload['count']}")
         edges = payload["edges"]

@@ -1,4 +1,4 @@
-"""Bounded, deterministic event bus for live crawl telemetry.
+"""Deterministic event bus for live crawl telemetry.
 
 The stream is the in-flight view of the crawl's stored visits: one
 ``visit`` :class:`StreamEvent` per stored visit row, built by
@@ -14,9 +14,6 @@ Determinism contract (extends DESIGN §6):
   store's visits.  All three read the same rows in the same order, so
   the sequence is byte-identical whether the crawl ran serially,
   sharded, or was replayed.
-* **Scoped bounds.**  The bus is bounded *per scope* (one scope per site
-  rank), never globally, so "which events survive" is a pure function
-  of that site's own event sequence.
 * **Deterministic payloads.**  Payload values are columns of the stored
   visit (simulated durations, outcome flags) — never wall-clock
   readings, PIDs, or paths.
@@ -26,14 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
-
-#: Per-scope event capacity.  One scope is one site; the cap bounds
-#: memory per site independently of shard layout.
-DEFAULT_SCOPE_CAPACITY = 10_000
-
-#: Scope key used for events that are not tied to a site rank.
-RUN_SCOPE = "run"
+from typing import Callable, List, Mapping, Optional
 
 #: The kind of the event published per stored visit.
 KIND_VISIT = "visit"
@@ -81,24 +71,16 @@ def visit_event(visit) -> StreamEvent:
 
 
 class EventStream:
-    """Bounded publish/subscribe bus with per-scope drop accounting.
+    """Publish/subscribe bus: subscribers are dispatched synchronously, in
+    subscription order, for every published event.
 
-    Subscribers are dispatched synchronously, in subscription order, for
-    every accepted event; dropped events (scope over capacity) are
-    counted per scope and never dispatched.  :attr:`events` buffers every
-    accepted event.
+    The stream keeps no events: the store holds the visits they were
+    built from (:func:`~repro.obs.monitor.events_from_store` reads them
+    back).
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        scope_capacity: int = DEFAULT_SCOPE_CAPACITY,
-    ) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.scope_capacity = scope_capacity
-        self.events: List[StreamEvent] = []
-        self.dropped: Dict[str, int] = {}
-        self._counts: Dict[str, int] = {}
         self._subscribers: List[Callable[[StreamEvent], None]] = []
 
     @classmethod
@@ -106,36 +88,13 @@ class EventStream:
         return cls(enabled=False)
 
     def subscribe(self, callback: Callable[[StreamEvent], None]) -> None:
-        """Register a consumer called for every accepted event."""
+        """Register a consumer called for every published event."""
         self._subscribers.append(callback)
 
-    @staticmethod
-    def scope_key(event: StreamEvent) -> str:
-        return RUN_SCOPE if event.site_rank is None else str(event.site_rank)
-
     def publish(self, event: StreamEvent) -> bool:
-        """Accept (dispatch + buffer) or drop ``event``.
-
-        Returns ``True`` when the event was accepted.  The decision is a
-        pure function of the event's scope and that scope's prior event
-        count, so serial and sharded runs drop identically.
-        """
+        """Dispatch ``event``; returns whether the stream is enabled."""
         if not self.enabled:
             return False
-        scope = self.scope_key(event)
-        seen = self._counts.get(scope, 0)
-        if seen >= self.scope_capacity:
-            self.dropped[scope] = self.dropped.get(scope, 0) + 1
-            return False
-        self._counts[scope] = seen + 1
-        self.events.append(event)
         for callback in self._subscribers:
             callback(event)
         return True
-
-    def dropped_total(self) -> int:
-        return sum(self.dropped.values())
-
-    def counts(self) -> Tuple[Tuple[str, int], ...]:
-        """Deterministic (scope, accepted-count) view, sorted by scope."""
-        return tuple((scope, self._counts[scope]) for scope in sorted(self._counts))

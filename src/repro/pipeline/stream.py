@@ -20,8 +20,8 @@ Streaming changes *when* work happens, never *what* is produced:
 * the finalized dataset is byte-identical (folds are commutative, the
   finalize step restores the batch path's global ``page_url`` order);
 * traces and metrics are byte-identical under the deterministic clock
-  (fold metrics merge at finalize; the ``dataset`` span is emitted at
-  its canonical position);
+  (tree metrics are folded from the finalized entries; the ``dataset``
+  span is emitted at its canonical position);
 * ledger records carry the same deterministic section — hand-off
   observations (``stream.*``) live in the *measured* section only,
   because execution layout must never leak into byte-compared state.

@@ -2,11 +2,10 @@
 
 Public API: :class:`~repro.trees.tree.DependencyTree`,
 :class:`~repro.trees.builder.TreeBuilder`, URL normalization, and the
-convenience constructors :func:`~repro.trees.builder.build_tree` /
-:func:`~repro.trees.builder.trees_for_store`.
+convenience constructor :func:`~repro.trees.builder.build_tree`.
 """
 
-from .builder import TreeBuilder, build_tree, trees_for_store
+from .builder import TreeBuilder, build_tree
 from .node import TreeNode, node_resource_type
 from .normalize import NormalizationStats, UrlNormalizer, normalize_url
 from .tree import DependencyTree
@@ -30,5 +29,4 @@ __all__ = [
     "similarity_from_distance",
     "node_resource_type",
     "normalize_url",
-    "trees_for_store",
 ]

@@ -17,20 +17,13 @@ Everything else attaches to the root — the visited page itself.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 from ..blocklist.matcher import FilterList
 from ..browser.frames import MAIN_FRAME_ID
 from ..browser.network import RequestRecord, VisitRecord
 from ..crawler.storage import MeasurementStore
 from ..errors import TreeConstructionError
-from ..obs import (
-    NULL_OBS,
-    ObsContext,
-    TREE_DEPTH_BUCKETS,
-    TREE_EDGE_BUCKETS,
-    TREE_NODE_BUCKETS,
-)
 from ..web.resources import ResourceType
 from .node import TreeNode, node_resource_type
 from .normalize import UrlNormalizer
@@ -42,17 +35,18 @@ class TreeBuilder:
 
     One builder instance shares a URL-normalizer cache across trees, which
     is where the paper's "40% of URLs adjusted" statistic accumulates.
+    The builder records no metrics: a dataset's tree metrics are folded
+    from its finalized entries
+    (:meth:`~repro.analysis.dataset.StreamingDataset.finalize`).
     """
 
     def __init__(
         self,
         normalizer: Optional[UrlNormalizer] = None,
         filter_list: Optional[FilterList] = None,
-        obs: Optional[ObsContext] = None,
     ) -> None:
         self.normalizer = normalizer or UrlNormalizer()
         self.filter_list = filter_list
-        self.obs = obs if obs is not None else NULL_OBS
 
     # -- single tree ---------------------------------------------------------
 
@@ -110,14 +104,6 @@ class TreeBuilder:
                 frame_docs[request.frame_id] = node
         if self.filter_list is not None:
             tree.annotate_tracking(self.filter_list)
-        metrics = self.obs.metrics
-        if metrics.enabled:
-            metrics.counter("trees.built").inc()
-            metrics.histogram("trees.nodes", TREE_NODE_BUCKETS).observe(tree.node_count)
-            metrics.histogram("trees.edges", TREE_EDGE_BUCKETS).observe(
-                tree.node_count - 1
-            )
-            metrics.histogram("trees.depth", TREE_DEPTH_BUCKETS).observe(tree.max_depth)
         return tree
 
     # -- trees per page ------------------------------------------------------
@@ -235,23 +221,3 @@ def build_tree(
 ) -> DependencyTree:
     """One-shot tree construction for a single visit."""
     return TreeBuilder(normalizer=normalizer, filter_list=filter_list).build(visit, requests)
-
-
-def trees_for_store(
-    store: MeasurementStore,
-    profiles: Optional[Sequence[str]] = None,
-    filter_list: Optional[FilterList] = None,
-    require_all: bool = True,
-    include_partial: bool = False,
-) -> List[Dict[str, DependencyTree]]:
-    """Build every comparable page's tree set from a store."""
-    builder = TreeBuilder(filter_list=filter_list)
-    profile_names = list(profiles) if profiles is not None else store.profiles()
-    return list(
-        builder.iter_page_trees(
-            store,
-            profile_names,
-            require_all=require_all,
-            include_partial=include_partial,
-        )
-    )

@@ -209,7 +209,7 @@ class TestRetryDeterminism:
 class TestRetryTelemetry:
     def crawl_with_obs(self, workers):
         obs = ObsContext.create(seed=11, clock=FakeClock())
-        store = MeasurementStore(obs=obs)
+        store = MeasurementStore()
         summary = Commander(
             WebGenerator(11),
             store,

@@ -54,7 +54,7 @@ def dataset_fingerprint(dataset):
 
 def run_batch(workers):
     obs = ObsContext.create(seed=11, clock=FakeClock())
-    store = MeasurementStore(obs=obs)
+    store = MeasurementStore()
     Commander(
         WebGenerator(11),
         store,
@@ -70,7 +70,7 @@ def run_batch(workers):
 
 def run_streamed(workers):
     obs = ObsContext.create(seed=11, clock=FakeClock())
-    store = MeasurementStore(obs=obs)
+    store = MeasurementStore()
     run = stream_crawl(
         WebGenerator(11),
         store,

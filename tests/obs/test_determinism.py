@@ -1,11 +1,11 @@
 """The observability determinism contract, pinned.
 
-Under ``FakeClock`` a run's trace JSONL and merged metrics JSON must be
+Under ``FakeClock`` a run's trace JSONL and metrics JSON must be
 *byte-identical* at any worker count: span ids derive from the seed
 and span keys, workers record into private tracers whose subtrees the
-parent adopts in schedule order, and metrics merge by summation of
-integers only — also when shard stores are folded into the dataset as
-they land.
+parent adopts in schedule order, and metrics are integer folds of the
+stored crawl and the finalized dataset — also when shard stores are
+folded into the dataset as they land.
 """
 
 import pytest
@@ -22,9 +22,11 @@ RANKS = [1, 2, 3, 5, 8]
 SEED = 11
 
 
-def crawl(workers):
+def crawl(workers, store_obs=True):
+    """Crawl ``RANKS``; ``store_obs`` also hands the context to the store,
+    which must not change what the crawl records."""
     obs = ObsContext.create(seed=SEED, clock=FakeClock())
-    store = MeasurementStore(obs=obs)
+    store = MeasurementStore(obs=obs) if store_obs else MeasurementStore()
     commander = Commander(
         WebGenerator(SEED),
         store,
@@ -52,8 +54,16 @@ class TestCrawlTelemetryDeterminism:
     def test_trace_bytes_identical(self, serial, sharded):
         assert serial[0].tracer.to_jsonl() == sharded[0].tracer.to_jsonl()
 
-    def test_metrics_bytes_identical(self, serial, sharded):
-        assert serial[0].metrics.to_json() == sharded[0].metrics.to_json()
+    @pytest.mark.parametrize(
+        "store_obs", [True, False], ids=["store-obs", "plain-store"]
+    )
+    def test_metrics_bytes_identical(self, store_obs):
+        exports = []
+        for workers in (1, 4):
+            obs, store, _ = crawl(workers, store_obs=store_obs)
+            store.close()
+            exports.append(obs.metrics.to_json())
+        assert exports[0] == exports[1]
 
     def test_failure_breakdown_identical(self, serial, sharded):
         assert serial[2].failures == sharded[2].failures
@@ -89,7 +99,7 @@ class TestDatasetTelemetryDeterminism:
     def test_shard_folds_do_not_change_telemetry(self):
         serial_obs, serial_dataset = self.build()
         folded_obs = ObsContext.create(seed=SEED, clock=FakeClock())
-        with MeasurementStore(obs=folded_obs) as store:
+        with MeasurementStore() as store:
             run = stream_crawl(
                 WebGenerator(SEED),
                 store,

@@ -11,7 +11,14 @@ from repro.devtools.clock import FakeClock
 from repro.errors import LedgerError
 from repro.experiments import ExperimentConfig, run_pipeline
 from repro.experiments.runner import clear_cache, resolved_pipeline_config
-from repro.obs import DiffThresholds, ObsContext, RunLedger, diff_records
+from repro.obs import (
+    Alert,
+    DiffThresholds,
+    Monitor,
+    ObsContext,
+    RunLedger,
+    diff_records,
+)
 from repro.obs.cli import main as obs_main
 from repro.obs.ledger import (
     LEDGER_SCHEMA_VERSION,
@@ -29,7 +36,7 @@ RANKS = [1, 2, 3]
 def crawl_into(ledger, workers=1):
     """One instrumented crawl whose record lands in ``ledger``."""
     obs = ObsContext.create(seed=SEED, clock=FakeClock(), ledger=ledger)
-    store = MeasurementStore(obs=obs)
+    store = MeasurementStore()
     Commander(
         WebGenerator(SEED),
         store,
@@ -278,13 +285,15 @@ class TestAlertsInRecords:
     }
 
     def alerted_record(self):
+        # The record reads the alerts the context's monitor holds.
+        monitor = Monitor([])
+        monitor.alerts.append(Alert(**self.ALERT))
         return build_run_record(
             "crawl",
             seed=1,
             config={"seed": 1},
-            obs=ObsContext.create(seed=1, clock=FakeClock()),
+            obs=ObsContext.create(seed=1, clock=FakeClock(), monitor=monitor),
             records=[],
-            alerts=[self.ALERT],
         )
 
     def test_alerts_round_trip_through_the_ledger(self, tmp_path):

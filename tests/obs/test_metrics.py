@@ -1,4 +1,4 @@
-"""Unit tests for the metrics registry: validation, binning, merge."""
+"""Unit tests for the metrics registry: validation, binning, export."""
 
 import math
 
@@ -11,7 +11,7 @@ from repro.obs import (
     metric_key,
     validate_bucket_edges,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, NullMetric
+from repro.obs.metrics import Counter, Histogram, NullMetric
 
 
 class TestBucketEdgeValidation:
@@ -97,7 +97,7 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("thing")
         with pytest.raises(ObsError):
-            registry.gauge("thing")
+            registry.histogram("thing", (1, 2))
 
     def test_histogram_edge_change_rejected(self):
         registry = MetricsRegistry()
@@ -111,66 +111,6 @@ class TestRegistry:
         assert isinstance(metric, NullMetric)
         metric.inc()
         assert len(registry) == 0
-
-
-class TestMerge:
-    def test_counters_sum(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("visits").inc(2)
-        b.counter("visits").inc(3)
-        a.merge(b.as_dict())
-        assert a.get("visits").value == 5
-
-    def test_histograms_sum_bucketwise(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h", (1, 5)).observe(0)
-        b.histogram("h", (1, 5)).observe(3)
-        b.histogram("h", (1, 5)).observe(100)
-        a.merge(b.as_dict())
-        merged = a.get("h")
-        assert merged.counts == [1, 1, 1]
-        assert merged.count == 3
-
-    def test_merge_is_commutative(self):
-        def registry(values):
-            reg = MetricsRegistry()
-            for value in values:
-                reg.counter("c").inc(value)
-                reg.histogram("h", (1, 5)).observe(value)
-            return reg.as_dict()
-
-        left, right = registry([1, 2]), registry([3])
-        ab, ba = MetricsRegistry(), MetricsRegistry()
-        ab.merge_all([left, right])
-        ba.merge_all([right, left])
-        assert ab.as_dict() == ba.as_dict()
-
-    def test_gauge_merge_takes_the_max(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge("depth").set(4)
-        b.gauge("depth").set(7)
-        a.merge(b.as_dict())
-        assert a.get("depth").value == 7
-
-    def test_gauge_merge_is_commutative(self):
-        def registry(value):
-            reg = MetricsRegistry()
-            reg.gauge("depth").set(value)
-            return reg
-
-        ab = registry(4)
-        ab.merge(registry(7).as_dict())
-        ba = registry(7)
-        ba.merge(registry(4).as_dict())
-        assert ab.as_dict() == ba.as_dict()
-        assert ab.get("depth").value == 7
-
-    def test_gauge_same_value_merges(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge("depth").set(4)
-        b.gauge("depth").set(4)
-        a.merge(b.as_dict())
-        assert a.get("depth").value == 4
 
     def test_exports_contain_no_floats_from_histograms(self):
         registry = MetricsRegistry()
@@ -192,13 +132,6 @@ class TestFiniteValueGuard:
         assert hist.count == 0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_gauge_set_rejects_non_finite(self, bad):
-        gauge = Gauge()
-        with pytest.raises(ObsError):
-            gauge.set(bad)
-        assert gauge.value == 0
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_counter_inc_rejects_non_finite(self, bad):
         counter = Counter()
         with pytest.raises(ObsError):
@@ -210,4 +143,4 @@ class TestFiniteValueGuard:
         with pytest.raises(ObsError):
             registry.histogram("h", (1,)).observe(math.nan)
         with pytest.raises(ObsError):
-            registry.gauge("g").set(math.inf)
+            registry.histogram("g", (1, 2)).observe(math.inf)

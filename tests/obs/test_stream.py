@@ -1,4 +1,4 @@
-"""The bounded event bus: publish/subscribe and per-scope caps."""
+"""The event bus: canonical events, publish/subscribe."""
 
 import json
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.devtools.clock import FakeClock
 from repro.obs import EventStream, ObsContext, StreamEvent
-from repro.obs.stream import DEFAULT_SCOPE_CAPACITY, KIND_VISIT, RUN_SCOPE
+from repro.obs.stream import KIND_VISIT
 
 
 def _visit(rank=1, profile="Old", **payload):
@@ -33,47 +33,25 @@ class TestStreamEvent:
     def test_run_scope_events_have_no_rank(self):
         event = StreamEvent(kind=KIND_VISIT)
         assert event.site_rank is None
-        assert EventStream.scope_key(event) == RUN_SCOPE
+        assert json.loads(event.to_json())["site_rank"] is None
 
 
 class TestEventStream:
-    def test_publish_buffers_and_dispatches_in_order(self):
+    def test_publish_dispatches_in_subscription_order(self):
         stream = EventStream()
         seen = []
         stream.subscribe(lambda event: seen.append(("a", event)))
         stream.subscribe(lambda event: seen.append(("b", event)))
         first, second = _visit(rank=1), _visit(rank=2)
         assert stream.publish(first) and stream.publish(second)
-        assert stream.events == [first, second]
         assert seen == [("a", first), ("b", first), ("a", second), ("b", second)]
-
-    def test_per_scope_capacity_drops(self):
-        stream = EventStream(scope_capacity=2)
-        assert stream.publish(_visit(rank=1))
-        assert stream.publish(_visit(rank=1))
-        assert not stream.publish(_visit(rank=1))  # over the site cap
-        assert stream.publish(_visit(rank=2))  # other sites unaffected
-        assert stream.dropped == {"1": 1}
-        assert stream.dropped_total() == 1
-        assert stream.counts() == (("1", 2), ("2", 1))
-
-    def test_dropped_events_never_reach_subscribers(self):
-        stream = EventStream(scope_capacity=1)
-        seen = []
-        stream.subscribe(seen.append)
-        stream.publish(_visit(rank=1))
-        stream.publish(_visit(rank=1))
-        assert len(seen) == 1
 
     def test_disabled_stream_is_a_no_op(self):
         stream = EventStream.disabled()
         seen = []
         stream.subscribe(seen.append)
         assert not stream.publish(_visit())
-        assert stream.events == [] and seen == []
-
-    def test_default_capacity_is_per_site(self):
-        assert EventStream().scope_capacity == DEFAULT_SCOPE_CAPACITY
+        assert seen == []
 
 
 class TestKindConstants:
