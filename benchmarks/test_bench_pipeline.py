@@ -40,8 +40,10 @@ def test_bench_tree_building(benchmark, bench_ctx):
         builder = TreeBuilder(filter_list=bench_ctx.filter_list)
         return sum(
             tree.node_count
-            for trees in builder.iter_page_trees(store, profiles)
-            for tree in trees.values()
+            for page in store.pages_crawled_by_all(profiles)
+            for tree in builder.build_visits(
+                store, store.successful_visits_for_page(page, profiles)
+            ).values()
         )
 
     total_nodes = benchmark.pedantic(build_all, rounds=3, iterations=1)

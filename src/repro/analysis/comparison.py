@@ -4,14 +4,17 @@
 node key and precomputes, for every node, the per-profile view (depth,
 parent, children, type, party, tracking).  All higher-level analyses —
 horizontal, vertical, depth, per-type, per-party — are expressed against
-this structure, so the expensive alignment happens once per page.
+this structure, so the expensive alignment happens once per page, and a
+re-classification under another filter list shares it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
+from ..blocklist.matcher import FilterList
 from ..errors import AnalysisError
 from ..trees.tree import DependencyTree
 from ..web.resources import ResourceType
@@ -162,18 +165,73 @@ class NodeComparison:
 
 
 class PageComparison:
-    """All five trees of one page, aligned by node key."""
+    """All five trees of one page, aligned by node key.
+
+    A comparison built from trees aligns them at once.  One made by
+    :meth:`reclassified` shares its source's alignment and copies the
+    source's trees only when :attr:`trees` is first read (directly, or
+    through :meth:`tree_list` and the tree-reading measures); analyses
+    that read only nodes never make the copies.
+    """
 
     def __init__(self, trees: Mapping[str, DependencyTree]) -> None:
         if not trees:
             raise AnalysisError("PageComparison needs at least one tree")
         self.profiles: Tuple[str, ...] = tuple(sorted(trees))
-        self.trees: Dict[str, DependencyTree] = {name: trees[name] for name in self.profiles}
+        # Shadows the ``trees`` property: a built comparison holds its trees.
+        self.trees = {name: trees[name] for name in self.profiles}
         pages = {tree.page_url for tree in self.trees.values()}
         if len(pages) != 1:
             raise AnalysisError(f"trees belong to different pages: {sorted(pages)}")
         self.page_url = next(iter(pages))
         self._nodes: Dict[str, NodeComparison] = self._align()
+
+    @cached_property
+    def trees(self) -> Dict[str, DependencyTree]:
+        """Profile → tree; a re-classified comparison copies them here."""
+        source, tracked = self._source
+        return {
+            profile: source[profile].reclassified(keys)
+            for profile, keys in zip(self.profiles, tracked)
+        }
+
+    def reclassified(self, filter_list: FilterList) -> "PageComparison":
+        """This page, with tracking classified by ``filter_list``.
+
+        Each tree is asked once for the keys the list blocks; nothing is
+        aligned again.  A node whose every view keeps its flag is this
+        comparison's own :class:`NodeComparison`; where a flag changes,
+        the new node's changed views are copies that differ only in
+        ``is_tracking`` and its other views are this node's.  The trees
+        are copied, from those keys, when the copy's :attr:`trees` is
+        first read.  This comparison is left as it was.
+        """
+        trees = self.trees
+        tracked = [trees[profile].tracking_keys(filter_list) for profile in self.profiles]
+        nodes: Dict[str, NodeComparison] = {}
+        for key, node in self._nodes.items():
+            flags = [key in keys for keys in tracked]
+            if all(
+                view is None or view.is_tracking == flag
+                for view, flag in zip(node.views, flags)
+            ):
+                nodes[key] = node
+                continue
+            nodes[key] = NodeComparison(
+                key=key,
+                views=tuple(
+                    view
+                    if view is None or view.is_tracking == flag
+                    else replace(view, is_tracking=flag)
+                    for view, flag in zip(node.views, flags)
+                ),
+            )
+        copy = PageComparison.__new__(PageComparison)
+        copy.profiles = self.profiles
+        copy.page_url = self.page_url
+        copy._nodes = nodes
+        copy._source = (trees, tracked)
+        return copy
 
     # -- alignment -----------------------------------------------------------
 

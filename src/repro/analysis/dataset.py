@@ -8,7 +8,7 @@ objects (pages crawled successfully by all profiles) plus site metadata
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 from ..blocklist.matcher import FilterList
@@ -45,7 +45,8 @@ class AnalysisDataset:
     """All comparable pages of one measurement run.
 
     A built dataset is never mutated: experiments share it, so a
-    different classification is a copy (:meth:`reclassified`).  A
+    different classification is a new dataset (:meth:`reclassified`)
+    that shares this one's alignment and never writes to it.  A
     dataset built from a store also keeps two facts about that build:
     ``normalization``, the URL normalizer's counts over every tree built
     (``None`` for :meth:`from_tree_sets`), and ``include_partial``,
@@ -115,27 +116,17 @@ class AnalysisDataset:
     def reclassified(self, filter_list: FilterList) -> "AnalysisDataset":
         """The same pages, with tracking classified by ``filter_list``.
 
-        Every tree is copied (:meth:`DependencyTree.reclassified`) and
-        every page aligned again, because a
-        :class:`~repro.analysis.comparison.NodeView` snapshots its node's
-        tracking flag.  Sites, ranks, profiles and the build facts carry
-        over; this dataset is left exactly as it was.
+        Each page is :meth:`PageComparison.reclassified`: it shares this
+        dataset's alignment and node comparisons wherever the list leaves
+        the flags as they were, and copies its trees only when they are
+        read.  Sites, ranks, profiles and the build facts carry over;
+        this dataset is left exactly as it was.
         """
-        entries = [
-            PageEntry(
-                comparison=PageComparison(
-                    {
-                        profile: tree.reclassified(filter_list)
-                        for profile, tree in entry.comparison.trees.items()
-                    }
-                ),
-                site=entry.site,
-                site_rank=entry.site_rank,
-            )
-            for entry in self.entries
-        ]
         return AnalysisDataset(
-            entries,
+            [
+                replace(entry, comparison=entry.comparison.reclassified(filter_list))
+                for entry in self.entries
+            ],
             self.profiles,
             normalization=self.normalization,
             include_partial=self.include_partial,

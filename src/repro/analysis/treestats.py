@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from ..stats.descriptive import Summary, summarize
+from ..trees.tree import DependencyTree
 from .dataset import AnalysisDataset
+from .jaccard import jaccard
 
 
 @dataclass(frozen=True)
@@ -144,16 +146,23 @@ class TreeStatsAnalyzer:
     def pairwise_data_variation(self, dataset: AnalysisDataset) -> float:
         """Share of data that differs when comparing two profiles (≈48%).
 
-        Mean over profile pairs of ``1 − J(tree_a nodes, tree_b nodes)``
-        across all pages.
+        :func:`data_variation` of the dataset's trees.
         """
-        values: List[float] = []
-        for entry in dataset:
-            comparison = entry.comparison
-            profiles = comparison.profiles
-            for i in range(len(profiles)):
-                for j in range(i + 1, len(profiles)):
-                    values.append(
-                        1.0 - comparison.pairwise_tree_similarity(profiles[i], profiles[j])
-                    )
-        return sum(values) / len(values) if values else 0.0
+        return data_variation([entry.comparison.trees for entry in dataset])
+
+
+def data_variation(tree_sets: Sequence[Mapping[str, DependencyTree]]) -> float:
+    """Mean over pages and profile pairs of ``1 − J(keys_a, keys_b)``.
+
+    Each mapping is one page's profile → tree; ``keys`` are a tree's
+    non-root node keys.  Profiles are taken in sorted order and pairs in
+    ``(i, j)``, ``i < j`` order, so any caller sums the same floats in
+    the same order.
+    """
+    values: List[float] = []
+    for trees in tree_sets:
+        keys = [frozenset(trees[profile].keys()) for profile in sorted(trees)]
+        for i in range(len(keys)):
+            for j in range(i + 1, len(keys)):
+                values.append(1.0 - jaccard(keys[i], keys[j]))
+    return sum(values) / len(values) if values else 0.0

@@ -34,7 +34,7 @@ class MatchContext:
     def page_host(self) -> Optional[str]:
         if self.page_url is None:
             return None
-        return (urlsplit(self.page_url).hostname or "").lower() or None
+        return _host(self.page_url) or None
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ class FilterList:
 
     def _evaluate(self, url: str, context: MatchContext) -> MatchResult:
         # Both hosts are parsed once per verdict, not once per filter tried.
-        host = (urlsplit(url).hostname or "").lower()
+        host = _host(url)
         page_host = context.page_host
         blocking = self._first_match(
             url, host, context.resource_type, page_host,
@@ -160,6 +160,15 @@ class FilterList:
         if not options.allows_page_domain(page_host):
             return False
         return flt.matches_url(url)
+
+
+def _host(url: str) -> str:
+    """The lower-cased host of ``url``; empty when it has none or its
+    authority does not parse (``http://[::1/``), as for ``"not a url"``."""
+    try:
+        return (urlsplit(url).hostname or "").lower()
+    except ValueError:
+        return ""
 
 
 def _host_suffixes(host: str) -> Tuple[str, ...]:

@@ -71,8 +71,9 @@ def run(ctx: ExperimentContext) -> BlocklistAblationResult:
     """Analyse ``ctx.dataset`` under each list configuration.
 
     The paper's list classified ``ctx.dataset`` itself; each other list
-    gets a re-classified copy, built, analysed and dropped in turn, so
-    at most one copy is alive.
+    gets a re-classified dataset, made, analysed and dropped in turn.
+    It shares ``ctx.dataset``'s alignment, and the tracking analysis
+    reads only nodes, so no tree is copied.
     """
     return BlocklistAblationResult(
         points=[

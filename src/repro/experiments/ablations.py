@@ -13,15 +13,17 @@ Three ablations, each matching a methodological argument in the paper:
 
 The paper's own recipe is ``ctx.dataset``: its trees, and the URL counts
 of the build that made them, are read rather than built again.  Only
-the raw-URL and frames-only recipes are built here.
+the raw-URL and frames-only recipes are built here, both from one store
+read of each visit ``ctx.dataset`` kept, and neither is aligned: the
+statistics read only key sets, depths and root-child counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
-from ..analysis import AnalysisDataset, TreeStatsAnalyzer
+from ..analysis.treestats import data_variation
 from ..reporting import render_table
 from ..trees.builder import TreeBuilder
 from ..trees.normalize import UrlNormalizer
@@ -57,23 +59,6 @@ class AblationResult:
     granularity: SimilarityGranularityAblation
 
 
-def _tree_sets(
-    ctx: ExperimentContext, builder: TreeBuilder
-) -> List[Dict[str, DependencyTree]]:
-    """``builder``'s trees of the pages ``ctx.dataset`` keeps.
-
-    Pages are vetted as the dataset's build vetted them (its profiles,
-    its partial-visit setting).  The builder has no filter list: the
-    statistics read only keys, depths and root-child counts.
-    """
-    dataset = ctx.dataset
-    return list(
-        builder.iter_page_trees(
-            ctx.store, dataset.profiles, include_partial=dataset.include_partial
-        )
-    )
-
-
 class _FramesOnlyBuilder(TreeBuilder):
     """Tree builder with call-stack/redirect attribution disabled."""
 
@@ -90,17 +75,40 @@ class _FramesOnlyBuilder(TreeBuilder):
         return tree.root
 
 
+def _recipe_tree_sets(
+    ctx: ExperimentContext,
+) -> Tuple[List[Dict[str, DependencyTree]], List[Dict[str, DependencyTree]]]:
+    """The raw-URL and the frames-only trees of each page ``ctx.dataset`` keeps.
+
+    Each of the dataset's trees names its visit; the visit and its
+    requests are read once and both recipes are built from that read,
+    with the dataset's partial-visit setting.  The builders have no
+    filter list: the statistics read no tracking flag.
+    """
+    store = ctx.store
+    allow_partial = ctx.dataset.include_partial
+    raw_builder = TreeBuilder(UrlNormalizer(strip_query_values=False))
+    frames_builder = _FramesOnlyBuilder()
+    raw_sets: List[Dict[str, DependencyTree]] = []
+    frames_sets: List[Dict[str, DependencyTree]] = []
+    for entry in ctx.dataset:
+        raw: Dict[str, DependencyTree] = {}
+        frames: Dict[str, DependencyTree] = {}
+        for profile, tree in entry.comparison.trees.items():
+            visit = store.visit(tree.visit_id)
+            requests = store.requests_for_visit(tree.visit_id)
+            raw[profile] = raw_builder.build(visit, requests, allow_partial=allow_partial)
+            frames[profile] = frames_builder.build(
+                visit, requests, allow_partial=allow_partial
+            )
+        raw_sets.append(raw)
+        frames_sets.append(frames)
+    return raw_sets, frames_sets
+
+
 def run(ctx: ExperimentContext) -> AblationResult:
-    stats = TreeStatsAnalyzer()
-    normalized_variation = stats.pairwise_data_variation(ctx.dataset)
-
-    raw_sets = _tree_sets(ctx, TreeBuilder(UrlNormalizer(strip_query_values=False)))
-    raw_variation = stats.pairwise_data_variation(
-        AnalysisDataset.from_tree_sets(raw_sets)
-    )
-
     tree_sets = [entry.comparison.trees for entry in ctx.dataset]
-    frames_sets = _tree_sets(ctx, _FramesOnlyBuilder())
+    raw_sets, frames_sets = _recipe_tree_sets(ctx)
 
     def mean_depth(sets: List[Dict]) -> float:
         depths = [t.max_depth for trees in sets for t in trees.values()]
@@ -116,8 +124,8 @@ def run(ctx: ExperimentContext) -> AblationResult:
     depth_one = [entry.comparison.depth_one_similarity() for entry in ctx.dataset]
     return AblationResult(
         normalization=NormalizationAblation(
-            normalized_variation=normalized_variation,
-            raw_variation=raw_variation,
+            normalized_variation=data_variation(tree_sets),
+            raw_variation=data_variation(raw_sets),
             normalized_changed_ratio=ctx.dataset.normalization.changed_ratio,
         ),
         attribution=AttributionAblation(

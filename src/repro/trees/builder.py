@@ -17,7 +17,7 @@ Everything else attaches to the root — the visited page itself.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from ..blocklist.matcher import FilterList
 from ..browser.frames import MAIN_FRAME_ID
@@ -108,26 +108,6 @@ class TreeBuilder:
 
     # -- trees per page ------------------------------------------------------
 
-    def build_for_page(
-        self,
-        store: MeasurementStore,
-        page_url: str,
-        profiles: Sequence[str],
-        include_partial: bool = False,
-    ) -> Dict[str, DependencyTree]:
-        """Build one tree per profile for ``page_url``.
-
-        Only profiles that visited the page successfully appear in the
-        result; callers enforce the paper's all-profiles vetting.  With
-        ``include_partial`` a salvaged partial visit substitutes when a
-        profile has no fully successful one (default: excluded, as in the
-        paper).
-        """
-        visits = store.successful_visits_for_page(
-            page_url, profiles, include_partial=include_partial
-        )
-        return self.build_visits(store, visits, allow_partial=include_partial)
-
     def build_visits(
         self,
         store: MeasurementStore,
@@ -144,33 +124,6 @@ class TreeBuilder:
             )
             for profile, visit in visits.items()
         }
-
-    def iter_page_trees(
-        self,
-        store: MeasurementStore,
-        profiles: Sequence[str],
-        require_all: bool = True,
-        include_partial: bool = False,
-    ) -> Iterable[Dict[str, DependencyTree]]:
-        """Yield the per-profile tree set for every comparable page.
-
-        With ``require_all`` (the paper's setting) only pages successfully
-        crawled by *every* profile are yielded; ``include_partial`` lets
-        salvaged partial visits count.
-        """
-        pages = (
-            store.pages_crawled_by_all(profiles, include_partial=include_partial)
-            if require_all
-            else store.pages()
-        )
-        for page_url in pages:
-            trees = self.build_for_page(
-                store, page_url, profiles, include_partial=include_partial
-            )
-            if require_all and len(trees) != len(profiles):
-                continue
-            if trees:
-                yield trees
 
     # -- internals -----------------------------------------------------------
 

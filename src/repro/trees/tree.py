@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import islice
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..blocklist.matcher import FilterList
 from ..web import psl
@@ -125,14 +125,41 @@ class DependencyTree:
 
     # -- annotations -------------------------------------------------------
 
-    def reclassified(self, filter_list: FilterList) -> "DependencyTree":
-        """A structural copy of this tree, classified by ``filter_list``.
+    def tracking_keys(self, filter_list: FilterList) -> FrozenSet[str]:
+        """The non-root keys ``filter_list`` blocks; writes nothing.
+
+        A node is a tracking node when any raw URL that mapped onto it is
+        on the list (the paper classifies by observed URL).  Raw URLs are
+        tried in sorted order and the first blocked one decides, so the
+        list is asked the same questions on every run.
+        """
+        page_url = self.page_url
+        return frozenset(
+            node.key
+            for node in self.nodes()
+            if any(
+                filter_list.is_tracking(
+                    raw, resource_type=node.resource_type, page_url=page_url
+                )
+                for raw in sorted(node.raw_urls)
+            )
+        )
+
+    def annotate_tracking(self, filter_list: FilterList) -> int:
+        """Mark tracking nodes via the filter list; returns how many matched."""
+        keys = self.tracking_keys(filter_list)
+        for node in self.nodes():
+            node.is_tracking = node.key in keys
+        return len(keys)
+
+    def reclassified(self, tracking_keys: AbstractSet[str]) -> "DependencyTree":
+        """A structural copy of this tree whose tracking nodes are
+        ``tracking_keys`` (:meth:`tracking_keys` of another list).
 
         The copy keeps every key, parent, child order, raw URL, request
         id, party and interaction flag, and the maximum depth; only
-        ``is_tracking`` is set anew, by :meth:`annotate_tracking`.  This
-        tree is never written to: datasets that share it keep their
-        classification.
+        ``is_tracking`` is set anew.  This tree is never written to:
+        datasets that share it keep their classification.
         """
         copy = DependencyTree(self.page_url, self.profile_name, self.visit_id)
         twins = copy._nodes
@@ -148,6 +175,7 @@ class DependencyTree:
                     parent=parent,
                     is_third_party=node.is_third_party,
                 )
+                twin.is_tracking = node.key in tracking_keys
                 twins[node.key] = twin
                 parent.add_child(twin)
                 preorder.append(twin)
@@ -156,26 +184,7 @@ class DependencyTree:
             twin.during_interaction = node.during_interaction
         copy._max_depth = self._max_depth
         copy._preorder = tuple(preorder)
-        copy.annotate_tracking(filter_list)
         return copy
-
-    def annotate_tracking(self, filter_list: FilterList) -> int:
-        """Mark tracking nodes via the filter list; returns how many matched.
-
-        A node is a tracking node when any raw URL that mapped onto it is
-        on the list (the paper classifies by observed URL).
-        """
-        count = 0
-        for node in self.nodes():
-            node.is_tracking = any(
-                filter_list.is_tracking(
-                    raw, resource_type=node.resource_type, page_url=self.page_url
-                )
-                for raw in sorted(node.raw_urls)
-            )
-            if node.is_tracking:
-                count += 1
-        return count
 
     # -- statistics helpers --------------------------------------------------
 

@@ -55,9 +55,10 @@ class URL:
         """Parse ``raw`` into a :class:`URL`.
 
         Raises :class:`~repro.errors.InvalidURLError` for relative URLs,
-        unsupported schemes, or empty hosts.  Equal strings (after
-        stripping surrounding whitespace) share one memoized instance, so
-        compare URLs with ``==``, never with ``is`` (DESIGN §6.6).
+        unsupported schemes, empty hosts, or an authority ``urlsplit``
+        rejects.  Equal strings (after stripping surrounding whitespace)
+        share one memoized instance, so compare URLs with ``==``, never
+        with ``is`` (DESIGN §6.6).
         """
         if not isinstance(raw, str) or not raw.strip():
             raise InvalidURLError(f"not a URL: {raw!r}")
@@ -159,7 +160,10 @@ _CACHE_SIZE = 8192
 @lru_cache(maxsize=_CACHE_SIZE)
 def _parse(raw: str) -> URL:
     """Parse a stripped, non-empty string; memoized for :meth:`URL.parse`."""
-    parts = urlsplit(raw)
+    try:
+        parts = urlsplit(raw)
+    except ValueError as exc:  # an unclosed IPv6 bracket, an NFKC-invalid host
+        raise InvalidURLError(f"bad authority in {raw!r}") from exc
     if not parts.scheme:
         raise InvalidURLError(f"relative URL: {raw!r}")
     scheme = parts.scheme.lower()

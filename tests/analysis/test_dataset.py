@@ -1,15 +1,18 @@
 """Tests for AnalysisDataset construction."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
+from repro.analysis import TrackingAnalyzer
 from repro.analysis.dataset import AnalysisDataset
 from repro.blocklist import build_filter_list
 from repro.browser.callstack import CallStack
 from repro.errors import AnalysisError
 from repro.experiments import ablation_blocklist
 from repro.trees import TreeBuilder, normalize
+from repro.trees.tree import DependencyTree
 from repro.web import psl
 from repro.web.resources import parse_resource_type
 
@@ -142,10 +145,54 @@ class TestReclassified:
         assert len(shares) > 1  # the lists really classify differently
         assert (_fingerprint(dataset), _tree_flags(dataset)) == before
 
+    def test_tracking_analysis_shares_instead_of_copying(
+        self, store, generator, filter_list, monkeypatch
+    ):
+        dataset = AnalysisDataset.from_store(store, filter_list=filter_list)
+        copied = []
+        copy_tree = DependencyTree.reclassified
+
+        def spy(tree, *args, **kwargs):
+            copied.append(tree.visit_id)
+            return copy_tree(tree, *args, **kwargs)
+
+        monkeypatch.setattr(DependencyTree, "reclassified", spy)
+        lists = ablation_blocklist._variants(
+            SimpleNamespace(generator=generator, filter_list=filter_list)
+        )
+        shared = replaced = 0
+        for name, other in lists.items():
+            copy = dataset.reclassified(other)
+            TrackingAnalyzer().analyze(copy)
+            assert copied == [], name
+            for entry, source in zip(copy.entries, dataset.entries):
+                nodes, sources = entry.comparison.nodes(), source.comparison.nodes()
+                assert [node.key for node in nodes] == [node.key for node in sources]
+                for node, before in zip(nodes, sources):
+                    flags = [view and view.is_tracking for view in node.views]
+                    if flags == [view and view.is_tracking for view in before.views]:
+                        assert node is before, name
+                        shared += 1
+                        continue
+                    replaced += 1
+                    for view, old in zip(node.views, before.views):
+                        if view is None or view.is_tracking == old.is_tracking:
+                            assert view is old, name
+                        else:
+                            assert view is not old
+                            assert replace(view, is_tracking=old.is_tracking) == old
+        assert shared and replaced
+        # The copies are made on the first read of a page's trees.
+        copy = dataset.reclassified(lists["EasyList + EasyPrivacy"])
+        trees = copy.entries[0].comparison.trees
+        assert sorted(copied) == sorted(tree.visit_id for tree in trees.values())
+
     def test_normalization_counts_the_build(self, store, filter_list):
         dataset = AnalysisDataset.from_store(store, filter_list=filter_list)
         builder = TreeBuilder(normalize.UrlNormalizer())
-        list(builder.iter_page_trees(store, store.profiles()))
+        profiles = store.profiles()
+        for page in store.pages_crawled_by_all(profiles):
+            builder.build_visits(store, store.successful_visits_for_page(page, profiles))
         assert dataset.normalization == builder.normalizer.stats
         assert dataset.normalization.changed > 0
         assert not dataset.include_partial

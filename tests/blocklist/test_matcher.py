@@ -87,6 +87,24 @@ class TestOptionsInContext:
         )
 
 
+class TestMalformedAuthority:
+    """A URL or page URL whose authority does not parse has no host, like
+    ``"not a url"``: the list still gives a verdict."""
+
+    @pytest.mark.parametrize("authority", ["[::1", "exa\uff0fmple.com"])
+    def test_url(self, authority):
+        flt = make_list()
+        assert flt.is_tracking(f"http://{authority}/pixel.gif?uid=1")
+        assert not flt.is_tracking(f"http://{authority}/x.js")
+
+    @pytest.mark.parametrize("page_url", ["http://[::1/", "http://exa\uff0fmple.com/"])
+    def test_page_url(self, page_url):
+        flt = make_list()
+        assert flt.is_tracking("https://ads.com/x.js", page_url=page_url)
+        # No page host: $third-party cannot fire, as with no page URL.
+        assert not flt.is_tracking("https://analytics.com/a.js", page_url=page_url)
+
+
 class TestScale:
     def test_len(self):
         assert len(make_list()) == 5

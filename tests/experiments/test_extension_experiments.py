@@ -23,6 +23,9 @@ from repro.experiments import (
     study_comparability,
     variance_metric,
 )
+from repro.trees import TreeBuilder
+from repro.trees.normalize import UrlNormalizer
+from repro.trees.tree import DependencyTree
 from repro.web import WebGenerator
 
 
@@ -133,6 +136,13 @@ class TestBlocklistAblation:
         names = [point.name for point in result.points]
         assert names[0] == "EasyList (paper)"
 
+    def test_copies_no_tree(self, ctx, monkeypatch):
+        def copy_tree(tree, *args, **kwargs):
+            raise AssertionError(f"tree of visit {tree.visit_id} copied")
+
+        monkeypatch.setattr(DependencyTree, "reclassified", copy_tree)
+        assert len(ablation_blocklist.run(ctx).points) == 4
+
     def test_generic_only_weakest(self, ctx):
         result = ablation_blocklist.run(ctx)
         points = {point.name: point for point in result.points}
@@ -148,6 +158,79 @@ class TestBlocklistAblation:
             points["EasyList + EasyPrivacy"].tracking_share
             >= points["EasyList (paper)"].tracking_share - 1e-9
         )
+
+
+def _tree_facts(trees):
+    """Everything a built tree holds, per profile, in profile order."""
+    return [
+        (
+            profile,
+            tree.page_url,
+            tree.visit_id,
+            tree.max_depth,
+            [
+                (
+                    node.key,
+                    node.parent_key(),
+                    node.depth,
+                    node.resource_type,
+                    sorted(node.raw_urls),
+                    node.request_ids,
+                    node.is_third_party,
+                    node.is_tracking,
+                    node.during_interaction,
+                )
+                for node in tree.nodes(include_root=True)
+            ],
+        )
+        for profile, tree in sorted(trees.items())
+    ]
+
+
+def _assert_recipes_equal_a_page_build(ctx):
+    """Both ablation recipes equal ``build_visits`` of each vetted page."""
+    include_partial = ctx.dataset.include_partial
+    profiles = ctx.dataset.profiles
+    pages = ctx.store.pages_crawled_by_all(profiles, include_partial=include_partial)
+    raw_sets, frames_sets = ablations._recipe_tree_sets(ctx)
+    builders = (
+        TreeBuilder(UrlNormalizer(strip_query_values=False)),
+        ablations._FramesOnlyBuilder(),
+    )
+    for sets, builder in zip((raw_sets, frames_sets), builders):
+        built = [
+            builder.build_visits(
+                ctx.store,
+                ctx.store.successful_visits_for_page(
+                    page, profiles, include_partial=include_partial
+                ),
+                allow_partial=include_partial,
+            )
+            for page in pages
+        ]
+        assert [_tree_facts(trees) for trees in sets] == [
+            _tree_facts(trees) for trees in built
+        ]
+
+
+class TestAblationsReadEachVisitOnce:
+    def test_one_request_read_per_tree(self, ctx, monkeypatch):
+        visit_ids = [
+            tree.visit_id for entry in ctx.dataset for tree in entry.comparison.tree_list()
+        ]
+        reads = []
+        read_requests = MeasurementStore.requests_for_visit
+
+        def spy(store, visit_id):
+            reads.append(visit_id)
+            return read_requests(store, visit_id)
+
+        monkeypatch.setattr(MeasurementStore, "requests_for_visit", spy)
+        ablations.run(ctx)
+        assert sorted(reads) == sorted(visit_ids)  # visit ids are unique
+
+    def test_recipes_equal_a_page_build(self, ctx):
+        _assert_recipes_equal_a_page_build(ctx)
 
 
 class TestAblationsFollowIncludePartial:
@@ -183,6 +266,15 @@ class TestAblationsFollowIncludePartial:
             result.attribution.frames_only_mean_depth
             < result.attribution.full_mean_depth
         )
+
+    def test_recipes_build_the_partial_visits(self, salvage_store):
+        ctx = ExperimentContext.from_store(
+            salvage_store,
+            seed=2023,
+            filter_list=build_filter_list(WebGenerator(2023).ecosystem),
+            include_partial=True,
+        )
+        _assert_recipes_equal_a_page_build(ctx)
 
 
 class TestBundleReplayKeepsCrawlProfiles:

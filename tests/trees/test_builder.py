@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import AnalysisDataset
 from repro.browser.callstack import CallStack, EMPTY_STACK
 from repro.browser.network import RequestRecord, VisitRecord
 from repro.errors import TreeConstructionError
@@ -189,28 +190,43 @@ class TestBuilderContracts:
         assert tree.node("https://trk.com/p.gif").is_tracking
 
 
+class TestMalformedAuthority:
+    @pytest.mark.parametrize(
+        "raw", ["http://[::1/a.js", "http://exa\uff0fmple.com/a.js"]
+    )
+    def test_raw_url_stays_a_classified_node_key(self, raw):
+        from repro.blocklist.matcher import FilterList
+
+        builder = TreeBuilder(filter_list=FilterList.from_text("/a.js\n"))
+        tree = builder.build(make_visit(), [main_request(), request(2, raw)])
+        assert tree.node(raw).is_tracking
+        assert builder.normalizer.stats.unparseable == 1
+
+
 class TestStoreIntegration:
-    def test_build_for_page(self, store, filter_list):
+    def test_build_visits_of_a_page(self, store, filter_list):
         profiles = store.profiles()
         pages = store.pages_crawled_by_all(profiles)
         builder = TreeBuilder(filter_list=filter_list)
-        trees = builder.build_for_page(store, pages[0], profiles)
+        trees = builder.build_visits(
+            store, store.successful_visits_for_page(pages[0], profiles)
+        )
         assert set(trees) == set(profiles)
         for tree in trees.values():
             assert tree.node_count > 0
             assert tree.max_depth >= 1
 
-    def test_iter_page_trees_respects_vetting(self, store):
+    def test_from_store_respects_vetting(self, store):
         profiles = store.profiles()
-        builder = TreeBuilder()
-        tree_sets = list(builder.iter_page_trees(store, profiles))
-        assert len(tree_sets) == len(store.pages_crawled_by_all(profiles))
-        for trees in tree_sets:
-            assert len(trees) == len(profiles)
+        dataset = AnalysisDataset.from_store(store)
+        assert len(dataset) == len(store.pages_crawled_by_all(profiles))
+        for entry in dataset:
+            assert len(entry.comparison.trees) == len(profiles)
 
     def test_normalizer_stats_accumulate(self, store):
         profiles = store.profiles()
         builder = TreeBuilder()
-        list(builder.iter_page_trees(store, profiles))
+        for page in store.pages_crawled_by_all(profiles):
+            builder.build_visits(store, store.successful_visits_for_page(page, profiles))
         # A large share of synthetic URLs carries session params.
         assert 0.05 < builder.normalizer.stats.changed_ratio < 0.9

@@ -1,5 +1,7 @@
 """Tests for URL normalization (the paper's node-identity step)."""
 
+import pytest
+
 from repro.trees.normalize import NormalizationStats, UrlNormalizer, normalize_url
 
 
@@ -58,6 +60,13 @@ class TestNormalizerStats:
         normalizer = UrlNormalizer()
         normalizer.normalize("::garbage::")
         assert normalizer.stats.unparseable == 1
+
+    @pytest.mark.parametrize("raw", ["http://[::1/a.js", "http://exa\uff0fmple.com/a"])
+    def test_malformed_authority_counted_unparseable(self, raw):
+        normalizer = UrlNormalizer()
+        assert normalizer.normalize(raw) == raw
+        assert normalizer.parse(raw) is None
+        assert (normalizer.stats.total, normalizer.stats.unparseable) == (1, 1)
 
     def test_parse_lenient(self):
         normalizer = UrlNormalizer()

@@ -133,6 +133,15 @@ class TestTrackingAnnotation:
         assert not tree.node("https://ads.com/frame.html").is_tracking
         assert len(tree.tracking_nodes()) == 2
 
+    def test_tracking_keys_write_nothing(self):
+        tree = sample_tree()
+        filter_list = FilterList.from_text("||trk.com^\n||ads.com^$image\n")
+        keys = tree.tracking_keys(filter_list)
+        assert keys == {"https://trk.com/pixel.gif", "https://ads.com/creative.jpg"}
+        assert tree.tracking_nodes() == []
+        assert tree.annotate_tracking(filter_list) == len(keys)
+        assert {node.key for node in tree.tracking_nodes()} == keys
+
     def test_reclassified_copies_and_leaves_source(self):
         tree = sample_tree()
         # A second raw URL merged into one node, and an interaction node.
@@ -154,7 +163,9 @@ class TestTrackingAnnotation:
         tree.annotate_tracking(FilterList.from_text("||ads.com^$image\n"))
         before = node_facts(tree)
 
-        copy = tree.reclassified(FilterList.from_text("||trk.com^\n"))
+        copy = tree.reclassified(
+            tree.tracking_keys(FilterList.from_text("||trk.com^\n"))
+        )
 
         assert node_facts(tree) == before
         assert [node.key for node in tree.tracking_nodes()] == [

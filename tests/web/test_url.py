@@ -31,7 +31,12 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "not a url", "/relative/path", "ftp://example.com/", "https://", None, ["https://e.com/"]],
+        [
+            "", "not a url", "/relative/path", "ftp://example.com/", "https://", None,
+            ["https://e.com/"],
+            # urlsplit raises a builtin ValueError for these two authorities.
+            "http://[::1/a.js", "http://exa\uff0fmple.com/a",
+        ],
     )
     def test_rejects_bad_urls(self, bad):
         # Every call raises: a failed parse is not memoized, and a
