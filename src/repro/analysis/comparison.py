@@ -4,8 +4,9 @@
 node key and precomputes, for every node, the per-profile view (depth,
 parent, children, type, party, tracking).  All higher-level analyses —
 horizontal, vertical, depth, per-type, per-party — are expressed against
-this structure, so the expensive alignment happens once per page, and a
-re-classification under another filter list shares it.
+this structure, so the expensive alignment happens once per page, each
+node's measures once per node, and a re-classification under another
+filter list shares both.
 """
 
 from __future__ import annotations
@@ -45,36 +46,49 @@ class NodeView:
 
 @dataclass(frozen=True)
 class NodeComparison:
-    """A node's views across all profiles (``None`` where absent)."""
+    """A node's views across all profiles (``None`` where absent).
+
+    Every measure is a pure function of :attr:`views`, which never change
+    once the node is built, so each is computed on first use and kept on
+    the object (``functools.cached_property`` writes the instance
+    ``__dict__``, which a frozen dataclass leaves writable).  A
+    re-classified dataset shares a node's measures exactly where it
+    shares the node object; a node whose flags change is a new object
+    and starts cold.
+    """
 
     key: str
     views: Tuple[Optional[NodeView], ...]
 
+    @cached_property
+    def _present(self) -> Tuple[NodeView, ...]:
+        return tuple(view for view in self.views if view is not None)
+
     # -- presence ------------------------------------------------------------
 
-    @property
+    @cached_property
     def presence_count(self) -> int:
-        return sum(1 for view in self.views if view is not None)
+        return len(self._present)
 
-    @property
+    @cached_property
     def in_all_profiles(self) -> bool:
-        return all(view is not None for view in self.views)
+        return self.presence_count == len(self.views)
 
     @property
     def in_one_profile(self) -> bool:
         return self.presence_count == 1
 
     def present_views(self) -> List[NodeView]:
-        return [view for view in self.views if view is not None]
+        """The views of the trees that contain the node (a fresh list)."""
+        return list(self._present)
 
     # -- representative attributes -------------------------------------------
 
     @property
     def any_view(self) -> NodeView:
-        for view in self.views:
-            if view is not None:
-                return view
-        raise AnalysisError(f"node {self.key!r} has no views")
+        if not self._present:
+            raise AnalysisError(f"node {self.key!r} has no views")
+        return self._present[0]
 
     @property
     def resource_type(self) -> ResourceType:
@@ -84,16 +98,16 @@ class NodeComparison:
     def is_third_party(self) -> bool:
         return self.any_view.is_third_party
 
-    @property
+    @cached_property
     def is_tracking(self) -> bool:
-        return any(view.is_tracking for view in self.present_views())
+        return any(view.is_tracking for view in self._present)
 
-    @property
+    @cached_property
     def min_depth(self) -> int:
-        return min(view.depth for view in self.present_views())
+        return min(view.depth for view in self._present)
 
     def depths(self) -> List[int]:
-        return [view.depth for view in self.present_views()]
+        return [view.depth for view in self._present]
 
     @property
     def same_depth_everywhere(self) -> bool:
@@ -108,8 +122,11 @@ class NodeComparison:
         Compared over the trees that contain the node (the paper compares
         children of reoccurring nodes); single-occurrence nodes score 1.
         """
-        child_sets = [view.children for view in self.present_views()]
-        return pairwise_mean_jaccard(child_sets)
+        return self._child_similarity
+
+    @cached_property
+    def _child_similarity(self) -> float:
+        return pairwise_mean_jaccard([view.children for view in self._present])
 
     def parent_similarity(self) -> float:
         """Pairwise-mean Jaccard of the node's parent across *all* trees.
@@ -121,6 +138,10 @@ class NodeComparison:
         single profile would score J(∅, ∅) = 1 against every other absent
         tree and look deceptively stable.
         """
+        return self._parent_similarity
+
+    @cached_property
+    def _parent_similarity(self) -> float:
         parent_sets = [
             frozenset([view.parent_key]) if view is not None and view.parent_key is not None
             else frozenset()
@@ -140,18 +161,18 @@ class NodeComparison:
         """Parent similarity restricted to trees containing the node."""
         parent_sets = [
             frozenset([view.parent_key]) if view.parent_key is not None else frozenset()
-            for view in self.present_views()
+            for view in self._present
         ]
         return pairwise_mean_jaccard(parent_sets)
 
     def same_parent_everywhere(self) -> bool:
-        parents = {view.parent_key for view in self.present_views()}
+        parents = {view.parent_key for view in self._present}
         return len(parents) == 1
 
     # -- dependency chains -------------------------------------------------------
 
     def chains(self) -> List[Tuple[str, ...]]:
-        return [view.chain for view in self.present_views()]
+        return [view.chain for view in self._present]
 
     def same_chain_everywhere(self) -> bool:
         """Identical dependency chain in every tree containing the node."""
@@ -200,9 +221,10 @@ class PageComparison:
 
         Each tree is asked once for the keys the list blocks; nothing is
         aligned again.  A node whose every view keeps its flag is this
-        comparison's own :class:`NodeComparison`; where a flag changes,
-        the new node's changed views are copies that differ only in
-        ``is_tracking`` and its other views are this node's.  The trees
+        comparison's own :class:`NodeComparison`, with the measures it has
+        already computed; where a flag changes, the new node's changed
+        views are copies that differ only in ``is_tracking`` and its other
+        views are this node's, and its measures start cold.  The trees
         are copied, from those keys, when the copy's :attr:`trees` is
         first read.  This comparison is left as it was.
         """
@@ -316,11 +338,4 @@ class PageComparison:
         """
         return pairwise_mean_jaccard(
             [frozenset(tree.keys()) for tree in self.tree_list()]
-        )
-
-    def pairwise_tree_similarity(self, profile_a: str, profile_b: str) -> float:
-        """Jaccard of all node keys between two specific profiles."""
-        return jaccard(
-            frozenset(self.trees[profile_a].keys()),
-            frozenset(self.trees[profile_b].keys()),
         )

@@ -23,6 +23,7 @@ from ..obs import (
     TREE_NODE_BUCKETS,
 )
 from ..trees.builder import TreeBuilder
+from ..trees.node import host_of
 from ..trees.normalize import NormalizationStats
 from ..trees.tree import DependencyTree
 from .comparison import NodeComparison, PageComparison
@@ -287,8 +288,9 @@ def _site_of(page_url: str) -> str:
     never leak into site keys — the hand parser this replaces kept both,
     splitting one site's pages into distinct groups the moment any URL
     carried credentials or an explicit port.  Inputs the strict parser
-    rejects (bare hosts, odd schemes in test fixtures) degrade to the
-    same host-isolation steps before the PSL lookup.
+    rejects (bare hosts, odd schemes in test fixtures, an unclosed IPv6
+    bracket) degrade to :func:`~repro.trees.node.host_of`'s host
+    isolation before the PSL lookup; a bare host is read as an authority.
     """
     from ..web import psl
     from ..web.url import URL
@@ -296,13 +298,6 @@ def _site_of(page_url: str) -> str:
     try:
         url = URL.parse(page_url)
     except InvalidURLError:
-        scheme_sep = page_url.find("://")
-        host = page_url[scheme_sep + 3 :] if scheme_sep >= 0 else page_url
-        for stop in ("/", "?", "#"):
-            index = host.find(stop)
-            if index >= 0:
-                host = host[:index]
-        host = host.rsplit("@", 1)[-1]
-        host = host.split(":", 1)[0].lower()
+        host = host_of(page_url if "://" in page_url else "://" + page_url)
         return psl.registrable_domain(host) or host
     return url.site or url.host

@@ -53,6 +53,8 @@ class FilterOptions:
     exclude_domains: Tuple[str, ...] = ()
 
     def allows_type(self, resource_type: ResourceType) -> bool:
+        if not (self.include_types or self.exclude_types):
+            return True  # no type option: skip hashing the type
         if self.include_types and resource_type not in self.include_types:
             return False
         if resource_type in self.exclude_types:
@@ -65,6 +67,8 @@ class FilterOptions:
         return self.third_party == is_third_party
 
     def allows_page_domain(self, page_domain: Optional[str]) -> bool:
+        if not (self.include_domains or self.exclude_domains):
+            return True
         if page_domain is None:
             return not self.include_domains
         page_domain = page_domain.lower()

@@ -70,7 +70,6 @@ from .profile import PhaseStat, RunProfile, build_profile, profile_from_parts
 from .render import (
     render_alerts,
     render_flame,
-    render_metrics,
     render_profile,
     render_trace,
 )
@@ -215,7 +214,6 @@ __all__ = [
     "read_jsonl",
     "render_alerts",
     "render_flame",
-    "render_metrics",
     "render_profile",
     "render_trace",
     "split_roots",

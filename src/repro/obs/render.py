@@ -1,11 +1,10 @@
-"""Text renderers for traces and metrics (no external deps, like
-:mod:`repro.reporting`)."""
+"""Text renderers for traces, run profiles and alerts (no external deps,
+like :mod:`repro.reporting`)."""
 
 from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from .metrics import MetricsRegistry
 from .profile import RunProfile, span_duration
 from .trace import SpanRecord
 
@@ -117,24 +116,4 @@ def render_alerts(alerts: Sequence[object]) -> str:
         tally[alert.severity] = tally.get(alert.severity, 0) + 1
     summary = ", ".join(f"{tally[key]} {key}" for key in sorted(tally))
     lines.append(f"{len(alerts)} alert(s): {summary}")
-    return "\n".join(lines)
-
-
-def render_metrics(registry: MetricsRegistry) -> str:
-    """Render a registry as sorted ``key value`` lines plus histograms."""
-    data = registry.as_dict()
-    lines: List[str] = []
-    for key, value in data["counters"].items():
-        rendered = f"{value:g}" if isinstance(value, float) else str(value)
-        lines.append(f"{key} {rendered}")
-    for key, payload in data["histograms"].items():
-        lines.append(f"{key} count={payload['count']}")
-        edges = payload["edges"]
-        for index, count in enumerate(payload["counts"]):
-            if count == 0:
-                continue
-            label = f"<= {edges[index]:g}" if index < len(edges) else f"> {edges[-1]:g}"
-            lines.append(f"  {label:>10} : {count}")
-    if not lines:
-        lines.append("(no metrics)")
     return "\n".join(lines)

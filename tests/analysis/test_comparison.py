@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.analysis.comparison import PageComparison
+from repro.analysis import TrackingAnalyzer, comparison as comparison_module
+from repro.analysis.comparison import NodeComparison, PageComparison
+from repro.analysis.dataset import AnalysisDataset
 from repro.errors import AnalysisError
 
-from ..helpers import make_tree, make_tree_set
+from ..helpers import make_tree, make_tree_set, node_measures
 
 PAGE = "https://site.com/"
 
@@ -136,8 +138,44 @@ class TestPageMeasures:
         # b present at depth 1 in T1 and T3 only -> (0 + 1 + 0) / 3.
         assert only_b == pytest.approx(1 / 3)
 
-    def test_pairwise_tree_similarity(self, comparison):
-        assert comparison.pairwise_tree_similarity("T1", "T2") == pytest.approx(6 / 7)
-
     def test_max_depth(self, comparison):
         assert comparison.max_depth() == 4
+
+
+class TestMemo:
+    """A node's measures are computed once and equal a cold node's."""
+
+    def test_memoized_measures_equal_a_fresh_nodes(self, dataset):
+        nodes = list(dataset.iter_nodes())
+        assert nodes
+        for node in nodes:
+            first, second = node_measures(node), node_measures(node)
+            assert first == second == node_measures(NodeComparison(node.key, node.views))
+
+    def test_present_views_cannot_change_the_memo(self, comparison):
+        node = comparison.node("https://site.com/e.js")
+        views = node.present_views()
+        views.append(views[0])
+        assert len(node.present_views()) == 2
+        assert node.presence_count == 2
+
+    def test_second_analysis_computes_nothing(self, store, filter_list, monkeypatch):
+        dataset = AnalysisDataset.from_store(store, filter_list=filter_list)
+        calls = {"jaccard": 0, "pairwise_mean_jaccard": 0}
+
+        def counted(name):
+            function = getattr(comparison_module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(comparison_module, name, counted(name))
+        first = TrackingAnalyzer().analyze(dataset)
+        assert calls["jaccard"] and calls["pairwise_mean_jaccard"]
+        calls.update(jaccard=0, pairwise_mean_jaccard=0)
+        assert TrackingAnalyzer().analyze(dataset) == first
+        assert calls == {"jaccard": 0, "pairwise_mean_jaccard": 0}

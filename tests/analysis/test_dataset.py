@@ -16,7 +16,7 @@ from repro.trees.tree import DependencyTree
 from repro.web import psl
 from repro.web.resources import parse_resource_type
 
-from ..helpers import make_tree_set
+from ..helpers import make_tree_set, node_measures
 
 
 class TestFromStore:
@@ -144,6 +144,26 @@ class TestReclassified:
             shares.add(sum(len(keys) for _, keys in _tracking_nodes(copy)))
         assert len(shares) > 1  # the lists really classify differently
         assert (_fingerprint(dataset), _tree_flags(dataset)) == before
+
+    def test_shared_node_measures_hold_for_both_datasets(
+        self, store, generator, filter_list
+    ):
+        dataset = AnalysisDataset.from_store(store, filter_list=filter_list)
+        before = [node_measures(node) for node in dataset.iter_nodes()]
+        lists = ablation_blocklist._variants(
+            SimpleNamespace(generator=generator, filter_list=filter_list)
+        )
+        for name, other in lists.items():
+            copy = dataset.reclassified(other)
+            rebuilt = AnalysisDataset.from_store(store, filter_list=other)
+            assert TrackingAnalyzer().analyze(copy) == TrackingAnalyzer().analyze(
+                rebuilt
+            ), name
+            for node in copy.iter_nodes():
+                assert node.is_tracking == any(
+                    view.is_tracking for view in node.views if view is not None
+                ), name
+        assert [node_measures(node) for node in dataset.iter_nodes()] == before
 
     def test_tracking_analysis_shares_instead_of_copying(
         self, store, generator, filter_list, monkeypatch

@@ -56,3 +56,12 @@ class TestSiteOf:
 
     def test_fallback_without_scheme(self):
         assert _site_of("site000001.net/page") == "site000001.net"
+
+    def test_ipv6_literal_unwrapped(self):
+        assert _site_of("http://[::1]:8080/") == "::1"
+
+    def test_fallback_unwraps_ipv6_literal(self):
+        assert _site_of("ftp://user@[::1]:21/pub") == "::1"
+
+    def test_unclosed_ipv6_bracket_has_no_site(self):
+        assert _site_of("http://[::1/a.js") == ""

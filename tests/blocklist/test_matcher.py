@@ -1,10 +1,14 @@
 """Tests for the filter-list matching engine."""
 
 from dataclasses import fields
+from itertools import product
 
 import pytest
 
+from repro.blocklist import build_combined_list, build_filter_list, matcher
 from repro.blocklist.matcher import FilterList, MatchContext
+from repro.blocklist.parser import parse_filter
+from repro.web.entities import EntityCategory
 from repro.web.resources import ResourceType
 
 LIST_TEXT = """[Adblock Plus 2.0]
@@ -178,3 +182,98 @@ class TestVerdictMemo:
             for url in urls:
                 for context in contexts:
                     assert warm.match(url, context) == make_list().match(url, context)
+
+
+class TestHostMemo:
+    """URL hosts and host suffixes are parsed once per process and shared
+    by every list; the verdicts do not depend on what ran before."""
+
+    @staticmethod
+    def grid(ecosystem):
+        domains = [ecosystem.by_category(category)[0].primary_domain for category in EntityCategory]
+        paths = ["/cmp/stub.js", "/sdk.js", "/api/counts", "/live", "/pixel.gif?uid=1", "/lib.js"]
+        urls = [f"https://{domain}{path}" for domain in domains for path in paths]
+        urls += [f"https://cdn.{domain}/sync?partner=1" for domain in domains]
+        # A generic rule blocks it and the consent stub's exception lifts it.
+        consent = ecosystem.by_category(EntityCategory.CONSENT)[0].primary_domain
+        urls.append(f"https://{consent}/cmp/stub.js?r=/pixel.gif?uid=3")
+        urls += [
+            "http://[::1/a.js",
+            "not a url",
+            f"https://user:pw@www.{domains[0]}:8443/pixel.gif?uid=2",
+            "http://[2001:db8::1]:8080/viewability.js",
+        ]
+        types = [ResourceType.SCRIPT, ResourceType.IMAGE, ResourceType.XHR,
+                 ResourceType.WEBSOCKET, ResourceType.OTHER]
+        pages = [None, "https://news.com/", f"https://www.{domains[0]}/", "http://[::1/",
+                 "not a url", "https://user@[::1]:8080/"]
+        return list(product(urls, types, pages))
+
+    @staticmethod
+    def verdicts(lists, grid):
+        return {
+            name: [flt.match(url, MatchContext(rtype, page)) for url, rtype, page in grid]
+            for name, flt in lists
+        }
+
+    def test_cold_warm_and_either_order_agree(self, generator):
+        ecosystem = generator.ecosystem
+        grid = self.grid(ecosystem)
+
+        def fresh_lists():
+            return [("easylist", build_filter_list(ecosystem)),
+                    ("combined", build_combined_list(ecosystem))]
+
+        matcher._host.cache_clear()
+        matcher._host_suffixes.cache_clear()
+        cold = self.verdicts(fresh_lists(), grid)
+        assert matcher._host.cache_info().currsize > 0
+        warm_lists = fresh_lists()
+        warm = self.verdicts(warm_lists, grid)
+        memoized = self.verdicts(warm_lists, grid)
+        matcher._host.cache_clear()
+        matcher._host_suffixes.cache_clear()
+        reversed_order = self.verdicts(reversed(fresh_lists()), grid)
+        assert cold == warm == memoized == reversed_order
+        blocked = [result.blocked for result in cold["combined"]]
+        assert any(blocked) and not all(blocked)
+        assert any(result.exception_filter for result in cold["easylist"])
+        assert cold["easylist"] != cold["combined"]
+
+
+def _full_allows_type(options, resource_type):
+    return (
+        not options.include_types or resource_type in options.include_types
+    ) and resource_type not in options.exclude_types
+
+
+def _full_allows_page_domain(options, page_domain):
+    if page_domain is None:
+        return not options.include_domains
+    host = page_domain.lower()
+
+    def hit(domain):
+        return host == domain or host.endswith("." + domain)
+
+    if any(hit(domain) for domain in options.exclude_domains):
+        return False
+    return not options.include_domains or any(hit(domain) for domain in options.include_domains)
+
+
+class TestOptionFastPaths:
+    """A filter without a type or ``domain=`` option answers at once, as the
+    full checks would."""
+
+    @pytest.mark.parametrize(
+        "option", ["$script", "$~script", "$domain=a.com|~b.com", "$domain=~b.com", ""]
+    )
+    def test_fast_paths_equal_full_checks(self, option):
+        options = parse_filter(f"/ad.js{option}").options
+        for resource_type in ResourceType:
+            assert options.allows_type(resource_type) is _full_allows_type(
+                options, resource_type
+            ), resource_type
+        for page_domain in [None, "a.com", "www.A.com", "b.com", "x.b.com", "c.com", ""]:
+            assert options.allows_page_domain(page_domain) is _full_allows_page_domain(
+                options, page_domain
+            ), page_domain

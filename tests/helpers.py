@@ -80,3 +80,16 @@ def make_tree_set(
         profile: make_tree(page_url, structure, profile=profile, visit_id=index + 1)
         for index, (profile, structure) in enumerate(structures.items())
     }
+
+
+def node_measures(node) -> tuple:
+    """Every memoized measure of an aligned node, read once."""
+    return (
+        node.present_views(),
+        node.presence_count,
+        node.in_all_profiles,
+        node.is_tracking,
+        node.min_depth,
+        node.parent_similarity(),
+        node.child_similarity(),
+    )
