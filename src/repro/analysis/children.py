@@ -87,7 +87,7 @@ class ChildrenAnalyzer:
         parent_values: Dict[int, List[float]] = defaultdict(list)
         for node in dataset.iter_nodes():
             bucket = min(node.min_depth, combine_after)
-            if any(view.child_count > 0 for view in node.present_views()):
+            if node.has_children:
                 child_values[bucket].append(node.child_similarity())
             if node.min_depth >= 1:
                 parent_values[bucket].append(node.parent_similarity())
@@ -121,8 +121,7 @@ class ChildrenAnalyzer:
         small: List[float] = []
         large: List[float] = []
         for node in dataset.iter_nodes():
-            views = node.present_views()
-            mean_children = sum(view.child_count for view in views) / len(views)
+            mean_children = node.mean_child_count
             if mean_children == 0:
                 continue
             similarity = node.child_similarity()

@@ -21,10 +21,16 @@ from ..trees.tree import DependencyTree
 from ..web.resources import ResourceType
 from .jaccard import jaccard, pairwise_mean_jaccard
 
+#: The ``children`` of every leaf view: one shared empty set, not one each.
+_NO_CHILDREN: FrozenSet[str] = frozenset()
+
 
 @dataclass(frozen=True)
 class NodeView:
-    """One tree's view of a node."""
+    """One tree's view of a node.
+
+    A leaf's ``children`` is the shared empty :data:`_NO_CHILDREN`.
+    """
 
     depth: int
     parent_key: Optional[str]
@@ -113,6 +119,18 @@ class NodeComparison:
     def same_depth_everywhere(self) -> bool:
         depths = self.depths()
         return len(set(depths)) == 1
+
+    # -- children --------------------------------------------------------------
+
+    @cached_property
+    def has_children(self) -> bool:
+        """Whether the node has a child in any tree that contains it."""
+        return any(view.child_count > 0 for view in self._present)
+
+    @cached_property
+    def mean_child_count(self) -> float:
+        """The node's child count averaged over the trees that contain it."""
+        return sum(view.child_count for view in self._present) / len(self._present)
 
     # -- similarity measures ---------------------------------------------------
 
@@ -267,7 +285,9 @@ class PageComparison:
                 slot[index] = NodeView(
                     depth=node.depth,
                     parent_key=node.parent_key(),
-                    children=frozenset(node.child_keys()),
+                    children=(
+                        _NO_CHILDREN if node.is_leaf else frozenset(node.child_keys())
+                    ),
                     resource_type=node.resource_type,
                     is_third_party=node.is_third_party,
                     is_tracking=node.is_tracking,

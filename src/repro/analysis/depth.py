@@ -33,15 +33,11 @@ class DepthSimilarityRow:
         return self.summary.mean
 
 
-def _with_children(node: NodeComparison) -> bool:
-    return any(view.child_count > 0 for view in node.present_views())
-
-
 def _depth_one_needs_children(node: NodeComparison) -> bool:
     """Keep deeper nodes; at depth one require at least one child."""
     if node.min_depth != 1:
         return True
-    return _with_children(node)
+    return node.has_children
 
 
 def _in_all(node: NodeComparison) -> bool:

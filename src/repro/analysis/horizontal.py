@@ -85,7 +85,7 @@ class HorizontalAnalyzer:
                 visited.add(node.key)
                 if not self.include_static_leaves and not exclude_static_leaf(node):
                     continue
-                if not self._has_any_child(node):
+                if not node.has_children:
                     continue
                 record = self._record_for(comparison, node)
                 records.append(record)
@@ -120,14 +120,9 @@ class HorizontalAnalyzer:
         return result if result is not None else 1.0
 
     @staticmethod
-    def _has_any_child(node: NodeComparison) -> bool:
-        return any(view.child_count > 0 for view in node.present_views())
-
-    @staticmethod
     def _record_for(
         comparison: PageComparison, node: NodeComparison
     ) -> ChildSimilarityRecord:
-        views = node.present_views()
         return ChildSimilarityRecord(
             page_url=comparison.page_url,
             key=node.key,
@@ -137,7 +132,7 @@ class HorizontalAnalyzer:
             is_tracking=node.is_tracking,
             presence_count=node.presence_count,
             similarity=node.child_similarity(),
-            mean_child_count=sum(view.child_count for view in views) / len(views),
+            mean_child_count=node.mean_child_count,
         )
 
     @staticmethod

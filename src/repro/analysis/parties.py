@@ -102,10 +102,9 @@ class PartyAnalyzer:
                 depth_one_presence.append(node.presence_count)
             elif node.min_depth > deeper_than:
                 deeper_presence.append(node.presence_count)
-            views = node.present_views()
-            if any(view.child_count > 0 for view in views):
+            if node.has_children:
                 child_similarities.append(node.child_similarity())
-            children_counts.append(sum(view.child_count for view in views) / len(views))
+            children_counts.append(node.mean_child_count)
         for entry in dataset:
             for tree in entry.comparison.tree_list():
                 for tree_node in tree.nodes():

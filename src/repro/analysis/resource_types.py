@@ -69,7 +69,7 @@ class ResourceTypeAnalyzer:
             rtype = node.resource_type
             counts[rtype] += 1
             parent_sims[rtype].append(node.parent_similarity())
-            if any(view.child_count > 0 for view in node.present_views()):
+            if node.has_children:
                 child_sims[rtype].append(node.child_similarity())
             if node.in_all_profiles:
                 chain_total[rtype] += 1
@@ -150,7 +150,7 @@ class ResourceTypeAnalyzer:
             bucket = min(node.min_depth, combine_after)
             key = (node.resource_type, bucket)
             parent_acc[key].append(node.parent_similarity())
-            if any(view.child_count > 0 for view in node.present_views()):
+            if node.has_children:
                 child_acc[key].append(node.child_similarity())
         result: Dict[ResourceType, Dict[int, Tuple[float, float]]] = defaultdict(dict)
         for (rtype, depth) in sorted(set(child_acc) | set(parent_acc), key=lambda k: (k[0].value, k[1])):
@@ -200,7 +200,7 @@ class ResourceTypeAnalyzer:
         groups: Dict[ResourceType, List[float]] = defaultdict(list)
         for node in dataset.iter_nodes():
             if kind == "child":
-                if any(view.child_count > 0 for view in node.present_views()):
+                if node.has_children:
                     groups[node.resource_type].append(node.child_similarity())
             else:
                 groups[node.resource_type].append(node.parent_similarity())

@@ -60,11 +60,9 @@ class TrackingAnalyzer:
             for node in comparison.nodes():
                 total_nodes += 1
                 is_tracking = node.is_tracking
-                views = node.present_views()
-                has_children = any(view.child_count > 0 for view in views)
-                child_sim = node.child_similarity() if has_children else None
+                child_sim = node.child_similarity() if node.has_children else None
                 parent_sim = node.parent_similarity()
-                mean_children = sum(view.child_count for view in views) / len(views)
+                mean_children = node.mean_child_count
                 if is_tracking:
                     tracking_nodes += 1
                     node_sims.append(node.presence_count / len(node.views))
@@ -74,7 +72,7 @@ class TrackingAnalyzer:
                     parent_track.append(parent_sim)
                     depth_counts[min(node.min_depth, combine_depth_after)] += 1
                     self._classify_parents(comparison, node, parent_types)
-                    for view in views:
+                    for view in node.present_views():
                         if view.parent_key is None:
                             continue
                         tracker_parent_total += 1

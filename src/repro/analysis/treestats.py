@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
 from ..stats.descriptive import Summary, summarize
 from ..trees.tree import DependencyTree
@@ -148,20 +148,25 @@ class TreeStatsAnalyzer:
 
         :func:`data_variation` of the dataset's trees.
         """
-        return data_variation([entry.comparison.trees for entry in dataset])
+        return data_variation([tree_keys(entry.comparison.trees) for entry in dataset])
 
 
-def data_variation(tree_sets: Sequence[Mapping[str, DependencyTree]]) -> float:
+def tree_keys(trees: Mapping[str, DependencyTree]) -> Dict[str, FrozenSet[str]]:
+    """Profile → the tree's non-root node keys, what :func:`data_variation` reads."""
+    return {profile: frozenset(tree.keys()) for profile, tree in trees.items()}
+
+
+def data_variation(key_sets: Sequence[Mapping[str, AbstractSet[str]]]) -> float:
     """Mean over pages and profile pairs of ``1 − J(keys_a, keys_b)``.
 
-    Each mapping is one page's profile → tree; ``keys`` are a tree's
-    non-root node keys.  Profiles are taken in sorted order and pairs in
-    ``(i, j)``, ``i < j`` order, so any caller sums the same floats in
-    the same order.
+    Each mapping is one page's profile → key set (:func:`tree_keys`), so
+    a caller can keep a page's keys and let its trees go.  Profiles are
+    taken in sorted order and pairs in ``(i, j)``, ``i < j`` order, so
+    any caller sums the same floats in the same order.
     """
     values: List[float] = []
-    for trees in tree_sets:
-        keys = [frozenset(trees[profile].keys()) for profile in sorted(trees)]
+    for page in key_sets:
+        keys = [page[profile] for profile in sorted(page)]
         for i in range(len(keys)):
             for j in range(i + 1, len(keys)):
                 values.append(1.0 - jaccard(keys[i], keys[j]))

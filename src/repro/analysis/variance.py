@@ -101,7 +101,7 @@ class VarianceAnalyzer:
         child_sims = [
             node.child_similarity()
             for node in nodes
-            if any(view.child_count > 0 for view in node.present_views())
+            if node.has_children
         ]
         children = 1.0 - safe_mean(child_sims, default=1.0)
         parents = 1.0 - safe_mean([node.parent_similarity() for node in nodes])

@@ -19,16 +19,14 @@ from ..framework import LintRule, ModuleContext, Violation, dotted_name, registe
 #: Keyword fragments marking a detector tuning knob.
 _THRESHOLD_MARKERS = ("threshold", "factor", "rate", "window", "limit", "gap")
 
-#: Method names that mutate a metrics registry or its instruments.
+#: Method names that mutate a metrics registry or its instruments: the
+#: public calls of ``MetricsRegistry``, ``Counter`` and ``Histogram``
+#: that create or change a metric.
 _REGISTRY_MUTATORS = (
     "counter",
-    "gauge",
     "histogram",
     "inc",
-    "set",
     "observe",
-    "merge",
-    "merge_all",
 )
 
 #: Receiver names that identify the metrics registry in a call chain.

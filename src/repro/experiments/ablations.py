@@ -15,15 +15,18 @@ The paper's own recipe is ``ctx.dataset``: its trees, and the URL counts
 of the build that made them, are read rather than built again.  Only
 the raw-URL and frames-only recipes are built here, both from one store
 read of each visit ``ctx.dataset`` kept, and neither is aligned: the
-statistics read only key sets, depths and root-child counts.
+statistics read only key sets, depths and root-child counts.  They are
+built one page at a time, and :func:`run` keeps a page's statistics and
+lets its recipe trees go before the next page is built, so no recipe
+tree outlives its page.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Tuple
 
-from ..analysis.treestats import data_variation
+from ..analysis.treestats import data_variation, tree_keys
 from ..reporting import render_table
 from ..trees.builder import TreeBuilder
 from ..trees.normalize import UrlNormalizer
@@ -77,20 +80,19 @@ class _FramesOnlyBuilder(TreeBuilder):
 
 def _recipe_tree_sets(
     ctx: ExperimentContext,
-) -> Tuple[List[Dict[str, DependencyTree]], List[Dict[str, DependencyTree]]]:
+) -> Iterator[Tuple[Dict[str, DependencyTree], Dict[str, DependencyTree]]]:
     """The raw-URL and the frames-only trees of each page ``ctx.dataset`` keeps.
 
-    Each of the dataset's trees names its visit; the visit and its
-    requests are read once and both recipes are built from that read,
-    with the dataset's partial-visit setting.  The builders have no
-    filter list: the statistics read no tracking flag.
+    Yields one page's ``(raw, frames)`` profile → tree mappings at a
+    time, in dataset order.  Each of the dataset's trees names its
+    visit; the visit and its requests are read once and both recipes are
+    built from that read, with the dataset's partial-visit setting.  The
+    builders have no filter list: the statistics read no tracking flag.
     """
     store = ctx.store
     allow_partial = ctx.dataset.include_partial
     raw_builder = TreeBuilder(UrlNormalizer(strip_query_values=False))
     frames_builder = _FramesOnlyBuilder()
-    raw_sets: List[Dict[str, DependencyTree]] = []
-    frames_sets: List[Dict[str, DependencyTree]] = []
     for entry in ctx.dataset:
         raw: Dict[str, DependencyTree] = {}
         frames: Dict[str, DependencyTree] = {}
@@ -101,22 +103,23 @@ def _recipe_tree_sets(
             frames[profile] = frames_builder.build(
                 visit, requests, allow_partial=allow_partial
             )
-        raw_sets.append(raw)
-        frames_sets.append(frames)
-    return raw_sets, frames_sets
+        yield raw, frames
+
+
+def _mean(values: List[int]) -> float:
+    return sum(values) / len(values) if values else 0.0
 
 
 def run(ctx: ExperimentContext) -> AblationResult:
-    tree_sets = [entry.comparison.trees for entry in ctx.dataset]
-    raw_sets, frames_sets = _recipe_tree_sets(ctx)
-
-    def mean_depth(sets: List[Dict]) -> float:
-        depths = [t.max_depth for trees in sets for t in trees.values()]
-        return sum(depths) / len(depths) if depths else 0.0
-
-    def mean_root_children(sets: List[Dict]) -> float:
-        counts = [len(t.root.children) for trees in sets for t in trees.values()]
-        return sum(counts) / len(counts) if counts else 0.0
+    full = [tree for entry in ctx.dataset for tree in entry.comparison.tree_list()]
+    raw_keys: List[Dict[str, FrozenSet[str]]] = []
+    frames_depths: List[int] = []
+    frames_root_children: List[int] = []
+    for raw, frames in _recipe_tree_sets(ctx):
+        raw_keys.append(tree_keys(raw))
+        frames_depths.extend(tree.max_depth for tree in frames.values())
+        frames_root_children.extend(len(tree.root.children) for tree in frames.values())
+        del raw, frames  # the page's trees go before the next page is built
 
     whole_tree = [
         entry.comparison.whole_tree_similarity() for entry in ctx.dataset
@@ -124,15 +127,17 @@ def run(ctx: ExperimentContext) -> AblationResult:
     depth_one = [entry.comparison.depth_one_similarity() for entry in ctx.dataset]
     return AblationResult(
         normalization=NormalizationAblation(
-            normalized_variation=data_variation(tree_sets),
-            raw_variation=data_variation(raw_sets),
+            normalized_variation=data_variation(
+                [tree_keys(entry.comparison.trees) for entry in ctx.dataset]
+            ),
+            raw_variation=data_variation(raw_keys),
             normalized_changed_ratio=ctx.dataset.normalization.changed_ratio,
         ),
         attribution=AttributionAblation(
-            full_mean_depth=mean_depth(tree_sets),
-            frames_only_mean_depth=mean_depth(frames_sets),
-            full_root_children=mean_root_children(tree_sets),
-            frames_only_root_children=mean_root_children(frames_sets),
+            full_mean_depth=_mean([tree.max_depth for tree in full]),
+            frames_only_mean_depth=_mean(frames_depths),
+            full_root_children=_mean([len(tree.root.children) for tree in full]),
+            frames_only_root_children=_mean(frames_root_children),
         ),
         granularity=SimilarityGranularityAblation(
             whole_tree_mean=sum(whole_tree) / len(whole_tree) if whole_tree else 0.0,

@@ -61,25 +61,21 @@ def inclusion_graph(trees: Iterable[DependencyTree], by_site: bool = True):
 
     With ``by_site`` (default) nodes are eTLD+1s and an edge A → B with
     weight w means resources of site A caused resources of site B to load
-    w times across the input trees.  The visited page's own site is the
-    root of each contribution.  With ``by_site=False`` nodes stay URLs.
+    w times across the input trees.  The visited page's own site, read
+    from the root node like every other node's, is the root of each
+    contribution.  With ``by_site=False`` nodes stay URLs.
     """
     networkx = _networkx()
     graph = networkx.DiGraph()
-    for tree in trees:
-        page_site = tree.root.key
-        if by_site:
-            from ..web import psl
 
-            host = tree.page_url.split("://", 1)[-1].split("/", 1)[0]
-            page_site = psl.registrable_domain(host) or host
+    def label(node) -> str:
+        return (node.site or node.host) if by_site else node.key
+
+    for tree in trees:
+        page = label(tree.root)
         for node in tree.nodes():
-            child = (node.site or node.host) if by_site else node.key
-            parent_node = node.parent
-            if parent_node is None or parent_node.is_root:
-                parent = page_site if by_site else tree.page_url
-            else:
-                parent = (parent_node.site or parent_node.host) if by_site else parent_node.key
+            child = label(node)
+            parent = page if node.parent.is_root else label(node.parent)
             if not child or not parent or child == parent:
                 continue
             if graph.has_edge(parent, child):

@@ -2,18 +2,32 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from functools import lru_cache
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from ..web import psl
 from ..web.resources import ResourceType, parse_resource_type
+
+#: Distinct URLs whose host stays memoized process-wide, sized like
+#: ``trees.normalize``'s key memo: one ``analyze`` repetition of the
+#: benchmark crawl asks for about 4.3k.
+_CACHE_SIZE = 1 << 15
 
 
 class TreeNode:
     """A node in a dependency tree.
 
     Identity is the normalized URL (``key``).  A node keeps the raw URLs
-    that mapped onto it, its resource type, and party/tracking annotations.
-    Children are ordered by first observation and unique per key.
+    that mapped onto it, the ids of the requests that did, its resource
+    type, and party/tracking annotations.  Children are ordered by first
+    observation and unique per key.
+
+    ``raw_urls`` is a tuple of the distinct raw URLs, kept sorted, and
+    ``request_ids`` a tuple in attach order; :meth:`DependencyTree.attach`
+    rebinds both.  A tuple of strings or ints is untracked by the cyclic
+    collector after the first collection it survives, where a ``set`` or
+    ``list`` never is, so the collector visits a built node and, once it
+    has children, its child map, and nothing else the node owns.
     """
 
     __slots__ = (
@@ -41,8 +55,8 @@ class TreeNode:
         self.parent = parent
         self._children: Dict[str, TreeNode] = {}
         self.depth: int = parent.depth + 1 if parent is not None else 0
-        self.raw_urls: Set[str] = set()
-        self.request_ids: List[int] = []
+        self.raw_urls: Tuple[str, ...] = ()
+        self.request_ids: Tuple[int, ...] = ()
         self.is_third_party = is_third_party
         self.is_tracking = False
         self.during_interaction = False
@@ -114,6 +128,7 @@ class TreeNode:
         return f"TreeNode({self.key!r}, depth={self.depth}, type={self.resource_type.value})"
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def host_of(url: str) -> str:
     """Best-effort lower-cased host of ``url``; empty when it has none.
 
@@ -121,6 +136,8 @@ def host_of(url: str) -> str:
     verbatim, so this never raises.  It skips ``userinfo@`` and the
     ``:port``, and unwraps an IPv6 literal: ``http://u@[::1]:8080/a``
     gives ``::1``, the host :class:`~repro.web.url.URL` would hold.
+    A pure function of the string, memoized process-wide (DESIGN §6.6):
+    every new node asks for its key's host to judge its party.
     """
     scheme_sep = url.find("://")
     if scheme_sep < 0:

@@ -50,7 +50,8 @@ class DependencyTree:
 
         If the key already exists anywhere in the tree, the existing node
         wins (first-parent-wins merge) and only bookkeeping is updated —
-        the paper's trees give each URL a single position.
+        the paper's trees give each URL a single position.  The node's
+        ``raw_urls`` and ``request_ids`` tuples are rebound, never mutated.
         """
         node = self._nodes.get(key)
         if node is None:
@@ -61,12 +62,16 @@ class DependencyTree:
                 is_third_party=not psl.same_site(host_of(key), self._page_host),
             )
             node.during_interaction = during_interaction
+            node.raw_urls = (raw_url,)
+            node.request_ids = (request_id,)
             self._nodes[key] = node
             parent.add_child(node)
             self._max_depth = max(self._max_depth, node.depth)
             self._preorder = None
-        node.raw_urls.add(raw_url)
-        node.request_ids.append(request_id)
+            return node
+        if raw_url not in node.raw_urls:
+            node.raw_urls = tuple(sorted((*node.raw_urls, raw_url)))
+        node.request_ids += (request_id,)
         return node
 
     # -- lookup ------------------------------------------------------------
@@ -130,8 +135,8 @@ class DependencyTree:
 
         A node is a tracking node when any raw URL that mapped onto it is
         on the list (the paper classifies by observed URL).  Raw URLs are
-        tried in sorted order and the first blocked one decides, so the
-        list is asked the same questions on every run.
+        tried in their stored, sorted order and the first blocked one
+        decides, so the list is asked the same questions on every run.
         """
         page_url = self.page_url
         return frozenset(
@@ -141,7 +146,7 @@ class DependencyTree:
                 filter_list.is_tracking(
                     raw, resource_type=node.resource_type, page_url=page_url
                 )
-                for raw in sorted(node.raw_urls)
+                for raw in node.raw_urls
             )
         )
 
@@ -158,8 +163,10 @@ class DependencyTree:
 
         The copy keeps every key, parent, child order, raw URL, request
         id, party and interaction flag, and the maximum depth; only
-        ``is_tracking`` is set anew.  This tree is never written to:
-        datasets that share it keep their classification.
+        ``is_tracking`` is set anew.  Each twin shares its node's
+        ``raw_urls`` and ``request_ids`` tuples, which nothing can
+        change.  This tree is never written to: datasets that share it
+        keep their classification.
         """
         copy = DependencyTree(self.page_url, self.profile_name, self.visit_id)
         twins = copy._nodes
@@ -179,8 +186,8 @@ class DependencyTree:
                 twins[node.key] = twin
                 parent.add_child(twin)
                 preorder.append(twin)
-            twin.raw_urls = set(node.raw_urls)
-            twin.request_ids = list(node.request_ids)
+            twin.raw_urls = node.raw_urls
+            twin.request_ids = node.request_ids
             twin.during_interaction = node.during_interaction
         copy._max_depth = self._max_depth
         copy._preorder = tuple(preorder)

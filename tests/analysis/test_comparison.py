@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import TrackingAnalyzer, comparison as comparison_module
-from repro.analysis.comparison import NodeComparison, PageComparison
+from repro.analysis.comparison import NodeComparison, NodeView, PageComparison
 from repro.analysis.dataset import AnalysisDataset
 from repro.errors import AnalysisError
 
@@ -67,6 +67,16 @@ class TestAlignment:
         assert comparison.node("https://site.com/a.js").in_all_profiles
         assert not comparison.node("https://site.com/e.js").in_all_profiles
         assert not comparison.node("https://site.com/e.js").in_one_profile
+
+    def test_leaf_views_share_one_empty_child_set(self, dataset):
+        views = [
+            view
+            for node in dataset.iter_nodes()
+            for view in node.present_views()
+            if not view.children
+        ]
+        assert views
+        assert len({id(view.children) for view in views}) == 1
 
     def test_mismatched_pages_rejected(self):
         trees = make_tree_set(PAGE, {"A": {}})
@@ -179,3 +189,19 @@ class TestMemo:
         calls.update(jaccard=0, pairwise_mean_jaccard=0)
         assert TrackingAnalyzer().analyze(dataset) == first
         assert calls == {"jaccard": 0, "pairwise_mean_jaccard": 0}
+
+    def test_second_analysis_reads_no_child_count(self, store, filter_list, monkeypatch):
+        dataset = AnalysisDataset.from_store(store, filter_list=filter_list)
+        reads = [0]
+        child_count = NodeView.child_count.fget
+
+        def counted(view):
+            reads[0] += 1
+            return child_count(view)
+
+        monkeypatch.setattr(NodeView, "child_count", property(counted))
+        first = TrackingAnalyzer().analyze(dataset)
+        assert reads[0]
+        reads[0] = 0
+        assert TrackingAnalyzer().analyze(dataset) == first
+        assert reads[0] == 0

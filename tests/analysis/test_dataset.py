@@ -165,6 +165,26 @@ class TestReclassified:
                 ), name
         assert [node_measures(node) for node in dataset.iter_nodes()] == before
 
+    def test_child_measures_follow_the_views(self, store, generator, filter_list):
+        dataset = AnalysisDataset.from_store(store, filter_list=filter_list)
+        lists = ablation_blocklist._variants(
+            SimpleNamespace(generator=generator, filter_list=filter_list)
+        )
+        datasets = {"source": dataset}
+        datasets.update((name, dataset.reclassified(other)) for name, other in lists.items())
+        for name, data in datasets.items():
+            with_children = 0
+            for node in data.iter_nodes():
+                views = node.present_views()
+                assert node.has_children == any(
+                    view.child_count > 0 for view in views
+                ), name
+                assert node.mean_child_count == sum(
+                    view.child_count for view in views
+                ) / len(views), name
+                with_children += node.has_children
+            assert 0 < with_children < len(list(data.iter_nodes())), name
+
     def test_tracking_analysis_shares_instead_of_copying(
         self, store, generator, filter_list, monkeypatch
     ):

@@ -3,6 +3,8 @@
 import textwrap
 
 from repro.devtools.lint import build_rules, lint_source
+from repro.devtools.lint.rules.obs import _REGISTRY_MUTATORS
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 
 
 def check(rule_id, source):
@@ -184,9 +186,17 @@ class TestObs003DeterministicAlerting:
         src = (
             "class SkewDetector:\n"
             "    def finish(self):\n"
-            "        registry.set(1.0)\n"
+            '        registry.histogram("skew", BUCKETS).observe(1.0)\n'
         )
         assert check("OBS003", src) == ["OBS003"]
+
+    def test_mutators_are_registry_calls(self):
+        instruments = (MetricsRegistry, Counter, Histogram)
+        for name in _REGISTRY_MUTATORS:
+            assert not name.startswith("_"), name
+            assert any(
+                callable(getattr(cls, name, None)) for cls in instruments
+            ), f"{name} is not a call of a metrics registry or instrument"
 
     def test_detector_local_state_fine(self):
         src = (

@@ -1,5 +1,7 @@
 """Deeper assertions for the extension experiments (beyond the smoke run)."""
 
+import weakref
+
 import pytest
 
 from repro.analysis import AnalysisDataset, TrackingAnalyzer
@@ -192,7 +194,9 @@ def _assert_recipes_equal_a_page_build(ctx):
     include_partial = ctx.dataset.include_partial
     profiles = ctx.dataset.profiles
     pages = ctx.store.pages_crawled_by_all(profiles, include_partial=include_partial)
-    raw_sets, frames_sets = ablations._recipe_tree_sets(ctx)
+    recipes = list(ablations._recipe_tree_sets(ctx))
+    raw_sets = [raw for raw, _ in recipes]
+    frames_sets = [frames for _, frames in recipes]
     builders = (
         TreeBuilder(UrlNormalizer(strip_query_values=False)),
         ablations._FramesOnlyBuilder(),
@@ -231,6 +235,26 @@ class TestAblationsReadEachVisitOnce:
 
     def test_recipes_equal_a_page_build(self, ctx):
         _assert_recipes_equal_a_page_build(ctx)
+
+    def test_recipe_trees_die_with_their_page(self, ctx, monkeypatch):
+        built = []  # (page, weak reference) of every recipe tree
+        most_pages_alive = [0]
+        build = TreeBuilder.build
+
+        def spy(builder, *args, **kwargs):
+            alive = {page for page, ref in built if ref() is not None}
+            most_pages_alive[0] = max(most_pages_alive[0], len(alive))
+            tree = build(builder, *args, **kwargs)
+            built.append((tree.page_url, weakref.ref(tree)))
+            return tree
+
+        monkeypatch.setattr(TreeBuilder, "build", spy)
+        ablations.run(ctx)
+        trees = sum(len(entry.comparison.trees) for entry in ctx.dataset)
+        assert len(built) == 2 * trees  # a raw-URL and a frames-only tree each
+        assert len(ctx.dataset) > 1
+        assert most_pages_alive[0] == 1  # only the page being built
+        assert all(ref() is None for _, ref in built)
 
 
 class TestAblationsFollowIncludePartial:

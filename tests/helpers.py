@@ -92,4 +92,6 @@ def node_measures(node) -> tuple:
         node.min_depth,
         node.parent_similarity(),
         node.child_similarity(),
+        node.has_children,
+        node.mean_child_count,
     )

@@ -73,6 +73,17 @@ class TestInclusionGraph:
         graph = inclusion_graph([sample_tree()])
         assert not graph.has_edge("site.com", "site.com")
 
+    def test_page_site_ignores_userinfo_and_port(self):
+        tree = make_tree(
+            "https://user:pw@www.example.com:8443/index.html",
+            {
+                "https://www.example.com:8443/app.js": None,
+                "https://tracker.net/pixel.gif": None,
+            },
+        )
+        graph = inclusion_graph([tree])
+        assert sorted(graph.edges()) == [("example.com", "tracker.net")]
+
 
 class TestTrackerCentrality:
     def test_trackers_ranked(self):

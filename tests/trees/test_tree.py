@@ -1,5 +1,7 @@
 """Tests for DependencyTree and TreeNode."""
 
+import gc
+
 import pytest
 
 from repro.blocklist.matcher import FilterList
@@ -102,8 +104,40 @@ class TestMerging:
         node = tree.attach("https://cdn.com/lib.js", ResourceType.SCRIPT, parent_b, "raw2", 4)
         assert node.parent is parent_a
         assert tree.node_count == 3
-        assert node.raw_urls == {"raw1", "raw2"}
-        assert node.request_ids == [3, 4]
+        assert node.raw_urls == ("raw1", "raw2")
+        assert node.request_ids == (3, 4)
+
+    def test_merged_raw_urls_stay_sorted_and_distinct(self):
+        tree = DependencyTree(PAGE, "P", 1)
+        for request_id, raw in enumerate(["raw-c", "raw-a", "raw-c", "raw-b"]):
+            node = tree.attach(
+                "https://site.com/a.js", ResourceType.SCRIPT, tree.root, raw, request_id
+            )
+        assert node.raw_urls == ("raw-a", "raw-b", "raw-c")
+        assert node.request_ids == (0, 1, 2, 3)
+
+
+class TestCompactFields:
+    """A built node's raw URLs and request ids are tuples the cyclic
+    collector stops tracking, so it visits the node and nothing it holds."""
+
+    def test_built_dataset_nodes_hold_untracked_tuples(self, dataset):
+        gc.collect()
+        nodes = [
+            node
+            for entry in dataset
+            for tree in entry.comparison.tree_list()
+            for node in tree.nodes(include_root=True)
+        ]
+        assert nodes
+        merged = 0
+        for node in nodes:
+            assert type(node.raw_urls) is tuple and type(node.request_ids) is tuple
+            assert list(node.raw_urls) == sorted(set(node.raw_urls))
+            assert not gc.is_tracked(node.raw_urls), node.key
+            assert not gc.is_tracked(node.request_ids), node.key
+            merged += len(node.request_ids) > 1
+        assert merged  # the crawl has merged nodes, whose tuples were rebound
 
 
 class TestPartyAnnotation:
@@ -186,8 +220,10 @@ class TestTrackingAnnotation:
         for twin, node in zip(copy.nodes(include_root=True), tree.nodes(include_root=True)):
             assert copy.node(node.key) is twin
             assert twin is not node
-            assert twin.raw_urls is not node.raw_urls
-            assert twin.request_ids is not node.request_ids
+            # Shared, since neither field can be changed in place.
+            assert twin.raw_urls == node.raw_urls
+            assert twin.request_ids == node.request_ids
+            assert type(twin.raw_urls) is type(twin.request_ids) is tuple
 
     def test_node_host_and_site(self):
         tree = sample_tree()
@@ -196,26 +232,37 @@ class TestTrackingAnnotation:
         assert node.site == "trk.com"
 
 
+HOSTS = [
+    ("https://Site.com/a.js", "site.com"),
+    ("https://site.com", "site.com"),
+    ("https://site.com?q=1", "site.com"),
+    ("https://site.com#frag", "site.com"),
+    ("https://site.com:8443/a", "site.com"),
+    ("https://user:pw@site.com:8443/a", "site.com"),
+    ("http://[::1]:8080/a", "::1"),
+    ("http://[::1]/a", "::1"),
+    ("http://user@[2001:DB8::1]:80/", "2001:db8::1"),
+    ("http://[::1", ""),
+    ("http://[::1/a.js", ""),
+    ("https://u:p@[::1]:8080/x", "::1"),
+    ("HTTP://Example.COM:80/", "example.com"),
+    ("not a url", ""),
+    ("", ""),
+]
+
+
 class TestHostOf:
-    @pytest.mark.parametrize(
-        "url,host",
-        [
-            ("https://Site.com/a.js", "site.com"),
-            ("https://site.com", "site.com"),
-            ("https://site.com?q=1", "site.com"),
-            ("https://site.com#frag", "site.com"),
-            ("https://site.com:8443/a", "site.com"),
-            ("https://user:pw@site.com:8443/a", "site.com"),
-            ("http://[::1]:8080/a", "::1"),
-            ("http://[::1]/a", "::1"),
-            ("http://user@[2001:DB8::1]:80/", "2001:db8::1"),
-            ("http://[::1", ""),
-            ("not a url", ""),
-            ("", ""),
-        ],
-    )
+    @pytest.mark.parametrize("url,host", HOSTS)
     def test_host_of(self, url, host):
         assert host_of(url) == host
+
+    def test_cold_and_warm_agree(self):
+        urls = [url for url, _ in HOSTS]
+        host_of.cache_clear()
+        cold = [host_of(url) for url in urls]
+        warm = [host_of(url) for url in urls]
+        assert cold == warm == [host for _, host in HOSTS]
+        assert host_of.cache_info().hits >= len(urls)
 
     def test_node_host_uses_the_same_parser(self):
         tree = DependencyTree("http://[::1]:8080/", "P", 1)
