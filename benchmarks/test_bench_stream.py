@@ -22,6 +22,7 @@ from repro.crawler import Commander, MeasurementStore, sample_paper_buckets
 from repro.obs.profile import peak_rss_kb
 from repro.pipeline import stream_crawl
 from repro.web import WebGenerator
+from tests.helpers import dataset_fingerprint
 
 from .conftest import emit
 
@@ -43,19 +44,6 @@ def _rows(store, table):
     return store._conn.execute(
         f"SELECT rowid, * FROM {table} ORDER BY rowid"
     ).fetchall()
-
-
-def _fingerprint(dataset):
-    return [
-        (
-            entry.site,
-            entry.site_rank,
-            entry.page_url,
-            entry.comparison.profiles,
-            tuple((node.key, node.views) for node in entry.comparison.nodes()),
-        )
-        for entry in dataset.entries
-    ]
 
 
 def _batch():
@@ -95,7 +83,7 @@ def test_bench_stream_pipeline():
 
     for table in TABLES:
         assert _rows(batch_store, table) == _rows(stream_store, table), table
-    assert _fingerprint(batch_dataset) == _fingerprint(stream_dataset)
+    assert dataset_fingerprint(batch_dataset) == dataset_fingerprint(stream_dataset)
 
     visits_per_sec = stats.visits / stream_seconds if stream_seconds else 0.0
     ratio = stream_seconds / batch_seconds if batch_seconds else 0.0

@@ -18,7 +18,7 @@ from .categories import (
 )
 from .children import ChildCountStats, ChildrenAnalyzer, DepthSimilarityPoint
 from .comparability import ComparabilityReport, StudyComparator, StudySummary
-from .comparison import NodeComparison, NodeView, PageComparison
+from .comparison import NodeComparison, PageComparison
 from .cookies_analysis import CookieAnalyzer, CookieReport
 from .dataset import AnalysisDataset, PageEntry, StreamingDataset
 from .depth import DepthAnalyzer, DepthSimilarityRow, TABLE3_FILTERS
@@ -84,7 +84,6 @@ __all__ = [
     "HorizontalResult",
     "MEDIUM_THRESHOLD",
     "NodeComparison",
-    "NodeView",
     "PageComparison",
     "PageEntry",
     "StreamingDataset",

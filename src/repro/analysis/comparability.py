@@ -91,7 +91,7 @@ class StudyComparator:
                 if node.is_tracking:
                     tracking_nodes += 1
                     page_tracker_count += 1
-                    site = _site_of_key(node.key)
+                    site = node.any_view.site
                     if site:
                         tracker_domains[site] += 1
             trackers_per_site[entry.site].append(page_tracker_count)
@@ -144,17 +144,3 @@ class StudyComparator:
         return self.compare(
             self.summarize(name_a, dataset_a), self.summarize(name_b, dataset_b)
         )
-
-
-def _site_of_key(key: str) -> Optional[str]:
-    from ..web import psl
-
-    scheme_sep = key.find("://")
-    if scheme_sep < 0:
-        return None
-    host = key[scheme_sep + 3 :]
-    for stop in ("/", "?", "#"):
-        index = host.find(stop)
-        if index >= 0:
-            host = host[:index]
-    return psl.registrable_domain(host)

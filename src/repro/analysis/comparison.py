@@ -1,73 +1,44 @@
 """Cross-tree comparison of one page: the workhorse data structure.
 
 :class:`PageComparison` aligns the five per-profile trees of a page by
-node key and precomputes, for every node, the per-profile view (depth,
-parent, children, type, party, tracking).  All higher-level analyses —
-horizontal, vertical, depth, per-type, per-party — are expressed against
-this structure, so the expensive alignment happens once per page, each
-node's measures once per node, and a re-classification under another
-filter list shares both.
+node key: an aligned node's per-profile views are the trees' own
+:class:`~repro.trees.node.TreeNode` objects (depth, parent, children,
+type, party, tracking).  All higher-level analyses — horizontal, vertical,
+depth, per-type, per-party — are expressed against this structure, so
+the alignment happens once per page and each node's measures once per
+node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
-from ..blocklist.matcher import FilterList
 from ..errors import AnalysisError
+from ..trees.node import TreeNode
 from ..trees.tree import DependencyTree
 from ..web.resources import ResourceType
 from .jaccard import jaccard, pairwise_mean_jaccard
-
-#: The ``children`` of every leaf view: one shared empty set, not one each.
-_NO_CHILDREN: FrozenSet[str] = frozenset()
-
-
-@dataclass(frozen=True)
-class NodeView:
-    """One tree's view of a node.
-
-    A leaf's ``children`` is the shared empty :data:`_NO_CHILDREN`.
-    """
-
-    depth: int
-    parent_key: Optional[str]
-    children: FrozenSet[str]
-    resource_type: ResourceType
-    is_third_party: bool
-    is_tracking: bool
-    chain: Tuple[str, ...]
-    during_interaction: bool
-
-    @property
-    def can_load_children(self) -> bool:
-        return self.resource_type.can_load_children
-
-    @property
-    def child_count(self) -> int:
-        return len(self.children)
 
 
 @dataclass(frozen=True)
 class NodeComparison:
     """A node's views across all profiles (``None`` where absent).
 
-    Every measure is a pure function of :attr:`views`, which never change
-    once the node is built, so each is computed on first use and kept on
-    the object (``functools.cached_property`` writes the instance
-    ``__dict__``, which a frozen dataclass leaves writable).  A
-    re-classified dataset shares a node's measures exactly where it
-    shares the node object; a node whose flags change is a new object
-    and starts cold.
+    A view is the profile's tree's own node, in profile order.  Every
+    measure is a pure function of :attr:`views`, and nothing writes to a
+    tree once its page is aligned (the tracking flags are set when the
+    tree is built), so each is computed on first use and kept on the
+    object (``functools.cached_property`` writes the instance
+    ``__dict__``, which a frozen dataclass leaves writable).
     """
 
     key: str
-    views: Tuple[Optional[NodeView], ...]
+    views: Tuple[Optional[TreeNode], ...]
 
     @cached_property
-    def _present(self) -> Tuple[NodeView, ...]:
+    def _present(self) -> Tuple[TreeNode, ...]:
         return tuple(view for view in self.views if view is not None)
 
     # -- presence ------------------------------------------------------------
@@ -80,18 +51,14 @@ class NodeComparison:
     def in_all_profiles(self) -> bool:
         return self.presence_count == len(self.views)
 
-    @property
-    def in_one_profile(self) -> bool:
-        return self.presence_count == 1
-
-    def present_views(self) -> List[NodeView]:
+    def present_views(self) -> List[TreeNode]:
         """The views of the trees that contain the node (a fresh list)."""
         return list(self._present)
 
     # -- representative attributes -------------------------------------------
 
     @property
-    def any_view(self) -> NodeView:
+    def any_view(self) -> TreeNode:
         if not self._present:
             raise AnalysisError(f"node {self.key!r} has no views")
         return self._present[0]
@@ -144,7 +111,7 @@ class NodeComparison:
 
     @cached_property
     def _child_similarity(self) -> float:
-        return pairwise_mean_jaccard([view.children for view in self._present])
+        return pairwise_mean_jaccard([view.child_keys() for view in self._present])
 
     def parent_similarity(self) -> float:
         """Pairwise-mean Jaccard of the node's parent across *all* trees.
@@ -161,8 +128,7 @@ class NodeComparison:
     @cached_property
     def _parent_similarity(self) -> float:
         parent_sets = [
-            frozenset([view.parent_key]) if view is not None and view.parent_key is not None
-            else frozenset()
+            frozenset() if view is None or view.is_root else frozenset([view.parent_key()])
             for view in self.views
         ]
         values = []
@@ -175,22 +141,14 @@ class NodeComparison:
             return 1.0
         return sum(values) / len(values)
 
-    def parent_similarity_present_only(self) -> float:
-        """Parent similarity restricted to trees containing the node."""
-        parent_sets = [
-            frozenset([view.parent_key]) if view.parent_key is not None else frozenset()
-            for view in self._present
-        ]
-        return pairwise_mean_jaccard(parent_sets)
-
     def same_parent_everywhere(self) -> bool:
-        parents = {view.parent_key for view in self._present}
+        parents = {view.parent_key() for view in self._present}
         return len(parents) == 1
 
     # -- dependency chains -------------------------------------------------------
 
     def chains(self) -> List[Tuple[str, ...]]:
-        return [view.chain for view in self._present]
+        return [view.chain() for view in self._present]
 
     def same_chain_everywhere(self) -> bool:
         """Identical dependency chain in every tree containing the node."""
@@ -204,96 +162,30 @@ class NodeComparison:
 
 
 class PageComparison:
-    """All five trees of one page, aligned by node key.
-
-    A comparison built from trees aligns them at once.  One made by
-    :meth:`reclassified` shares its source's alignment and copies the
-    source's trees only when :attr:`trees` is first read (directly, or
-    through :meth:`tree_list` and the tree-reading measures); analyses
-    that read only nodes never make the copies.
-    """
+    """All five trees of one page, aligned by node key."""
 
     def __init__(self, trees: Mapping[str, DependencyTree]) -> None:
         if not trees:
             raise AnalysisError("PageComparison needs at least one tree")
         self.profiles: Tuple[str, ...] = tuple(sorted(trees))
-        # Shadows the ``trees`` property: a built comparison holds its trees.
-        self.trees = {name: trees[name] for name in self.profiles}
+        self.trees: Dict[str, DependencyTree] = {
+            name: trees[name] for name in self.profiles
+        }
         pages = {tree.page_url for tree in self.trees.values()}
         if len(pages) != 1:
             raise AnalysisError(f"trees belong to different pages: {sorted(pages)}")
         self.page_url = next(iter(pages))
         self._nodes: Dict[str, NodeComparison] = self._align()
 
-    @cached_property
-    def trees(self) -> Dict[str, DependencyTree]:
-        """Profile → tree; a re-classified comparison copies them here."""
-        source, tracked = self._source
-        return {
-            profile: source[profile].reclassified(keys)
-            for profile, keys in zip(self.profiles, tracked)
-        }
-
-    def reclassified(self, filter_list: FilterList) -> "PageComparison":
-        """This page, with tracking classified by ``filter_list``.
-
-        Each tree is asked once for the keys the list blocks; nothing is
-        aligned again.  A node whose every view keeps its flag is this
-        comparison's own :class:`NodeComparison`, with the measures it has
-        already computed; where a flag changes, the new node's changed
-        views are copies that differ only in ``is_tracking`` and its other
-        views are this node's, and its measures start cold.  The trees
-        are copied, from those keys, when the copy's :attr:`trees` is
-        first read.  This comparison is left as it was.
-        """
-        trees = self.trees
-        tracked = [trees[profile].tracking_keys(filter_list) for profile in self.profiles]
-        nodes: Dict[str, NodeComparison] = {}
-        for key, node in self._nodes.items():
-            flags = [key in keys for keys in tracked]
-            if all(
-                view is None or view.is_tracking == flag
-                for view, flag in zip(node.views, flags)
-            ):
-                nodes[key] = node
-                continue
-            nodes[key] = NodeComparison(
-                key=key,
-                views=tuple(
-                    view
-                    if view is None or view.is_tracking == flag
-                    else replace(view, is_tracking=flag)
-                    for view, flag in zip(node.views, flags)
-                ),
-            )
-        copy = PageComparison.__new__(PageComparison)
-        copy.profiles = self.profiles
-        copy.page_url = self.page_url
-        copy._nodes = nodes
-        copy._source = (trees, tracked)
-        return copy
-
     # -- alignment -----------------------------------------------------------
 
     def _align(self) -> Dict[str, NodeComparison]:
-        views_by_key: Dict[str, List[Optional[NodeView]]] = {}
+        views_by_key: Dict[str, List[Optional[TreeNode]]] = {}
         profile_count = len(self.profiles)
         for index, profile in enumerate(self.profiles):
-            tree = self.trees[profile]
-            for node in tree.nodes():
+            for node in self.trees[profile].nodes():
                 slot = views_by_key.setdefault(node.key, [None] * profile_count)
-                slot[index] = NodeView(
-                    depth=node.depth,
-                    parent_key=node.parent_key(),
-                    children=(
-                        _NO_CHILDREN if node.is_leaf else frozenset(node.child_keys())
-                    ),
-                    resource_type=node.resource_type,
-                    is_third_party=node.is_third_party,
-                    is_tracking=node.is_tracking,
-                    chain=node.chain(),
-                    during_interaction=node.during_interaction,
-                )
+                slot[index] = node
         return {
             key: NodeComparison(key=key, views=tuple(views))
             for key, views in views_by_key.items()

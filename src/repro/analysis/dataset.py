@@ -8,7 +8,7 @@ objects (pages crawled successfully by all profiles) plus site metadata
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 from ..blocklist.matcher import FilterList
@@ -45,13 +45,15 @@ class PageEntry:
 class AnalysisDataset:
     """All comparable pages of one measurement run.
 
-    A built dataset is never mutated: experiments share it, so a
-    different classification is a new dataset (:meth:`reclassified`)
-    that shares this one's alignment and never writes to it.  A
-    dataset built from a store also keeps two facts about that build:
-    ``normalization``, the URL normalizer's counts over every tree built
-    (``None`` for :meth:`from_tree_sets`), and ``include_partial``,
-    whether salvaged partial visits could stand in for successes.
+    A built dataset is never mutated: experiments share it.  Its tracking
+    flags are classified once, by the filter list it was built with; an
+    analysis under another list asks the trees for that list's
+    :meth:`~repro.trees.tree.DependencyTree.tracking_keys`, which write
+    nothing.  A dataset built from a store also keeps two facts about
+    that build: ``normalization``, the URL normalizer's counts over every
+    tree built (``None`` for :meth:`from_tree_sets`), and
+    ``include_partial``, whether salvaged partial visits could stand in
+    for successes.
     """
 
     def __init__(
@@ -113,25 +115,6 @@ class AnalysisDataset:
             rank = (site_ranks or {}).get(site, 1)
             entries.append(PageEntry(comparison=comparison, site=site, site_rank=rank))
         return cls(entries, profiles)
-
-    def reclassified(self, filter_list: FilterList) -> "AnalysisDataset":
-        """The same pages, with tracking classified by ``filter_list``.
-
-        Each page is :meth:`PageComparison.reclassified`: it shares this
-        dataset's alignment and node comparisons wherever the list leaves
-        the flags as they were, and copies its trees only when they are
-        read.  Sites, ranks, profiles and the build facts carry over;
-        this dataset is left exactly as it was.
-        """
-        return AnalysisDataset(
-            [
-                replace(entry, comparison=entry.comparison.reclassified(filter_list))
-                for entry in self.entries
-            ],
-            self.profiles,
-            normalization=self.normalization,
-            include_partial=self.include_partial,
-        )
 
     # -- access --------------------------------------------------------------
 

@@ -142,7 +142,7 @@ class HorizontalAnalyzer:
         """Children of ``node`` that occur in at least two trees."""
         counts: dict = {}
         for view in node.present_views():
-            for child_key in view.children:
+            for child_key in view.child_keys():
                 counts[child_key] = counts.get(child_key, 0) + 1
         return {key for key, count in counts.items() if count >= 2}
 

@@ -114,11 +114,11 @@ class ProfileAnalyzer:
                 if ref_view is None or other_view is None:
                     continue
                 party = "tp" if node.is_third_party else "fp"
-                child_j = jaccard(ref_view.children, other_view.children)
+                child_j = jaccard(ref_view.child_keys(), other_view.child_keys())
                 if ref_view.child_count > 0 or other_view.child_count > 0:
                     _tally(shares[(party, "children")], child_j)
                     child_sims.append(child_j)
-                parent_j = 1.0 if ref_view.parent_key == other_view.parent_key else 0.0
+                parent_j = 1.0 if ref_view.parent_key() == other_view.parent_key() else 0.0
                 _tally(shares[(party, "parent")], parent_j)
                 if min(ref_view.depth, other_view.depth) >= 2:
                     parent_sims.append(parent_j)

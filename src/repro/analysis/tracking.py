@@ -73,10 +73,10 @@ class TrackingAnalyzer:
                     depth_counts[min(node.min_depth, combine_depth_after)] += 1
                     self._classify_parents(comparison, node, parent_types)
                     for view in node.present_views():
-                        if view.parent_key is None:
+                        if view.is_root:
                             continue
                         tracker_parent_total += 1
-                        parent = comparison.node(view.parent_key)
+                        parent = comparison.node(view.parent_key())
                         if parent is None:
                             continue  # the visited page: first party, not a tracker
                         if parent.is_tracking:
@@ -129,9 +129,9 @@ class TrackingAnalyzer:
     @staticmethod
     def _classify_parents(comparison, node, parent_types: Dict[str, int]) -> None:
         for view in node.present_views():
-            if view.parent_key is None:
+            if view.is_root:
                 continue
-            parent = comparison.node(view.parent_key)
+            parent = comparison.node(view.parent_key())
             if parent is None:
                 parent_types["mainframe"] += 1
                 continue

@@ -71,7 +71,7 @@ class UniqueNodeAnalyzer:
                 if node.min_depth == 1:
                     depth_one += 1
                 type_counts[node.resource_type] += 1
-                site = _site_of_key(node.key)
+                site = node.any_view.site
                 if site is not None:
                     site_counts[site] += 1
             for tree in comparison.tree_list():
@@ -100,17 +100,3 @@ class UniqueNodeAnalyzer:
             top_hosting_sites=top_hosts,
             mean_unique_share_per_tree=safe_mean(per_tree_unique),
         )
-
-
-def _site_of_key(key: str) -> str:
-    from ..web import psl
-
-    scheme_sep = key.find("://")
-    if scheme_sep < 0:
-        return None  # type: ignore[return-value]
-    host = key[scheme_sep + 3 :]
-    for stop in ("/", "?", "#"):
-        index = host.find(stop)
-        if index >= 0:
-            host = host[:index]
-    return psl.registrable_domain(host)

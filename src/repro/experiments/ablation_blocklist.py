@@ -3,13 +3,16 @@
 The paper classifies tracking with EasyList alone and discusses the
 limitation: the list is crowd-sourced, incomplete, and combining lists
 (e.g. EasyPrivacy) changes what counts as a tracker.  This ablation
-re-classifies the same trees under four list configurations and reports
+classifies the same trees under four list configurations and reports
 how the headline tracking statistics move:
 
 * the full synthetic EasyList (the main pipeline's classifier),
 * its domain-anchored rules only (no generic path patterns),
 * its generic patterns only,
 * EasyList + the EasyPrivacy-style companion list.
+
+The dataset is classified once, when it is built; each list here is
+read as the keys it blocks in the built trees, which writes nothing.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from ..analysis import AnalysisDataset, TrackingAnalyzer
+from ..analysis import AnalysisDataset
 from ..blocklist import FilterList, build_combined_list, generate_easylist
 from ..blocklist.parser import parse_filter_list
 from ..reporting import percent, render_table
+from ..stats.descriptive import ratio, safe_mean
 from .runner import ExperimentContext
 
 
@@ -53,37 +57,44 @@ def _variants(ctx: ExperimentContext) -> Dict[str, FilterList]:
 
 
 def _point(name: str, filter_list: FilterList, dataset: AnalysisDataset) -> ListPoint:
-    report = TrackingAnalyzer().analyze(dataset)
-    child_sim = (
-        report.child_similarity_tracking.mean
-        if report.child_similarity_tracking is not None
-        else 0.0
-    )
+    """The tracking share and tracking child similarity under ``filter_list``.
+
+    A page's tracking nodes are the union of what its trees'
+    :meth:`~repro.trees.tree.DependencyTree.tracking_keys` give: exactly
+    the nodes a dataset built under the list would flag.  The child
+    similarities are those of the tracking nodes with children, in the
+    order ``TrackingAnalyzer`` averages them.  ``dataset`` is only read.
+    """
+    nodes = tracking = 0
+    child_similarities: List[float] = []
+    for comparison in dataset.comparisons():
+        keys = frozenset().union(
+            *(tree.tracking_keys(filter_list) for tree in comparison.tree_list())
+        )
+        nodes += len(comparison)
+        tracking += len(keys)
+        child_similarities.extend(
+            node.child_similarity()
+            for node in comparison.nodes()
+            if node.key in keys and node.has_children
+        )
     return ListPoint(
         name=name,
         filter_count=len(filter_list),
-        tracking_share=report.tracking_node_share,
-        tracking_child_similarity=child_sim,
+        tracking_share=ratio(tracking, nodes),
+        tracking_child_similarity=safe_mean(child_similarities),
     )
 
 
 def run(ctx: ExperimentContext) -> BlocklistAblationResult:
-    """Analyse ``ctx.dataset`` under each list configuration.
+    """Classify ``ctx.dataset``'s trees under each list configuration.
 
-    The paper's list classified ``ctx.dataset`` itself; each other list
-    gets a re-classified dataset, made, analysed and dropped in turn.
-    It shares ``ctx.dataset``'s alignment, and the tracking analysis
-    reads only nodes, so no tree is copied.
+    Each list, the paper's too, is read as key sets over the dataset's
+    own trees, so no tree is built and no page aligned.
     """
     return BlocklistAblationResult(
         points=[
-            _point(
-                name,
-                filter_list,
-                ctx.dataset
-                if filter_list is ctx.filter_list
-                else ctx.dataset.reclassified(filter_list),
-            )
+            _point(name, filter_list, ctx.dataset)
             for name, filter_list in _variants(ctx).items()
         ]
     )

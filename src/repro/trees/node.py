@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, Iterator, KeysView, Optional, Tuple
 
 from ..web import psl
 from ..web.resources import ResourceType, parse_resource_type
@@ -67,8 +67,13 @@ class TreeNode:
     def children(self) -> Tuple["TreeNode", ...]:
         return tuple(self._children.values())
 
-    def child_keys(self) -> Set[str]:
-        return set(self._children)
+    def child_keys(self) -> KeysView[str]:
+        """The children's keys: a live view of the child map, not a copy."""
+        return self._children.keys()
+
+    @property
+    def child_count(self) -> int:
+        return len(self._children)
 
     def child(self, key: str) -> Optional["TreeNode"]:
         return self._children.get(key)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import islice
-from typing import AbstractSet, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..blocklist.matcher import FilterList
 from ..web import psl
@@ -22,7 +22,7 @@ class DependencyTree:
 
     Nodes are only ever added, through :meth:`attach`, which keeps the
     maximum depth current and drops the memoized preorder of
-    :meth:`nodes`; :meth:`reclassified` copies a whole tree at once.
+    :meth:`nodes`.
     """
 
     def __init__(self, page_url: str, profile_name: str, visit_id: int) -> None:
@@ -117,13 +117,6 @@ class DependencyTree:
             counts[node.depth] += 1
         return max(counts.values(), default=0)
 
-    def depth_histogram(self) -> Dict[int, int]:
-        """Number of nodes per depth (excluding the root)."""
-        counts: Dict[int, int] = defaultdict(int)
-        for node in self.nodes():
-            counts[node.depth] += 1
-        return dict(counts)
-
     def branches(self) -> List[Tuple[str, ...]]:
         """All root-to-leaf dependency chains."""
         return [node.chain() for node in self.nodes() if node.is_leaf]
@@ -157,60 +150,13 @@ class DependencyTree:
             node.is_tracking = node.key in keys
         return len(keys)
 
-    def reclassified(self, tracking_keys: AbstractSet[str]) -> "DependencyTree":
-        """A structural copy of this tree whose tracking nodes are
-        ``tracking_keys`` (:meth:`tracking_keys` of another list).
-
-        The copy keeps every key, parent, child order, raw URL, request
-        id, party and interaction flag, and the maximum depth; only
-        ``is_tracking`` is set anew.  Each twin shares its node's
-        ``raw_urls`` and ``request_ids`` tuples, which nothing can
-        change.  This tree is never written to: datasets that share it
-        keep their classification.
-        """
-        copy = DependencyTree(self.page_url, self.profile_name, self.visit_id)
-        twins = copy._nodes
-        preorder = [copy.root]
-        for node in self.nodes(include_root=True):
-            if node.parent is None:
-                twin = copy.root
-            else:
-                parent = twins[node.parent.key]
-                twin = TreeNode(
-                    key=node.key,
-                    resource_type=node.resource_type,
-                    parent=parent,
-                    is_third_party=node.is_third_party,
-                )
-                twin.is_tracking = node.key in tracking_keys
-                twins[node.key] = twin
-                parent.add_child(twin)
-                preorder.append(twin)
-            twin.raw_urls = node.raw_urls
-            twin.request_ids = node.request_ids
-            twin.during_interaction = node.during_interaction
-        copy._max_depth = self._max_depth
-        copy._preorder = tuple(preorder)
-        return copy
-
     # -- statistics helpers --------------------------------------------------
-
-    def first_party_nodes(self) -> List[TreeNode]:
-        return [node for node in self.nodes() if not node.is_third_party]
 
     def third_party_nodes(self) -> List[TreeNode]:
         return [node for node in self.nodes() if node.is_third_party]
 
     def tracking_nodes(self) -> List[TreeNode]:
         return [node for node in self.nodes() if node.is_tracking]
-
-    def third_party_sites(self) -> Set[str]:
-        """Distinct third-party eTLD+1s present in the tree."""
-        return {
-            node.site
-            for node in self.third_party_nodes()
-            if node.site is not None
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

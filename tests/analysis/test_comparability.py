@@ -39,6 +39,15 @@ class TestSummarize:
         summary = comparator.summarize("s", dataset_with_trackers())
         assert all(value == 1.0 for value in summary.trackers_per_site.values())
 
+    def test_tracker_site_drops_the_port(self):
+        key = "https://cdn.tracker.com:8443/t.js"
+        trees = make_tree_set("https://site.com/", {"A": {key: None}})
+        trees["A"].node(key).is_tracking = True
+        summary = StudyComparator().summarize(
+            "s", AnalysisDataset.from_tree_sets([trees])
+        )
+        assert summary.top_trackers == ("tracker.com",)
+
     def test_top_k_limit(self):
         with pytest.raises(ValueError):
             StudyComparator(top_k=0)

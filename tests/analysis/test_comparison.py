@@ -3,9 +3,10 @@
 import pytest
 
 from repro.analysis import TrackingAnalyzer, comparison as comparison_module
-from repro.analysis.comparison import NodeComparison, NodeView, PageComparison
+from repro.analysis.comparison import NodeComparison, PageComparison
 from repro.analysis.dataset import AnalysisDataset
 from repro.errors import AnalysisError
+from repro.trees.node import TreeNode
 
 from ..helpers import make_tree, make_tree_set, node_measures
 
@@ -66,17 +67,17 @@ class TestAlignment:
     def test_in_all_and_in_one(self, comparison):
         assert comparison.node("https://site.com/a.js").in_all_profiles
         assert not comparison.node("https://site.com/e.js").in_all_profiles
-        assert not comparison.node("https://site.com/e.js").in_one_profile
 
-    def test_leaf_views_share_one_empty_child_set(self, dataset):
-        views = [
-            view
-            for node in dataset.iter_nodes()
-            for view in node.present_views()
-            if not view.children
-        ]
-        assert views
-        assert len({id(view.children) for view in views}) == 1
+    def test_views_are_the_trees_own_nodes(self, dataset):
+        absent = 0
+        for entry in dataset:
+            comparison = entry.comparison
+            for node in comparison.nodes():
+                assert len(node.views) == len(comparison.profiles)
+                for profile, view in zip(comparison.profiles, node.views):
+                    assert view is comparison.trees[profile].node(node.key)
+                    absent += view is None
+        assert absent  # some nodes are missing from some trees
 
     def test_mismatched_pages_rejected(self):
         trees = make_tree_set(PAGE, {"A": {}})
@@ -131,10 +132,6 @@ class TestNodeMeasures:
         y = comparison.node("https://site.com/y.png")
         assert not y.same_chain_everywhere()
         assert y.unique_chain_count() == 1  # the short T3 chain is unique
-
-    def test_parent_similarity_present_only(self, comparison):
-        node = comparison.node("https://site.com/e.js")
-        assert node.parent_similarity_present_only() == 1.0
 
 
 class TestPageMeasures:
@@ -193,13 +190,13 @@ class TestMemo:
     def test_second_analysis_reads_no_child_count(self, store, filter_list, monkeypatch):
         dataset = AnalysisDataset.from_store(store, filter_list=filter_list)
         reads = [0]
-        child_count = NodeView.child_count.fget
+        child_count = TreeNode.child_count.fget
 
         def counted(view):
             reads[0] += 1
             return child_count(view)
 
-        monkeypatch.setattr(NodeView, "child_count", property(counted))
+        monkeypatch.setattr(TreeNode, "child_count", property(counted))
         first = TrackingAnalyzer().analyze(dataset)
         assert reads[0]
         reads[0] = 0

@@ -1,6 +1,5 @@
 """Tests for AnalysisDataset construction."""
 
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -12,11 +11,10 @@ from repro.browser.callstack import CallStack
 from repro.errors import AnalysisError
 from repro.experiments import ablation_blocklist
 from repro.trees import TreeBuilder, normalize
-from repro.trees.tree import DependencyTree
 from repro.web import psl
 from repro.web.resources import parse_resource_type
 
-from ..helpers import make_tree_set, node_measures
+from ..helpers import dataset_fingerprint, make_tree_set, node_measures
 
 
 class TestFromStore:
@@ -52,19 +50,6 @@ class TestFromStore:
             assert sites[entry.site] == entry.site_rank
 
 
-def _fingerprint(dataset):
-    return [
-        (
-            entry.site,
-            entry.site_rank,
-            entry.page_url,
-            entry.comparison.profiles,
-            tuple((node.key, node.views) for node in entry.comparison.nodes()),
-        )
-        for entry in dataset.entries
-    ]
-
-
 class TestWarmCaches:
     """The memos under tree building change no entry and no stat."""
 
@@ -93,8 +78,8 @@ class TestWarmCaches:
                 store, filter_list=build_filter_list(generator.ecosystem)
             ),
         ]
-        fingerprints = [_fingerprint(dataset) for dataset in builds]
-        assert fingerprints[0]
+        assert builds[0].entries
+        fingerprints = [dataset_fingerprint(dataset) for dataset in builds]
         assert fingerprints[1] == fingerprints[0]
         assert fingerprints[2] == fingerprints[0]
         stats = [(n.stats.total, n.stats.changed, n.stats.unparseable) for n in normalizers]
@@ -113,119 +98,57 @@ def _tree_flags(dataset):
     ]
 
 
-def _tracking_nodes(dataset):
-    return [
-        (tree.profile_name, [node.key for node in tree.tracking_nodes()])
-        for entry in dataset.entries
-        for tree in entry.comparison.tree_list()
-    ]
-
-
 class TestReclassified:
-    """Re-classifying a built dataset equals building it under that list."""
+    """Classifying a built dataset's trees under another list, as
+    ``ablation_blocklist`` does, equals building the dataset under it."""
 
     def test_equals_rebuild_and_leaves_source_untouched(
         self, store, generator, filter_list
     ):
         dataset = AnalysisDataset.from_store(store, filter_list=filter_list)
-        before = (_fingerprint(dataset), _tree_flags(dataset))
+        before = (
+            dataset_fingerprint(dataset),
+            _tree_flags(dataset),
+            [node_measures(node) for node in dataset.iter_nodes()],
+        )
         lists = ablation_blocklist._variants(
             SimpleNamespace(generator=generator, filter_list=filter_list)
         )
         assert len(lists) == 4
         shares = set()
         for name, other in lists.items():
-            copy = dataset.reclassified(other)
-            rebuilt = AnalysisDataset.from_store(store, filter_list=other)
-            assert _fingerprint(copy) == _fingerprint(rebuilt), name
-            assert _tracking_nodes(copy) == _tracking_nodes(rebuilt), name
-            assert copy.profiles == rebuilt.profiles
-            assert copy.normalization == rebuilt.normalization
-            shares.add(sum(len(keys) for _, keys in _tracking_nodes(copy)))
-        assert len(shares) > 1  # the lists really classify differently
-        assert (_fingerprint(dataset), _tree_flags(dataset)) == before
-
-    def test_shared_node_measures_hold_for_both_datasets(
-        self, store, generator, filter_list
-    ):
-        dataset = AnalysisDataset.from_store(store, filter_list=filter_list)
-        before = [node_measures(node) for node in dataset.iter_nodes()]
-        lists = ablation_blocklist._variants(
-            SimpleNamespace(generator=generator, filter_list=filter_list)
-        )
-        for name, other in lists.items():
-            copy = dataset.reclassified(other)
-            rebuilt = AnalysisDataset.from_store(store, filter_list=other)
-            assert TrackingAnalyzer().analyze(copy) == TrackingAnalyzer().analyze(
-                rebuilt
+            report = TrackingAnalyzer().analyze(
+                AnalysisDataset.from_store(store, filter_list=other)
+            )
+            child_similarity = report.child_similarity_tracking
+            assert ablation_blocklist._point(name, other, dataset) == (
+                ablation_blocklist.ListPoint(
+                    name=name,
+                    filter_count=len(other),
+                    tracking_share=report.tracking_node_share,
+                    tracking_child_similarity=(
+                        child_similarity.mean if child_similarity is not None else 0.0
+                    ),
+                )
             ), name
-            for node in copy.iter_nodes():
-                assert node.is_tracking == any(
-                    view.is_tracking for view in node.views if view is not None
-                ), name
-        assert [node_measures(node) for node in dataset.iter_nodes()] == before
+            shares.add(report.tracking_node_share)
+        assert len(shares) > 1  # the lists really classify differently
+        assert (
+            dataset_fingerprint(dataset),
+            _tree_flags(dataset),
+            [node_measures(node) for node in dataset.iter_nodes()],
+        ) == before
 
-    def test_child_measures_follow_the_views(self, store, generator, filter_list):
-        dataset = AnalysisDataset.from_store(store, filter_list=filter_list)
-        lists = ablation_blocklist._variants(
-            SimpleNamespace(generator=generator, filter_list=filter_list)
-        )
-        datasets = {"source": dataset}
-        datasets.update((name, dataset.reclassified(other)) for name, other in lists.items())
-        for name, data in datasets.items():
-            with_children = 0
-            for node in data.iter_nodes():
-                views = node.present_views()
-                assert node.has_children == any(
-                    view.child_count > 0 for view in views
-                ), name
-                assert node.mean_child_count == sum(
-                    view.child_count for view in views
-                ) / len(views), name
-                with_children += node.has_children
-            assert 0 < with_children < len(list(data.iter_nodes())), name
-
-    def test_tracking_analysis_shares_instead_of_copying(
-        self, store, generator, filter_list, monkeypatch
-    ):
-        dataset = AnalysisDataset.from_store(store, filter_list=filter_list)
-        copied = []
-        copy_tree = DependencyTree.reclassified
-
-        def spy(tree, *args, **kwargs):
-            copied.append(tree.visit_id)
-            return copy_tree(tree, *args, **kwargs)
-
-        monkeypatch.setattr(DependencyTree, "reclassified", spy)
-        lists = ablation_blocklist._variants(
-            SimpleNamespace(generator=generator, filter_list=filter_list)
-        )
-        shared = replaced = 0
-        for name, other in lists.items():
-            copy = dataset.reclassified(other)
-            TrackingAnalyzer().analyze(copy)
-            assert copied == [], name
-            for entry, source in zip(copy.entries, dataset.entries):
-                nodes, sources = entry.comparison.nodes(), source.comparison.nodes()
-                assert [node.key for node in nodes] == [node.key for node in sources]
-                for node, before in zip(nodes, sources):
-                    flags = [view and view.is_tracking for view in node.views]
-                    if flags == [view and view.is_tracking for view in before.views]:
-                        assert node is before, name
-                        shared += 1
-                        continue
-                    replaced += 1
-                    for view, old in zip(node.views, before.views):
-                        if view is None or view.is_tracking == old.is_tracking:
-                            assert view is old, name
-                        else:
-                            assert view is not old
-                            assert replace(view, is_tracking=old.is_tracking) == old
-        assert shared and replaced
-        # The copies are made on the first read of a page's trees.
-        copy = dataset.reclassified(lists["EasyList + EasyPrivacy"])
-        trees = copy.entries[0].comparison.trees
-        assert sorted(copied) == sorted(tree.visit_id for tree in trees.values())
+    def test_child_measures_follow_the_views(self, dataset):
+        with_children = 0
+        for node in dataset.iter_nodes():
+            views = node.present_views()
+            assert node.has_children == any(view.child_count > 0 for view in views)
+            assert node.mean_child_count == sum(
+                view.child_count for view in views
+            ) / len(views)
+            with_children += node.has_children
+        assert 0 < with_children < len(list(dataset.iter_nodes()))
 
     def test_normalization_counts_the_build(self, store, filter_list):
         dataset = AnalysisDataset.from_store(store, filter_list=filter_list)

@@ -47,6 +47,14 @@ class TestUniqueDetection:
         report = UniqueNodeAnalyzer().analyze(data)
         assert report.unique_nodes == 0
 
+    def test_hosting_site_drops_the_port(self):
+        trees = make_tree_set(
+            "https://site.com/",
+            {"A": {"https://cdn.tracker.com:8443/t.js": None}, "B": {}},
+        )
+        report = UniqueNodeAnalyzer().analyze(AnalysisDataset.from_tree_sets([trees]))
+        assert report.top_hosting_sites == [("tracker.com", 1.0)]
+
 
 class TestRealDatasetShapes:
     def test_paper_shapes(self, dataset):

@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from repro.analysis import AnalysisDataset, TrackingAnalyzer
+from repro.analysis import AnalysisDataset, PageComparison, TrackingAnalyzer
 from repro.blocklist import build_filter_list
 from repro.browser.profile import PAPER_PROFILES
 from repro.bundle import record_from_store
@@ -27,7 +27,6 @@ from repro.experiments import (
 )
 from repro.trees import TreeBuilder
 from repro.trees.normalize import UrlNormalizer
-from repro.trees.tree import DependencyTree
 from repro.web import WebGenerator
 
 
@@ -138,11 +137,15 @@ class TestBlocklistAblation:
         names = [point.name for point in result.points]
         assert names[0] == "EasyList (paper)"
 
-    def test_copies_no_tree(self, ctx, monkeypatch):
-        def copy_tree(tree, *args, **kwargs):
-            raise AssertionError(f"tree of visit {tree.visit_id} copied")
+    def test_builds_no_tree_and_aligns_no_page(self, ctx, monkeypatch):
+        def refuse(what):
+            def raiser(*args, **kwargs):
+                raise AssertionError(f"{what} called")
 
-        monkeypatch.setattr(DependencyTree, "reclassified", copy_tree)
+            return raiser
+
+        monkeypatch.setattr(TreeBuilder, "build", refuse("TreeBuilder.build"))
+        monkeypatch.setattr(PageComparison, "__init__", refuse("PageComparison"))
         assert len(ablation_blocklist.run(ctx).points) == 4
 
     def test_generic_only_weakest(self, ctx):

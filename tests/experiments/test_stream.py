@@ -25,6 +25,7 @@ from repro.obs import ObsContext, RunLedger
 from repro.pipeline import stream_crawl
 from repro.web import WebGenerator
 
+from ..helpers import dataset_fingerprint
 from ..test_golden import RECRAWLING_EXPERIMENTS
 
 RANKS = [1, 2, 3, 6001, 12000]
@@ -37,19 +38,6 @@ def table_dump(store):
         table: list(store.iter_table_rows(table))
         for table in MeasurementStore.table_names()
     }
-
-
-def dataset_fingerprint(dataset):
-    return [
-        (
-            entry.site,
-            entry.site_rank,
-            entry.page_url,
-            entry.comparison.profiles,
-            tuple((node.key, node.views) for node in entry.comparison.nodes()),
-        )
-        for entry in dataset.entries
-    ], list(dataset.profiles)
 
 
 def run_batch(workers):
@@ -161,7 +149,7 @@ class TestRenderedOutputsIndependentOfOrderAndLayout:
     context built at any worker count.
 
     Experiments share one dataset, so this pins that none of them sees
-    another's re-classification, and that the "URLs adjusted" line,
+    what another wrote to it, and that the "URLs adjusted" line,
     which reads the normalizer counts of the streamed fold, does not
     follow the shard layout.
     """

@@ -82,6 +82,43 @@ def make_tree_set(
     }
 
 
+def view_facts(view) -> Optional[tuple]:
+    """What an aligned node's view says, by value (``None`` where absent)."""
+    if view is None:
+        return None
+    return (
+        view.depth,
+        view.parent_key(),
+        tuple(sorted(view.child_keys())),
+        view.resource_type,
+        view.is_third_party,
+        view.is_tracking,
+        view.chain(),
+        view.during_interaction,
+    )
+
+
+def dataset_fingerprint(dataset) -> tuple:
+    """Every entry of ``dataset`` and each aligned node's views, by value.
+
+    A view is a tree's own node, which compares by identity, so two equal
+    builds are compared through :func:`view_facts`.
+    """
+    return [
+        (
+            entry.site,
+            entry.site_rank,
+            entry.page_url,
+            entry.comparison.profiles,
+            tuple(
+                (node.key, tuple(view_facts(view) for view in node.views))
+                for node in entry.comparison.nodes()
+            ),
+        )
+        for entry in dataset.entries
+    ], list(dataset.profiles)
+
+
 def node_measures(node) -> tuple:
     """Every memoized measure of an aligned node, read once."""
     return (

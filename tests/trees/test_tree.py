@@ -30,25 +30,6 @@ def sample_tree():
     )
 
 
-def node_facts(tree):
-    """Every node's structure and annotations, tracking flag last."""
-    return [
-        (
-            node.key,
-            node.parent_key(),
-            [child.key for child in node.children],
-            node.depth,
-            node.resource_type,
-            sorted(node.raw_urls),
-            list(node.request_ids),
-            node.is_third_party,
-            node.during_interaction,
-            node.is_tracking,
-        )
-        for node in tree.nodes(include_root=True)
-    ]
-
-
 class TestStructure:
     def test_node_count_excludes_root(self):
         assert sample_tree().node_count == 6
@@ -63,9 +44,6 @@ class TestStructure:
         tree = sample_tree()
         assert tree.max_depth == 2
         assert tree.breadth == 3  # three nodes at depth 1
-
-    def test_depth_histogram(self):
-        assert sample_tree().depth_histogram() == {1: 3, 2: 3}
 
     def test_nodes_at_depth(self):
         keys = sample_tree().keys_at_depth(1)
@@ -145,11 +123,7 @@ class TestPartyAnnotation:
         tree = sample_tree()
         assert not tree.node("https://site.com/a.js").is_third_party
         assert tree.node("https://trk.com/pixel.gif").is_third_party
-        assert len(tree.first_party_nodes()) == 3
         assert len(tree.third_party_nodes()) == 3
-
-    def test_third_party_sites(self):
-        assert sample_tree().third_party_sites() == {"trk.com", "ads.com"}
 
     def test_subdomain_is_first_party(self):
         tree = make_tree(PAGE, {"https://cdn.site.com/x.png": None})
@@ -175,55 +149,6 @@ class TestTrackingAnnotation:
         assert tree.tracking_nodes() == []
         assert tree.annotate_tracking(filter_list) == len(keys)
         assert {node.key for node in tree.tracking_nodes()} == keys
-
-    def test_reclassified_copies_and_leaves_source(self):
-        tree = sample_tree()
-        # A second raw URL merged into one node, and an interaction node.
-        tree.attach(
-            key="https://trk.com/pixel.gif",
-            resource_type=ResourceType.IMAGE,
-            parent=tree.root,
-            raw_url="https://trk.com/pixel.gif?id=7",
-            request_id=20,
-        )
-        tree.attach(
-            key="https://site.com/lazy.js",
-            resource_type=ResourceType.SCRIPT,
-            parent=tree.node("https://ads.com/frame.html"),
-            raw_url="https://site.com/lazy.js",
-            request_id=21,
-            during_interaction=True,
-        )
-        tree.annotate_tracking(FilterList.from_text("||ads.com^$image\n"))
-        before = node_facts(tree)
-
-        copy = tree.reclassified(
-            tree.tracking_keys(FilterList.from_text("||trk.com^\n"))
-        )
-
-        assert node_facts(tree) == before
-        assert [node.key for node in tree.tracking_nodes()] == [
-            "https://ads.com/creative.jpg"
-        ]
-        assert [node.key for node in copy.tracking_nodes()] == [
-            "https://trk.com/pixel.gif"
-        ]
-        assert [facts[:-1] for facts in node_facts(copy)] == [
-            facts[:-1] for facts in before
-        ]
-        assert (copy.page_url, copy.profile_name, copy.visit_id) == (
-            tree.page_url,
-            tree.profile_name,
-            tree.visit_id,
-        )
-        assert (copy.max_depth, copy.node_count) == (tree.max_depth, tree.node_count)
-        for twin, node in zip(copy.nodes(include_root=True), tree.nodes(include_root=True)):
-            assert copy.node(node.key) is twin
-            assert twin is not node
-            # Shared, since neither field can be changed in place.
-            assert twin.raw_urls == node.raw_urls
-            assert twin.request_ids == node.request_ids
-            assert type(twin.raw_urls) is type(twin.request_ids) is tuple
 
     def test_node_host_and_site(self):
         tree = sample_tree()
