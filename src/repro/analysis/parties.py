@@ -45,13 +45,6 @@ class PartyComparisonResult:
             return 0.0
         return (self.third_party.mean_children_per_node - fp) / fp
 
-    @property
-    def requests_increase(self) -> float:
-        fp = self.first_party.mean_requests_per_node
-        if fp == 0:
-            return 0.0
-        return (self.third_party.mean_requests_per_node - fp) / fp
-
 
 class PartyAnalyzer:
     """Computes the §4.3 first-/third-party breakdown."""

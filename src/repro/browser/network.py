@@ -32,10 +32,6 @@ class RequestRecord:
     redirect_from: Optional[int] = None
     during_interaction: bool = False
 
-    @property
-    def has_stack(self) -> bool:
-        return bool(self.call_stack)
-
 
 @dataclass(frozen=True)
 class ResponseRecord:

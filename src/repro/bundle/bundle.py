@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,6 +51,9 @@ _MANIFEST_NAME = "MANIFEST.json"
 _OBJECTS_DIR = "objects"
 _FILTER_LIST_MEMBER = "meta/filterlist.txt"
 _BLUEPRINT_MEMBER = "meta/blueprint.json"
+#: A member's digest names its object file, so it must be a bare
+#: SHA-256 hex string: anything else could open a path outside the bundle.
+_DIGEST_PATTERN = re.compile(r"[0-9a-f]{64}")
 
 PathLike = Union[str, Path]
 
@@ -165,7 +169,7 @@ class BundleMember:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "BundleMember":
         try:
-            return cls(
+            member = cls(
                 name=str(data["name"]),
                 digest=str(data["digest"]),
                 raw_size=int(data["raw_size"]),
@@ -173,6 +177,12 @@ class BundleMember:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise BundleError(f"malformed bundle member entry: {exc}") from exc
+        if not _DIGEST_PATTERN.fullmatch(member.digest):
+            raise BundleError(
+                f"malformed bundle member entry: digest {member.digest!r} of "
+                f"{member.name!r} is not a SHA-256 hex digest"
+            )
+        return member
 
 
 @dataclass(frozen=True)
@@ -225,6 +235,8 @@ class BundleManifest:
             document = json.loads(text)
         except ValueError as exc:
             raise BundleError(f"manifest is not valid JSON: {exc}") from exc
+        if not isinstance(document, dict):
+            raise BundleError("manifest is not a JSON object")
         found = document.get("format")
         if found != BUNDLE_FORMAT:
             raise BundleError(
@@ -361,9 +373,6 @@ class Bundle:
 
     def filter_list_text(self) -> str:
         return self.read_member(_FILTER_LIST_MEMBER).decode("utf-8")
-
-    def blueprint_summary(self) -> List[Dict[str, object]]:
-        return json.loads(self.read_member(_BLUEPRINT_MEMBER).decode("utf-8"))
 
     def verify(self) -> List[str]:
         """Integrity-check every member; returns the names that failed."""

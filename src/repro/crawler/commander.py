@@ -111,9 +111,6 @@ class CrawlSummary:
             profile, "timeout"
         )
 
-    def retry_count(self, profile: str) -> int:
-        return self.retries.get(profile, 0)
-
     def recovered_count(self, profile: str) -> int:
         return self.recovered.get(profile, 0)
 

@@ -1,8 +1,6 @@
 """Developer tooling for the ``repro`` package.
 
-Nothing in this subpackage participates in a measurement: it exists to
-*protect* the measurement code.  ``repro.devtools.lint`` is the static
-analysis pass for the determinism invariants no test run can vary, and
+Nothing in this subpackage participates in a measurement.
 :mod:`repro.devtools.clock` holds the one sanctioned wall-clock so that
 timing in CLI glue stays injectable and testable.
 """

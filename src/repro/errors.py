@@ -89,10 +89,6 @@ class ExperimentError(ReproError):
     """Raised when an experiment harness is misconfigured."""
 
 
-class LintError(ReproError):
-    """Raised when ``repro.devtools.lint`` is misused (bad rule id, path)."""
-
-
 class ObsError(ReproError):
     """Raised when the observability layer is misconfigured.
 

@@ -21,9 +21,10 @@ the same at any worker count, and the same for a live crawl and its
 recording — so the full alert stream is regression-testable, and
 the ledger's ``alerts`` section is compared byte-for-byte by
 ``repro-obs diff``.  Detector thresholds and alert names are literal
-module constants (lint rule OBS003), and detectors never write back into
-the metrics registry: the monitor observes telemetry, it must not
-perturb it.
+module constants, and detectors never write back into the metrics
+registry: the monitor observes telemetry, it must not perturb it, so a
+monitored crawl records the metrics an unmonitored one does (DESIGN §6,
+invariant 8).
 """
 
 from __future__ import annotations
@@ -116,8 +117,8 @@ class Detector:
     """Base detector: stateful event consumer emitting :class:`Alert`\\ s.
 
     Detectors may keep rolling windows and counters, but must not touch
-    the metrics registry or any other telemetry sink (OBS003): alerts
-    derive from the event stream, they never feed back into it.
+    the metrics registry or any other telemetry sink: alerts derive from
+    the event stream, they never feed back into it.
     """
 
     name = ""

@@ -9,12 +9,6 @@ from .builder import TreeBuilder, build_tree
 from .node import TreeNode, node_resource_type
 from .normalize import NormalizationStats, UrlNormalizer, normalize_url
 from .tree import DependencyTree
-from .treedist import (
-    depth_weighted_distance,
-    edit_distance,
-    hamming_distance,
-    similarity_from_distance,
-)
 
 __all__ = [
     "DependencyTree",
@@ -23,10 +17,6 @@ __all__ = [
     "TreeNode",
     "UrlNormalizer",
     "build_tree",
-    "depth_weighted_distance",
-    "edit_distance",
-    "hamming_distance",
-    "similarity_from_distance",
     "node_resource_type",
     "normalize_url",
 ]

@@ -113,10 +113,6 @@ class URL:
 
     # -- transformation ----------------------------------------------------
 
-    def with_query(self, pairs: QueryPairs) -> "URL":
-        """Return a copy with ``pairs`` as the full query."""
-        return replace(self, query=tuple(pairs))
-
     def with_param(self, key: str, value: str) -> "URL":
         """Return a copy with ``key=value`` appended to the query."""
         return replace(self, query=self.query + ((key, value),))

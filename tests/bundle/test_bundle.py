@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import shutil
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +187,51 @@ class TestReplay:
         assert ctx.config.seed == 99
 
 
+class _Listing:
+    """A stand-in for what ``os.scandir`` returns: an iterator that is
+    also a context manager."""
+
+    def __init__(self, entries):
+        self._entries = iter(entries)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return next(self._entries)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        pass
+
+    def close(self):
+        pass
+
+
+def _sort_listings(monkeypatch, reverse):
+    """Make every directory listing come back sorted by name.
+
+    Filesystems list a directory in their own order, so a report that
+    follows the listing differs between machines; sorting ascending, then
+    descending, stands in for two of them.
+    """
+    listdir, scandir, iterdir = os.listdir, os.scandir, Path.iterdir
+
+    def sorted_scandir(path="."):
+        with scandir(path) as entries:
+            return _Listing(sorted(entries, key=lambda e: e.name, reverse=reverse))
+
+    monkeypatch.setattr(
+        os, "listdir", lambda path=".": sorted(listdir(path), reverse=reverse)
+    )
+    monkeypatch.setattr(os, "scandir", sorted_scandir)
+    monkeypatch.setattr(
+        Path, "iterdir", lambda self: iter(sorted(iterdir(self), reverse=reverse))
+    )
+
+
 class TestIntegrity:
     def corrupted_copy(self, bundle_dir, tmp_path, mutate):
         root = tmp_path / "corrupt"
@@ -223,6 +270,28 @@ class TestIntegrity:
         with pytest.raises(BundleError, match="missing"):
             bundle.read_member("tables/visits.json")
 
+    @pytest.mark.parametrize("reverse", [False, True], ids=["ascending", "descending"])
+    def test_verify_reports_in_manifest_order_under_any_listing(
+        self, bundle_dir, tmp_path, monkeypatch, capsys, reverse
+    ):
+        """DESIGN §6, invariant 3: ``verify`` names corrupt members in
+        manifest order, whatever order the filesystem lists objects in."""
+        root = tmp_path / "two-corrupt"
+        shutil.copytree(bundle_dir, root)
+        bundle = Bundle.open(root)
+        corrupt = ["tables/http_requests.json", "tables/visits.json"]  # manifest order
+        digests = {bundle.manifest.member(name).digest for name in corrupt}
+        # Two objects, each of one member only.
+        assert len(digests) == 2
+        assert [m.name for m in bundle.manifest.members if m.digest in digests] == corrupt
+        for digest in digests:
+            (root / "objects" / digest).write_bytes(zlib.compress(b"not the rows"))
+        with monkeypatch.context() as patch:
+            _sort_listings(patch, reverse)
+            assert Bundle.open(root).verify() == corrupt
+            assert bundle_main(["verify", str(root)]) == 1
+        assert capsys.readouterr().out == f"corrupt members: {', '.join(corrupt)}\n"
+
     def test_open_without_manifest(self, tmp_path):
         with pytest.raises(BundleError, match="no bundle manifest"):
             Bundle.open(tmp_path / "nowhere")
@@ -234,6 +303,26 @@ class TestIntegrity:
         manifest["format"] = "repro-bundle/999"
         (root / "MANIFEST.json").write_text(json.dumps(manifest))
         with pytest.raises(BundleError, match="unsupported bundle format"):
+            Bundle.open(root)
+
+    def test_manifest_that_is_not_an_object(self, bundle_dir, tmp_path, capsys):
+        root = tmp_path / "notobject"
+        shutil.copytree(bundle_dir, root)
+        (root / "MANIFEST.json").write_text("[]")
+        with pytest.raises(BundleError, match="not a JSON object"):
+            Bundle.open(root)
+        assert bundle_main(["verify", str(root)]) == 2
+        assert capsys.readouterr().err == "error: manifest is not a JSON object\n"
+
+    def test_member_digest_must_be_sha256_hex(self, bundle_dir, tmp_path):
+        root = tmp_path / "baddigest"
+        shutil.copytree(bundle_dir, root)
+        outside = tmp_path / "outside"
+        outside.write_bytes(zlib.compress(b"[]"))
+        manifest = json.loads((root / "MANIFEST.json").read_text())
+        manifest["members"][0]["digest"] = str(outside)  # an absolute path
+        (root / "MANIFEST.json").write_text(json.dumps(manifest))
+        with pytest.raises(BundleError, match="not a SHA-256 hex digest"):
             Bundle.open(root)
 
     def test_malformed_config_rejected(self):

@@ -15,6 +15,7 @@ from repro.browser.network import (
 )
 from repro.crawler.storage import SCHEMA_VERSION, MeasurementStore
 from repro.errors import StorageError
+from repro.export import export_cookies_csv
 
 
 def make_result(visit_id=1, profile="Sim1", page="https://e.com/", success=True):
@@ -354,6 +355,38 @@ class TestDocumentResponse:
     def test_missing_visit_returns_none(self):
         with MeasurementStore() as store:
             assert store.document_response(404) is None
+
+
+class TestTiedCookieOrder:
+    """A read's ``ORDER BY`` must be total (DESIGN §6, invariant 5).
+
+    Rows that tie on a partial sort key come back in physical order,
+    which follows the store's insert history; no crawl writes such a
+    tie, so the rows are written here by hand, in both orders.
+    """
+
+    #: One successful visit (``visits`` columns in schema order).
+    VISIT = (1, "Sim1", "e.com", 1, "https://e.com/", 1, 0.0, 2.5, None, 1, 0)
+    #: Cookies sharing ``(visit_id, domain, name)``: two under one path
+    #: set by different URLs, one under another path.
+    COOKIES = (
+        (1, "sid", "e.com", "/", "a", 1, 0, "Lax", "https://e.com/"),
+        (1, "sid", "e.com", "/", "b", 0, 0, "Lax", "https://cdn.e.com/set.js"),
+        (1, "sid", "e.com", "/app", "c", 0, 1, "None", "https://e.com/app"),
+    )
+
+    def _reads(self, cookie_rows, csv_path):
+        with MeasurementStore() as store:
+            store.insert_table_rows("visits", [self.VISIT])
+            store.insert_table_rows("javascript_cookies", cookie_rows)
+            assert export_cookies_csv(store, csv_path) == len(cookie_rows)
+            return store.cookies_for_visit(1), csv_path.read_bytes()
+
+    def test_reads_and_export_ignore_physical_order(self, tmp_path):
+        forward = self._reads(self.COOKIES, tmp_path / "forward.csv")
+        backward = self._reads(self.COOKIES[::-1], tmp_path / "backward.csv")
+        assert forward == backward
+        assert len(forward[0]) == len(self.COOKIES)
 
 
 class TestQueries:

@@ -272,19 +272,23 @@ class TestBaselineSecondsPerVisit:
         assert baseline_seconds_per_visit(record) is None
 
 
-def _monitored_crawl(workers, ledger_dir, fail_probability=0.3):
-    """Crawl with the full monitor attached; returns (obs, monitor, ledger,
-    events), ``events`` being every event the stream published."""
+def _monitored_crawl(workers, ledger_dir, fail_probability=0.3, monitored=True):
+    """Crawl with the full monitor attached (or, unless ``monitored``,
+    with the event stream alone); returns (obs, monitor, ledger, events),
+    ``events`` being every event the stream published."""
     ledger = RunLedger(str(ledger_dir))
     obs = ObsContext.create(
         seed=SEED, clock=FakeClock(), ledger=ledger, stream=EventStream()
     )
     events = []
     obs.stream.subscribe(events.append)
-    monitor = Monitor.for_crawl(
-        expected_rate=default_expected_failure_rate(fail_probability), window=10
-    )
-    obs.attach_monitor(monitor)
+    monitor = None
+    if monitored:
+        monitor = Monitor.for_crawl(
+            expected_rate=default_expected_failure_rate(fail_probability),
+            window=10,
+        )
+        obs.attach_monitor(monitor)
     generator = WebGenerator(
         SEED, config=WebConfig(page_fail_probability=fail_probability)
     )
@@ -329,6 +333,21 @@ class TestMonitorDeterminism:
     def test_monitor_saw_every_accepted_event(self, serial):
         _, monitor, _, events = serial
         assert monitor.events_seen == len(events)
+
+
+class TestMonitorLeavesMetricsAlone:
+    """DESIGN §6, invariant 8: detectors observe the run, they never
+    write telemetry, so attaching the monitor changes no metric byte."""
+
+    def test_metrics_bytes_identical_with_and_without_monitor(self, tmp_path):
+        monitored = _monitored_crawl(1, tmp_path / "monitored")
+        unmonitored = _monitored_crawl(1, tmp_path / "unmonitored", monitored=False)
+        obs, monitor, _, events = monitored
+        assert monitor.events_seen == len(events) == len(unmonitored[3])
+        # Failed visits reached the detectors: one that counted them
+        # into the registry would have something to count.
+        assert any(not event.payload["success"] for event in events)
+        assert obs.metrics.to_json() == unmonitored[0].metrics.to_json()
 
 
 class TestEventsFromStore:

@@ -9,7 +9,6 @@ from repro.errors import (
     ExperimentError,
     FilterParseError,
     InvalidURLError,
-    LintError,
     ReproError,
     StorageError,
     TreeConstructionError,
@@ -28,7 +27,6 @@ class TestHierarchy:
             ExperimentError,
             FilterParseError,
             InvalidURLError,
-            LintError,
             StorageError,
             TreeConstructionError,
             UnknownFrameError,
