@@ -4,7 +4,7 @@ First-party resources are controlled by the site operator and embed
 stably; third-party content — ads, trackers, widgets — rotates, chains,
 and dominates the deep tree levels.  This module quantifies both sides:
 node shares, per-depth dominance, presence across profiles, child
-similarity, and the fan-out comparison (children and HTTP requests).
+similarity, and the fan-out comparison (children per node).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ class PartyProfileStats:
     deeper_presence_mean: float
     child_similarity: Optional[Summary]
     mean_children_per_node: float
-    mean_requests_per_node: float
     distinct_domains: int
 
 
@@ -84,7 +83,6 @@ class PartyAnalyzer:
         deeper_presence: List[float] = []
         child_similarities: List[float] = []
         children_counts: List[float] = []
-        request_counts: List[float] = []
         domains: set = set()
         for node in dataset.iter_nodes():
             total_nodes += 1
@@ -103,7 +101,6 @@ class PartyAnalyzer:
                 for tree_node in tree.nodes():
                     if tree_node.is_third_party != third_party:
                         continue
-                    request_counts.append(float(len(tree_node.request_ids)))
                     if third_party and tree_node.site is not None:
                         domains.add(tree_node.site)
         return PartyProfileStats(
@@ -114,6 +111,5 @@ class PartyAnalyzer:
                 summarize(child_similarities) if child_similarities else None
             ),
             mean_children_per_node=safe_mean(children_counts),
-            mean_requests_per_node=safe_mean(request_counts),
             distinct_domains=len(domains),
         )

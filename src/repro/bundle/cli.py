@@ -22,37 +22,13 @@ from typing import List, Optional
 
 from ..crawler.storage import MeasurementStore
 from ..errors import BundleError, ReproError
-from ..obs import NULL_OBS, ObsContext, RunLedger
+from ..obs.cli import finish_obs, obs_from_args
 from .bundle import Bundle, record_from_store
 from .diff import diff_against_fresh_crawl, diff_against_store
 
 
-def _obs_for(args: argparse.Namespace) -> ObsContext:
-    ledger_dir = getattr(args, "ledger", "")
-    if (
-        getattr(args, "trace", "")
-        or getattr(args, "metrics_out", "")
-        or ledger_dir
-    ):
-        return ObsContext.create(
-            seed=getattr(args, "seed", 0) or 0,
-            ledger=RunLedger(ledger_dir) if ledger_dir else None,
-        )
-    return NULL_OBS
-
-
-def _write_obs(obs: ObsContext, args: argparse.Namespace) -> None:
-    if getattr(args, "trace", ""):
-        count = obs.tracer.write_jsonl(args.trace)
-        print(f"wrote {count} spans to {args.trace}")
-    if getattr(args, "metrics_out", ""):
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(obs.metrics.to_json() + "\n")
-        print(f"wrote {len(obs.metrics)} metrics to {args.metrics_out}")
-
-
 def _cmd_record(args: argparse.Namespace) -> int:
-    obs = _obs_for(args)
+    obs = obs_from_args(args)
     with MeasurementStore.open_readonly(args.db) as store:
         bundle = record_from_store(
             store,
@@ -70,8 +46,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
         f"recorded {len(bundle.manifest.members)} members "
         f"({rows} table rows) -> {args.out}"
     )
-    _write_obs(obs, args)
-    return 0
+    return finish_obs(obs, args)
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -112,18 +87,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    obs = _obs_for(args)
+    obs = obs_from_args(args)
     bundle = Bundle.open(args.bundle)
     store = bundle.replay(args.db, obs=obs)
     visits = store.visit_count(success_only=False)
     store.close()
     print(f"replayed {visits} visits -> {args.db}")
-    _write_obs(obs, args)
-    return 0
+    return finish_obs(obs, args)
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    obs = _obs_for(args)
+    obs = obs_from_args(args)
     bundle = Bundle.open(args.bundle)
     if args.db:
         with MeasurementStore.open_readonly(args.db) as store:
@@ -131,7 +105,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     else:
         report = diff_against_fresh_crawl(bundle, workers=args.workers, obs=obs)
     print(report.render())
-    _write_obs(obs, args)
+    finish_obs(obs, args)
     return 0 if report.clean else 1
 
 

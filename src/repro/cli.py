@@ -3,17 +3,22 @@
 Subcommands::
 
     python -m repro crawl    --db run.sqlite --seed 1 --sites-per-bucket 2
+                             [--workers N] [--ledger DIR] [--monitor]
     python -m repro analyze  --db run.sqlite --seed 1 --experiments table2,table6
     python -m repro export   --db run.sqlite --seed 1 --what nodes --out nodes.csv
     python -m repro inspect  --seed 1 --rank 1 [--profile Sim1] [--visit 3]
     python -m repro easylist --seed 1 [--out easylist.txt]
 
 ``crawl`` persists an OpenWPM-style SQLite database, the one writable
-``--db``; ``analyze`` and ``export`` open an existing one read-only,
-rebuild trees from it and print any subset of the paper's
-tables/figures; ``inspect`` simulates a single page visit and renders
-its dependency tree.  The ``--seed`` must match between crawl and
-analyze so the synthetic web and its EasyList regenerate identically.
+``--db``, and prints its crawl-health report (the one ``repro-obs health
+--db`` prints for it); with ``--ledger`` it appends its run record.
+``analyze`` and ``export`` open an existing db read-only, rebuild trees
+from it and print any subset of the paper's tables/figures; ``inspect``
+simulates a single page visit and renders its dependency tree.  The
+``--seed`` must match between crawl and analyze so the synthetic web
+and its EasyList regenerate identically.  The telemetry flags of
+``crawl`` and ``analyze`` go through :func:`repro.obs.cli.obs_from_args`
+and :func:`repro.obs.cli.finish_obs`.
 """
 
 from __future__ import annotations
@@ -23,94 +28,41 @@ import sys
 from typing import List, Optional
 
 from .blocklist import FilterList, build_filter_list, generate_easylist
-from .browser import BrowserEngine, PAPER_PROFILES, profile_by_name
+from .browser import BrowserEngine, profile_by_name
 from .bundle import Bundle
 from .crawler import Commander, MeasurementStore, RetryPolicy, sample_paper_buckets
 from .errors import ReproError
 from . import export as export_mod
-from .experiments import ALL_EXPERIMENTS, ExperimentContext
-from .obs import (
-    NULL_OBS,
-    EventStream,
-    Monitor,
-    ObsContext,
-    default_expected_failure_rate,
-    render_alerts,
+from .experiments import (
+    ALL_EXPERIMENTS,
+    ExperimentContext,
+    experiment_ids,
+    run_experiments,
 )
+from .obs import NULL_OBS, ObsContext
+from .obs.cli import finish_obs, obs_from_args
+from .obs.health import build_health_report, render_health_report
 from .reporting.treeview import render_tree, render_tree_summary
 from .trees import TreeBuilder
 from .web import WebGenerator
 
 
-def _obs_for(args: argparse.Namespace) -> ObsContext:
-    """An enabled context when the user asked for telemetry output."""
-    if getattr(args, "trace", "") or getattr(args, "metrics_out", ""):
-        return ObsContext.create(seed=getattr(args, "seed", None) or 0)
-    return NULL_OBS
-
-
-def _write_obs(obs: ObsContext, args: argparse.Namespace) -> None:
-    if getattr(args, "trace", ""):
-        count = obs.tracer.write_jsonl(args.trace)
-        print(f"wrote {count} spans to {args.trace}")
-    if getattr(args, "metrics_out", ""):
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(obs.metrics.to_json() + "\n")
-        print(f"wrote {len(obs.metrics)} metrics to {args.metrics_out}")
-
-
 def _cmd_crawl(args: argparse.Namespace) -> int:
-    obs = _obs_for(args)
-    generator = WebGenerator(args.seed)
-    monitor = None
-    if args.monitor or args.monitor_gate:
-        if not obs.stream.enabled:
-            # _obs_for never enables the stream; rebuild with it on
-            # (nothing has been recorded yet).
-            obs = ObsContext.create(seed=args.seed, stream=EventStream())
-        expected = (
-            args.monitor_expect
-            if args.monitor_expect is not None
-            else default_expected_failure_rate(
-                generator.config.page_fail_probability
-            )
-        )
-        monitor = Monitor.for_crawl(
-            expected_rate=expected,
-            on_alert=lambda alert: print(f"! {alert.format()}"),
-        )
-        obs.attach_monitor(monitor)
+    obs = obs_from_args(args)
     store = MeasurementStore(args.db)
-    commander = Commander(
-        generator,
+    Commander(
+        WebGenerator(args.seed),
         store,
         max_pages_per_site=args.pages_per_site,
-        workers=args.jobs,
+        workers=args.workers,
         obs=obs,
         retry_policy=RetryPolicy.with_retries(args.retries),
         salvage_partial=args.salvage_partial,
-    )
-    ranks = sample_paper_buckets(args.seed, per_bucket=args.sites_per_bucket)
-    summary = commander.run(ranks)
-    print(
-        f"crawled {summary.sites_crawled} sites, {summary.pages_discovered} pages, "
-        f"{summary.total_visits} visits -> {args.db}"
-    )
-    for profile in PAPER_PROFILES:
-        line = (
-            f"  {profile.name:<9} visits: {summary.visits.get(profile.name, 0):>5} "
-            f"success: {summary.success_rate(profile.name):.0%}"
-        )
-        if args.retries:
-            line += f" recovered: {summary.recovered_count(profile.name)}"
-        print(line)
-    _write_obs(obs, args)
+    ).run(sample_paper_buckets(args.seed, per_bucket=args.sites_per_bucket))
+    print(render_health_report(build_health_report(store)))
     store.close()
-    if monitor is not None:
-        print(render_alerts(monitor.alerts))
-        if args.monitor_gate and monitor.has_critical:
-            return 1
-    return 0
+    print(f"\nstored in {args.db}")
+    return finish_obs(obs, args)
 
 
 def _open_source(args: argparse.Namespace, obs: ObsContext):
@@ -145,7 +97,8 @@ def _open_source(args: argparse.Namespace, obs: ObsContext):
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    obs = _obs_for(args)
+    selected = experiment_ids(args.experiments)
+    obs = obs_from_args(args)
     store, seed, filter_list = _open_source(args, obs)
     try:
         ctx = ExperimentContext.from_store(
@@ -158,34 +111,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if not len(ctx.dataset):
             print("no pages were crawled by all profiles; nothing to analyze")
             return 1
-        selected = (
-            [item.strip() for item in args.experiments.split(",") if item.strip()]
-            if args.experiments
-            else list(ALL_EXPERIMENTS)
-        )
-        unknown = [item for item in selected if item not in ALL_EXPERIMENTS]
-        if unknown:
-            print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
-            return 2
         print(f"dataset: {len(ctx.dataset)} comparable pages\n")
-        failed = False
-        for experiment_id in selected:
-            module = ALL_EXPERIMENTS[experiment_id]
-            print(f"{'=' * 70}\n[{experiment_id}]\n{'=' * 70}")
-            # One experiment that cannot run on this crawl (say, table6
-            # without NoAction) must not cost the others their output.
-            try:
-                with obs.tracer.span(
-                    "experiment", key=f"experiment:{experiment_id}", id=experiment_id
-                ):
-                    result = module.run(ctx)
-                print(module.render(result))
-            except ReproError as exc:
-                failed = True
-                print(f"error: {experiment_id}: {exc}", file=sys.stderr)
-            print()
-        _write_obs(obs, args)
-        return 2 if failed else 0
+        status = run_experiments(ctx, selected, obs, out=sys.stdout, err=sys.stderr)
+        finish_obs(obs, args)
+        return status
     finally:
         store.close()
 
@@ -260,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     crawl.add_argument("--sites-per-bucket", type=int, default=2)
     crawl.add_argument("--pages-per-site", type=int, default=4)
     crawl.add_argument(
-        "--jobs",
+        "--workers",
         type=int,
         default=1,
         help="worker processes for the sharded crawl (same store for any value)",
@@ -279,6 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     crawl.add_argument("--trace", default="", help="write a span trace (JSONL)")
     crawl.add_argument("--metrics-out", default="", help="write run metrics (JSON)")
     crawl.add_argument(
+        "--ledger", default="", help="append the crawl's run record to this ledger"
+    )
+    crawl.add_argument(
         "--monitor",
         action="store_true",
         help="stream the crawl through the live anomaly monitor",
@@ -289,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --monitor semantics, exit 1 when a critical alert fired",
     )
     crawl.add_argument(
-        "--monitor-expect",
+        "--expected-failure-rate",
         type=float,
         default=None,
         help="override the monitor's expected per-visit failure rate",

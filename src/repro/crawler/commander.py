@@ -54,10 +54,9 @@ from ..obs.trace import SpanRecord, split_roots
 from ..rng import child_rng
 from ..web.sitegen import WebGenerator
 from .client import CrawlClient, SiteVisitPlan
-from .discovery import DiscoveryResult, discover_pages
+from .discovery import discover_pages
 from .retry import NO_RETRIES, RetryPolicy
 from .storage import MeasurementStore
-from .tranco import RankedList
 
 #: Scheduled wall-clock spacing between consecutive sites: a nominal
 #: per-visit cost used only to lay out site start barriers.  Any constant
@@ -97,22 +96,6 @@ class CrawlSummary:
     def success_rate(self, profile: str) -> float:
         visits = self.visits.get(profile, 0)
         return self.successes.get(profile, 0) / visits if visits else 0.0
-
-    def failure_count(self, profile: str, reason: Optional[str] = None) -> int:
-        reasons = self.failures.get(profile, {})
-        if reason is None:
-            return sum(reasons.values())
-        return reasons.get(reason, 0)
-
-    def timeout_count(self, profile: str) -> int:
-        # "stall-timeout" is the taxonomy name; "timeout" the pre-taxonomy
-        # one (still possible in stores written by older crawls).
-        return self.failure_count(profile, "stall-timeout") + self.failure_count(
-            profile, "timeout"
-        )
-
-    def recovered_count(self, profile: str) -> int:
-        return self.recovered.get(profile, 0)
 
     @property
     def total_visits(self) -> int:
@@ -309,17 +292,6 @@ class Commander:
             "retries": self.retry_policy.max_attempts - 1,
             "salvage_partial": self.salvage_partial,
         }
-
-    def discover(self, ranks: Sequence[int]) -> List[DiscoveryResult]:
-        """Run only the discovery pre-crawl (useful for inspection)."""
-        return [
-            discover_pages(self.generator.site(rank), self.max_pages_per_site)
-            for rank in ranks
-        ]
-
-    def ranked_list(self, ranks: Sequence[int]) -> RankedList:
-        """The Tranco-style list backing this crawl."""
-        return RankedList.from_generator(self.generator, ranks)
 
     # -- internals ---------------------------------------------------------
 

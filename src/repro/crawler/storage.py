@@ -271,13 +271,6 @@ class MeasurementStore:
                 self._insert_result(result)
         return len(batch)
 
-    def merge(self, other: "MeasurementStore") -> int:
-        """Copy every record of ``other`` into this store, transactionally.
-
-        Returns the number of visits merged.
-        """
-        return self.merge_shards((other,))
-
     def merge_shards(self, others: Sequence["MeasurementStore"]) -> int:
         """Consolidate many shard stores, interleaved in visit-id order.
 

@@ -4,6 +4,9 @@ Usage::
 
     python -m repro.experiments [--seed N] [--sites-per-bucket N]
                                 [--pages-per-site N] [--only ID[,ID...]]
+
+An experiment that cannot run on the crawl prints ``error: <id>: ...``
+on stderr; the others still print, and the exit status is 2.
 """
 
 from __future__ import annotations
@@ -12,16 +15,9 @@ import argparse
 import sys
 
 from ..devtools.clock import Clock, Stopwatch
-from ..obs import (
-    NULL_OBS,
-    EventStream,
-    Monitor,
-    ObsContext,
-    RunLedger,
-    default_expected_failure_rate,
-    render_alerts,
-)
-from . import ALL_EXPERIMENTS
+from ..errors import ExperimentError
+from ..obs.cli import finish_obs, obs_from_args
+from . import ALL_EXPERIMENTS, experiment_ids, run_experiments
 from .runner import ExperimentConfig, run_pipeline
 
 
@@ -69,14 +65,10 @@ def main(argv=None, clock: "Clock" = None) -> int:
         help="with --monitor semantics, exit 1 when a critical alert fired",
     )
     args = parser.parse_args(argv)
-    selected = (
-        [item.strip() for item in args.only.split(",") if item.strip()]
-        if args.only
-        else list(ALL_EXPERIMENTS)
-    )
-    unknown = [item for item in selected if item not in ALL_EXPERIMENTS]
-    if unknown:
-        parser.error(f"unknown experiment ids: {', '.join(unknown)}")
+    try:
+        selected = experiment_ids(args.only)
+    except ExperimentError as exc:
+        parser.error(str(exc))
 
     config = ExperimentConfig(
         seed=args.seed,
@@ -84,24 +76,7 @@ def main(argv=None, clock: "Clock" = None) -> int:
         pages_per_site=args.pages_per_site,
         workers=args.workers,
     )
-    monitoring = args.monitor or args.monitor_gate
-    obs = (
-        ObsContext.create(
-            seed=args.seed,
-            clock=clock,
-            ledger=RunLedger(args.ledger) if args.ledger else None,
-            stream=EventStream() if monitoring else None,
-        )
-        if (args.trace or args.metrics_out or args.ledger or monitoring)
-        else NULL_OBS
-    )
-    monitor = None
-    if monitoring:
-        monitor = Monitor.for_crawl(
-            expected_rate=default_expected_failure_rate(),
-            on_alert=lambda alert: print(f"! {alert.format()}"),
-        )
-        obs.attach_monitor(monitor)
+    obs = obs_from_args(args, clock=clock)
     watch = Stopwatch(clock)
     print(
         f"running pipeline: seed={config.seed}, "
@@ -113,33 +88,9 @@ def main(argv=None, clock: "Clock" = None) -> int:
         f"crawled {ctx.summary.sites_crawled} sites, {ctx.summary.total_visits} visits, "
         f"{len(ctx.dataset)} comparable pages ({watch.elapsed():.1f}s)\n"
     )
-    for experiment_id in selected:
-        module = ALL_EXPERIMENTS[experiment_id]
-        with obs.tracer.span(
-            "experiment", key=f"experiment:{experiment_id}", id=experiment_id
-        ):
-            result = module.run(ctx)
-        print("=" * 72)
-        print(f"[{experiment_id}]")
-        print("=" * 72)
-        print(module.render(result))
-        print()
-    if args.trace:
-        count = obs.tracer.write_jsonl(args.trace)
-        print(f"wrote {count} spans to {args.trace}")
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(obs.metrics.to_json() + "\n")
-        print(f"wrote {len(obs.metrics)} metrics to {args.metrics_out}")
-    if obs.ledger is not None:
-        entries = obs.ledger.entries()
-        if entries:
-            print(f"ledger: run {entries[-1].run_id[:12]} -> {obs.ledger.root}")
-    if monitor is not None:
-        print(render_alerts(monitor.alerts))
-        if args.monitor_gate and monitor.has_critical:
-            return 1
-    return 0
+    status = run_experiments(ctx, selected, obs, out=sys.stdout, err=sys.stderr)
+    gate = finish_obs(obs, args)
+    return status or gate
 
 
 if __name__ == "__main__":

@@ -67,12 +67,7 @@ from .monitor import (
     publish_store_events,
 )
 from .profile import PhaseStat, RunProfile, build_profile, profile_from_parts
-from .render import (
-    render_alerts,
-    render_flame,
-    render_profile,
-    render_trace,
-)
+from .render import render_alerts, render_flame, render_profile
 from .stream import EventStream, StreamEvent
 from .trace import Span, SpanRecord, Tracer, read_jsonl, split_roots
 
@@ -215,7 +210,6 @@ __all__ = [
     "render_alerts",
     "render_flame",
     "render_profile",
-    "render_trace",
     "split_roots",
     "validate_bucket_edges",
 ]

@@ -1,31 +1,32 @@
 """``repro-obs`` — crawl health, live monitoring, run ledger, and drift
-reports.
+reports, read from stored crawls.
 
 Subcommands::
 
-    repro-obs health  [--seed N ... | --db run.sqlite | --from-bundle DIR]
-    repro-obs watch   [--seed N ... | --db run.sqlite | --from-bundle DIR]
+    repro-obs health  (--db run.sqlite | --from-bundle DIR) [--ledger DIR]
+    repro-obs watch   (--db run.sqlite | --from-bundle DIR)
                       [--baseline REF --ledger DIR] [--monitor-gate]
     repro-obs runs    --ledger DIR [--limit N] [--kind KIND] [--since-run REF]
     repro-obs show    [REF] --ledger DIR
     repro-obs profile [REF] --ledger DIR | --trace trace.jsonl [--flame]
     repro-obs diff    [RECORDED [LIVE]] --ledger DIR [--gate]
 
-``health`` runs a fully instrumented seeded crawl (or audits an existing
-measurement database, or replays a recorded bundle) and prints
-per-profile outcomes plus per-stage timings.  ``watch`` runs the same
-sources through the live monitor (:mod:`repro.obs.monitor`): alerts
-print as detectors fire, a summary follows, and ``--monitor-gate`` exits
-nonzero when any alert is critical.  ``--fake-clock`` freezes span
-timestamps for deterministic output; ``--ledger DIR`` appends the run's
-record to a ledger.  The ledger subcommands list, print, profile, and
+``health`` and ``watch`` never crawl: they read a measurement database
+(read-only) or replay a recorded bundle in memory.  ``health`` prints
+the Table-1-style per-profile outcomes, the report ``repro crawl``
+prints for the store it wrote.  ``watch`` runs the stored visits
+through the live monitor (:mod:`repro.obs.monitor`): alerts print as
+detectors fire, a summary follows, and ``--monitor-gate`` exits nonzero
+when any alert is critical.  A bundle replay appends its record to
+``--ledger DIR`` (``--fake-clock`` freezes its span timestamps); a db
+read records no run.  The ledger subcommands list, print, profile, and
 diff stored run records; run references are ``latest``, ``prev``, or a
 unique run-id prefix.  ``diff --gate`` exits nonzero on deterministic
 drift *or* a measured regression past the thresholds.
 
-For compatibility with the original flag-only interface, an invocation
-whose first argument is not a subcommand is treated as ``health``
-(``repro-obs --seed 7`` still works).
+:func:`obs_from_args` and :func:`finish_obs` are every command line's
+telemetry wiring: ``repro``, ``repro-bundle`` and ``python -m
+repro.experiments`` build their context and report it through them.
 """
 
 from __future__ import annotations
@@ -34,14 +35,10 @@ import argparse
 import sys
 from typing import List, Optional
 
-from ..crawler.commander import Commander
-from ..crawler.retry import RetryPolicy
 from ..crawler.storage import MeasurementStore
-from ..crawler.tranco import sample_paper_buckets
-from ..devtools.clock import FakeClock
+from ..devtools.clock import Clock, FakeClock
 from ..errors import ReproError
-from ..web import WebGenerator
-from . import ObsContext
+from . import NULL_OBS, ObsContext
 from .health import build_health_report, render_health_report
 from .ledger import DiffThresholds, RunLedger, diff_records
 from .monitor import (
@@ -51,48 +48,95 @@ from .monitor import (
     publish_store_events,
 )
 from .profile import build_profile, profile_from_parts
-from .render import render_alerts, render_flame, render_profile, render_trace
-from .stream import EventStream
+from .render import render_alerts, render_flame, render_profile
 from .trace import read_jsonl
 
-_SUBCOMMANDS = ("health", "watch", "runs", "show", "profile", "diff")
+
+def obs_from_args(
+    args: argparse.Namespace, clock: Optional[Clock] = None, record: bool = True
+) -> ObsContext:
+    """The run's telemetry context, from whichever telemetry flags its
+    command line has (a command without a flag reads it as unset).
+
+    ``--trace``, ``--metrics-out``, ``--ledger`` and ``--monitor`` or
+    ``--monitor-gate`` each enable the context; otherwise the run gets
+    :data:`NULL_OBS`.  Spans are seeded with ``--seed`` and timed by
+    ``clock`` (frozen by ``--fake-clock``).  The run appends its record to
+    ``--ledger`` unless ``record`` is false (a stored db is read, not
+    run).  A monitored run gets an event stream and the crawl monitor,
+    which prints each alert as it fires; ``--expected-failure-rate``,
+    ``--baseline`` (a run of ``--ledger``) and ``--window`` tune it.
+    """
+    ledger = RunLedger(args.ledger) if getattr(args, "ledger", "") else None
+    monitored = getattr(args, "monitor", False) or getattr(args, "monitor_gate", False)
+    if not (
+        getattr(args, "trace", "")
+        or getattr(args, "metrics_out", "")
+        or ledger is not None
+        or monitored
+    ):
+        return NULL_OBS
+    monitor = None
+    if monitored:
+        baseline = getattr(args, "baseline", "")
+        if baseline and ledger is None:
+            raise ReproError("--baseline needs --ledger")
+        expected = getattr(args, "expected_failure_rate", None)
+        window = getattr(args, "window", 0)
+        monitor = Monitor.for_crawl(
+            expected_rate=(
+                expected if expected is not None else default_expected_failure_rate()
+            ),
+            baseline_seconds=(
+                baseline_seconds_per_visit(ledger.load(baseline)) if baseline else None
+            ),
+            on_alert=lambda alert: print(f"! {alert.format()}"),
+            window=window if window > 0 else None,
+        )
+    return ObsContext.create(
+        seed=getattr(args, "seed", None) or 0,
+        clock=FakeClock() if getattr(args, "fake_clock", False) else clock,
+        ledger=ledger if record else None,
+        monitor=monitor,
+    )
+
+
+def finish_obs(obs: ObsContext, args: argparse.Namespace) -> int:
+    """Write the run's ``--trace`` and ``--metrics-out`` files, print the
+    ledger line and the monitor's summary; returns the exit status: 1
+    when ``--monitor-gate`` is set and a critical alert fired, else 0."""
+    if getattr(args, "trace", ""):
+        count = obs.tracer.write_jsonl(args.trace)
+        print(f"wrote {count} spans to {args.trace}")
+    if getattr(args, "metrics_out", ""):
+        with open(args.metrics_out, "w", encoding="utf-8") as handle:
+            handle.write(obs.metrics.to_json() + "\n")
+        print(f"wrote {len(obs.metrics)} metrics to {args.metrics_out}")
+    if obs.ledger is not None:
+        entries = obs.ledger.entries()
+        if entries:
+            print(f"ledger: run {entries[-1].run_id[:12]} -> {obs.ledger.root}")
+    monitor = obs.monitor
+    if monitor is None:
+        return 0
+    print()
+    print(render_alerts(monitor.alerts))
+    print(f"{monitor.events_seen} events monitored")
+    return 1 if getattr(args, "monitor_gate", False) and monitor.has_critical else 0
 
 
 def _source_parser() -> argparse.ArgumentParser:
-    """The crawl-source flags ``health`` and ``watch`` share."""
+    """The stored-crawl flags ``health`` and ``watch`` share."""
     source = argparse.ArgumentParser(add_help=False)
-    source.add_argument(
-        "--db", default="", help="read an existing crawl db (opened read-only)"
-    )
-    source.add_argument(
-        "--from-bundle", default="", help="replay a recorded crawl bundle"
-    )
-    source.add_argument("--seed", type=int, default=2023)
-    source.add_argument(
-        "--sites-per-bucket",
-        type=int,
-        default=10,
-        help="sites per popularity bucket (x5 buckets; default 10 -> 50 sites)",
-    )
-    source.add_argument("--pages-per-site", type=int, default=4)
-    source.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for the sharded crawl"
-    )
-    source.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="re-attempts per failed retryable visit (0 = single attempt)",
-    )
-    source.add_argument(
-        "--salvage-partial",
-        action="store_true",
-        help="store the partial traffic of timed-out visits",
+    stored = source.add_mutually_exclusive_group(required=True)
+    stored.add_argument("--db", default="", help="a crawl db (opened read-only)")
+    stored.add_argument(
+        "--from-bundle", default="", help="replay a recorded crawl bundle in memory"
     )
     source.add_argument(
         "--ledger",
         default="",
-        help="append this run's record to a ledger (a --db source records none)",
+        help="append a bundle replay's record to a ledger (a --db read records none)",
     )
     source.add_argument(
         "--fake-clock",
@@ -111,21 +155,14 @@ def build_parser() -> argparse.ArgumentParser:
     source = _source_parser()
 
     health = sub.add_parser(
-        "health", parents=[source], help="per-profile outcomes and stage timings"
-    )
-    health.add_argument("--trace", default="", help="write the span trace (JSONL)")
-    health.add_argument(
-        "--metrics-out", default="", help="write the run's metrics (JSON)"
-    )
-    health.add_argument(
-        "--show-trace", action="store_true", help="also print the span tree"
+        "health", parents=[source], help="per-profile outcomes of a stored crawl"
     )
     health.set_defaults(func=_cmd_health)
 
     watch = sub.add_parser(
         "watch",
         parents=[source],
-        help="live crawl monitor: streaming telemetry and alerts",
+        help="run a stored crawl's visits through the live monitor",
     )
     watch.add_argument(
         "--baseline",
@@ -150,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit 1 when any critical alert fired",
     )
-    watch.set_defaults(func=_cmd_watch)
+    watch.set_defaults(func=_cmd_watch, monitor=True)
 
     runs = sub.add_parser("runs", help="list the runs a ledger has recorded")
     runs.add_argument("--ledger", required=True, help="ledger directory")
@@ -222,114 +259,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _ledger_for(args: argparse.Namespace) -> Optional[RunLedger]:
-    return RunLedger(args.ledger) if args.ledger else None
-
-
-def _obs_for(
-    args: argparse.Namespace, stream: Optional[EventStream] = None
-) -> ObsContext:
-    """The run's telemetry; reading a stored db records no run."""
-    return ObsContext.create(
-        seed=args.seed,
-        clock=FakeClock() if args.fake_clock else None,
-        ledger=None if args.db else _ledger_for(args),
-        stream=stream,
-    )
-
-
 def _open_store(args: argparse.Namespace, obs: ObsContext) -> MeasurementStore:
-    """The crawl to report on: a stored db, a replayed bundle, or a
-    fresh seeded crawl.
+    """The stored crawl to report on: a db or a replayed bundle.
 
-    Each source publishes its stored visits on ``obs``'s stream when it
-    is enabled: the db here, the bundle and the crawl as they run.
+    Either source publishes its stored visits on ``obs``'s stream when
+    it is enabled: the db here, the bundle as it replays.
     """
     if args.db:
         store = MeasurementStore.open_readonly(args.db)
         if obs.stream.enabled:
             publish_store_events(store, obs.stream)
         return store
-    if args.from_bundle:
-        from ..bundle import Bundle  # deferred: repro.bundle imports crawler too
+    from ..bundle import Bundle  # deferred: repro.bundle.cli imports this module
 
-        return Bundle.open(args.from_bundle).replay(obs=obs)
-    store = MeasurementStore()
-    Commander(
-        WebGenerator(args.seed),
-        store,
-        max_pages_per_site=args.pages_per_site,
-        workers=args.jobs,
-        obs=obs,
-        retry_policy=RetryPolicy.with_retries(args.retries),
-        salvage_partial=args.salvage_partial,
-    ).run(sample_paper_buckets(args.seed, per_bucket=args.sites_per_bucket))
-    return store
-
-
-def _print_ledger_line(obs: ObsContext) -> None:
-    if obs.ledger is not None:
-        entries = obs.ledger.entries()
-        if entries:
-            print(f"ledger: run {entries[-1].run_id[:12]} -> {obs.ledger.root}")
+    return Bundle.open(args.from_bundle).replay(obs=obs)
 
 
 def _cmd_health(args: argparse.Namespace) -> int:
-    obs = _obs_for(args)
+    obs = obs_from_args(args, record=not args.db)
     with _open_store(args, obs) as store:
-        report = build_health_report(store=store, records=obs.tracer.records)
-    print(render_health_report(report))
-    if args.show_trace:
-        print()
-        print(render_trace(obs.tracer.records))
-    if args.trace:
-        count = obs.tracer.write_jsonl(args.trace)
-        print(f"\nwrote {count} spans to {args.trace}")
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(obs.metrics.to_json() + "\n")
-        print(f"wrote {len(obs.metrics)} metrics to {args.metrics_out}")
-    _print_ledger_line(obs)
-    return 0
-
-
-def _print_alert(alert) -> None:
-    print(f"! {alert.format()}")
-
-
-def _monitor_for(args: argparse.Namespace) -> Monitor:
-    """Build the watch monitor from CLI flags."""
-    ledger = _ledger_for(args)
-    if args.baseline and ledger is None:
-        raise ReproError("--baseline needs --ledger")
-    baseline = (
-        baseline_seconds_per_visit(ledger.load(args.baseline))
-        if args.baseline
-        else None
-    )
-    expected = args.expected_failure_rate
-    if expected is None:
-        expected = default_expected_failure_rate()
-    return Monitor.for_crawl(
-        expected_rate=expected,
-        baseline_seconds=baseline,
-        on_alert=_print_alert,
-        window=args.window if args.window > 0 else None,
-    )
+        print(render_health_report(build_health_report(store)))
+    return finish_obs(obs, args)
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
-    monitor = _monitor_for(args)
-    obs = _obs_for(args, stream=EventStream())
-    obs.attach_monitor(monitor)
+    obs = obs_from_args(args, record=not args.db)
     _open_store(args, obs).close()
-    print()
-    print(render_alerts(monitor.alerts))
-    print(f"{monitor.events_seen} events monitored")
-    _print_ledger_line(obs)
-    if args.monitor_gate and monitor.has_critical:
-        return 1
-    return 0
+    return finish_obs(obs, args)
 
 
 def _cmd_runs(args: argparse.Namespace) -> int:
@@ -416,13 +372,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    # Flag-only compatibility: the original repro-obs had no subcommands,
-    # so anything that does not start with one is a health invocation.
-    if not argv or (
-        argv[0] not in _SUBCOMMANDS and argv[0] not in ("-h", "--help")
-    ):
-        argv = ["health"] + argv
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -4,26 +4,23 @@ The paper reports per-profile success/failure rates before any similarity
 analysis (§3, Table 1) because a profile that silently fails more often
 *looks* more different.  This module renders the same accounting for a
 reproduction run — per-profile visit outcomes split by failure reason
-(timeout vs. crawler error), plus a per-stage wall-clock breakdown from
-the span trace — so a run can be audited before its numbers are believed.
+(timeout vs. crawler error) — so a run can be audited before its numbers
+are believed.
 
 Outcomes come from one place, the crawl's stored visits
 (:meth:`~repro.crawler.storage.MeasurementStore.outcomes`), whether the
-crawl just ran, was stored earlier, or was replayed from a bundle; trace
-records add the stage timings.  The ``repro-obs`` console script
-(:mod:`repro.obs.cli`) wires them together.
+crawl just ran, was stored earlier, or was replayed from a bundle:
+``repro crawl`` prints the report for the store it wrote, and
+``repro-obs health`` (:mod:`repro.obs.cli`) the same report for a
+stored db or bundle.  Per-phase time is ``repro-obs profile``'s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Mapping
 
 from ..reporting.tables import percent, render_kv, render_table
-from .trace import SpanRecord
-
-#: Span names that count as pipeline stages in the timing breakdown.
-STAGE_SPAN_NAMES = ("plan", "crawl", "filter-list", "dataset", "experiment")
 
 #: Failure reasons that count as timeouts: the fault-taxonomy name plus
 #: the pre-taxonomy one (stores written by older crawls).
@@ -54,21 +51,11 @@ class ProfileHealth:
         return self.successes / self.visits if self.visits else 0.0
 
 
-@dataclass(frozen=True)
-class StageTiming:
-    """One stage span: its label and wall-clock duration."""
-
-    stage: str
-    seconds: float
-    nested: bool
-
-
 @dataclass
 class HealthReport:
-    """Everything ``repro-obs`` renders."""
+    """Everything the crawl-health report renders."""
 
     profiles: List[ProfileHealth] = field(default_factory=list)
-    stages: List[StageTiming] = field(default_factory=list)
     sites_crawled: int = 0
     pages_discovered: int = 0
 
@@ -106,32 +93,8 @@ def profile_health(
     return rows
 
 
-def stage_timings(records: Sequence[SpanRecord]) -> List[StageTiming]:
-    """Extract the stage breakdown from a trace, in record order.
-
-    Stages nested inside another stage (``plan`` inside ``crawl``) are
-    marked so renderers can indent them instead of double-counting.
-    """
-    stage_ids = {
-        record.span_id for record in records if record.name in STAGE_SPAN_NAMES
-    }
-    timings: List[StageTiming] = []
-    for record in records:
-        if record.name not in STAGE_SPAN_NAMES:
-            continue
-        label = record.key if record.key != record.name else record.name
-        timings.append(
-            StageTiming(
-                stage=label,
-                seconds=record.duration,
-                nested=record.parent_id in stage_ids,
-            )
-        )
-    return timings
-
-
 def render_health_report(report: HealthReport) -> str:
-    """Render the Table-1-style summary plus the stage-timing breakdown."""
+    """Render the Table-1-style summary."""
     sections: List[str] = []
     sections.append(
         render_kv(
@@ -171,31 +134,13 @@ def render_health_report(report: HealthReport) -> str:
                 title="Per-profile outcomes (Table 1 style)",
             )
         )
-    if report.stages:
-        top_total = sum(item.seconds for item in report.stages if not item.nested)
-        rows = []
-        for item in report.stages:
-            share = (
-                percent(item.seconds / top_total, 1)
-                if top_total > 0 and not item.nested
-                else "-"
-            )
-            label = f"  {item.stage}" if item.nested else item.stage
-            rows.append([label, f"{item.seconds:.3f}", share])
-        sections.append(
-            render_table(["stage", "seconds", "share"], rows, title="Stage timings")
-        )
     return "\n\n".join(sections)
 
 
-def build_health_report(
-    store, records: Optional[Sequence[SpanRecord]] = None
-) -> HealthReport:
-    """Assemble a report: outcome counts from the ``store``'s visits,
-    stage timings from trace ``records`` when given."""
+def build_health_report(store) -> HealthReport:
+    """Assemble a report from the ``store``'s sites, pages and visits."""
     return HealthReport(
         profiles=profile_health(store.outcomes()),
-        stages=stage_timings(records or []),
         sites_crawled=len(store.sites()),
         pages_discovered=len(store.pages()),
     )

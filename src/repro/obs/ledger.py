@@ -39,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -60,6 +61,9 @@ RUN_KINDS = ("benchmark", "crawl", "diff", "pipeline", "replay")
 
 _INDEX_NAME = "LEDGER.jsonl"
 _RECORDS_DIR = "records"
+
+#: A run id: the SHA-256 hex digest naming a file under ``records/``.
+_RUN_ID_PATTERN = re.compile(r"[0-9a-f]{64}")
 
 PathLike = Union[str, Path]
 
@@ -281,10 +285,16 @@ class LedgerEntry:
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, object]) -> "LedgerEntry":
+        """Parse one index line; a ``run_id`` that is not a SHA-256 hex
+        digest is rejected, so no index line can name a path outside
+        ``records/``."""
         try:
+            run_id = str(payload["run_id"])
+            if not _RUN_ID_PATTERN.fullmatch(run_id):
+                raise LedgerError(f"ledger index names a malformed run id {run_id!r}")
             return cls(
                 seq=int(payload["seq"]),
-                run_id=str(payload["run_id"]),
+                run_id=run_id,
                 kind=str(payload["kind"]),
                 label=str(payload["label"]),
                 seed=int(payload["seed"]),

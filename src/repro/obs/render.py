@@ -1,48 +1,12 @@
-"""Text renderers for traces, run profiles and alerts (no external deps,
+"""Text renderers for span flames, run profiles and alerts (no external deps,
 like :mod:`repro.reporting`)."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .profile import RunProfile, span_duration
 from .trace import SpanRecord
-
-
-def _format_attrs(attrs: Mapping[str, object]) -> str:
-    if not attrs:
-        return ""
-    rendered = ", ".join(f"{key}={attrs[key]}" for key in sorted(attrs))
-    return f" [{rendered}]"
-
-
-def render_trace(records: Sequence[SpanRecord], max_depth: Optional[int] = None) -> str:
-    """Render a trace as an indented tree, one span per line.
-
-    Children print under their parent in record order; durations use the
-    span's own clock units (real seconds under ``SystemClock``).
-    """
-    children: Dict[Optional[str], List[SpanRecord]] = {}
-    by_id = {record.span_id: record for record in records}
-    for record in records:
-        parent = record.parent_id if record.parent_id in by_id else None
-        children.setdefault(parent, []).append(record)
-    lines: List[str] = []
-
-    def walk(parent: Optional[str], depth: int) -> None:
-        if max_depth is not None and depth > max_depth:
-            return
-        for record in children.get(parent, []):
-            lines.append(
-                f"{'  ' * depth}- {record.name} ({record.key}) "
-                f"{record.duration:.3f}s{_format_attrs(record.attrs)}"
-            )
-            walk(record.span_id, depth + 1)
-
-    walk(None, 0)
-    if not lines:
-        lines.append("(empty trace)")
-    return "\n".join(lines)
 
 
 def render_flame(

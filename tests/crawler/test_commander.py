@@ -54,19 +54,6 @@ class TestCommander:
         with pytest.raises(CrawlError):
             Commander(gen, MeasurementStore(), profiles=())
 
-    def test_discover_returns_pages(self):
-        gen = WebGenerator(seed=22, config=WebConfig(subpages_per_site=3))
-        commander = Commander(gen, MeasurementStore(), max_pages_per_site=2)
-        results = commander.discover([1, 2])
-        assert len(results) == 2
-        assert all(r.page_count <= 2 for r in results)
-
-    def test_ranked_list(self):
-        gen = WebGenerator(seed=22)
-        commander = Commander(gen, MeasurementStore())
-        ranked = commander.ranked_list([1, 5])
-        assert ranked.domain(5) == gen.domain_for_rank(5)
-
 
 class TestRunMeasurement:
     def test_one_shot(self):

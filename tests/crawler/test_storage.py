@@ -183,8 +183,8 @@ class TestMergeAndSnapshots:
         with MeasurementStore() as left, MeasurementStore() as right, MeasurementStore() as main:
             left.store_visit(make_result(visit_id=1))
             right.store_visit(make_result(visit_id=2, profile="Sim2"))
-            assert main.merge(left) == 1
-            assert main.merge(right) == 1
+            assert main.merge_shards([left]) == 1
+            assert main.merge_shards([right]) == 1
             assert main.visit_count() == 2
             assert len(main.requests_for_visit(1)) == 2
             assert len(main.cookies_for_visit(2)) == 1
@@ -194,7 +194,7 @@ class TestMergeAndSnapshots:
             left.store_visit(make_result(visit_id=1))
             main.store_visit(make_result(visit_id=1))
             with pytest.raises(StorageError, match="merge collision"):
-                main.merge(left)
+                main.merge_shards([left])
 
     def test_snapshot_and_readonly(self, tmp_path):
         snapshot = str(tmp_path / "snapshot.sqlite")
@@ -274,7 +274,7 @@ class TestSchemaVersion:
             old.store_visit(make_result(visit_id=1))
             old._conn.execute("PRAGMA user_version = 1")
             with pytest.raises(StorageError, match="cannot merge"):
-                main.merge(old)
+                main.merge_shards([old])
             assert main.visit_count() == 0
 
 

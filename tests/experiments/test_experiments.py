@@ -125,6 +125,33 @@ class TestCli:
         assert "[table2]" in out
         assert "Table 2" in out
 
+    def test_failing_experiment_does_not_stop_the_others(
+        self, monkeypatch, capsys
+    ):
+        from repro.errors import AnalysisError
+        from repro.experiments import table2, table3
+        from repro.experiments.__main__ import main
+
+        def fail(ctx):
+            raise AnalysisError("no comparable pages")
+
+        config = ExperimentConfig(seed=7, sites_per_bucket=1, pages_per_site=3)
+        rendered = table3.render(table3.run(run_pipeline(config)))
+        monkeypatch.setattr(table2, "run", fail)
+        code = main(
+            [
+                "--seed", "7",
+                "--sites-per-bucket", "1",
+                "--pages-per-site", "3",
+                "--only", "table2,table3",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: table2: no comparable pages\n"
+        assert "[table2]" in captured.out
+        assert f"[table3]\n{'=' * 70}\n{rendered}\n\n" in captured.out
+
     def test_unknown_id_rejected(self):
         from repro.experiments.__main__ import main
 

@@ -133,12 +133,3 @@ class TestSummaryFailureBreakdown:
             reasons = summary.failures.get(profile, {})
             assert visits - successes == sum(reasons.values())
 
-    def test_helpers_read_the_breakdown(self):
-        _, store, summary = crawl(workers=1)
-        store.close()
-        for profile in summary.visits:
-            timeouts = summary.failures.get(profile, {}).get("stall-timeout", 0)
-            assert summary.timeout_count(profile) == timeouts
-            assert summary.failure_count(profile) == sum(
-                summary.failures.get(profile, {}).values()
-            )

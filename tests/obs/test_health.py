@@ -5,8 +5,6 @@ import pytest
 from repro.bundle.cli import main as bundle_main
 from repro.cli import main as repro_main
 from repro.crawler.commander import run_measurement
-from repro.devtools.clock import FakeClock
-from repro.obs import ObsContext
 from repro.obs.cli import main as obs_main
 from repro.obs.health import (
     HealthReport,
@@ -14,9 +12,7 @@ from repro.obs.health import (
     build_health_report,
     profile_health,
     render_health_report,
-    stage_timings,
 )
-from repro.obs.trace import Tracer
 
 
 #: Every command-line reader of a ``--db``, keyed by its console script.
@@ -82,25 +78,6 @@ class TestStoreBackedReport:
         store.close()
 
 
-class TestStageTimings:
-    def test_nested_stages_are_marked(self):
-        tracer = Tracer(seed=1, clock=FakeClock())
-        with tracer.span("crawl"):
-            with tracer.span("plan"):
-                pass
-        with tracer.span("experiment", key="experiment:table2"):
-            pass
-        timings = stage_timings(tracer.records)
-        assert [t.stage for t in timings] == ["crawl", "plan", "experiment:table2"]
-        assert [t.nested for t in timings] == [False, True, False]
-
-    def test_non_stage_spans_are_ignored(self):
-        tracer = Tracer(seed=1, clock=FakeClock())
-        with tracer.span("site", key="site:1"):
-            pass
-        assert stage_timings(tracer.records) == []
-
-
 class TestRendering:
     def test_report_contains_table1_columns(self):
         report = HealthReport(
@@ -119,49 +96,12 @@ class TestRendering:
 
 
 class TestCli:
-    def test_seeded_crawl_mode(self, capsys):
-        code = obs_main(
-            ["--seed", "5", "--sites-per-bucket", "1", "--pages-per-site", "2",
-             "--fake-clock"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "Per-profile outcomes" in out
-        assert "Stage timings" in out
-
-    def test_show_trace_appends_span_tree(self, capsys):
-        code = obs_main(
-            ["--seed", "5", "--sites-per-bucket", "1", "--pages-per-site", "2",
-             "--fake-clock", "--show-trace"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "- crawl (crawl)" in out
-
-    def test_trace_and_metrics_files(self, tmp_path, capsys):
-        trace_path = str(tmp_path / "trace.jsonl")
-        metrics_path = str(tmp_path / "metrics.json")
-        code = obs_main(
-            ["--seed", "5", "--sites-per-bucket", "1", "--pages-per-site", "2",
-             "--fake-clock", "--trace", trace_path, "--metrics-out", metrics_path]
-        )
-        assert code == 0
-        capsys.readouterr()
-        from repro.obs.trace import read_jsonl
-
-        assert read_jsonl(trace_path)
-        import json
-
-        with open(metrics_path) as handle:
-            payload = json.load(handle)
-        assert payload["counters"]
-
     def test_db_mode(self, tmp_path, capsys):
         db_path = str(tmp_path / "run.sqlite")
         store = run_measurement(3, [1, 2], max_pages_per_site=2)
         store.snapshot_to(db_path)
         store.close()
-        code = obs_main(["--db", db_path])
+        code = obs_main(["health", "--db", db_path])
         out = capsys.readouterr().out
         assert code == 0
         assert "Per-profile outcomes" in out

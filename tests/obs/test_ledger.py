@@ -157,6 +157,40 @@ class TestRunLedger:
             ledger.load("latest")
 
 
+class TestIndexNamesOnlyRecords:
+    def test_run_id_outside_records_is_rejected_unread(
+        self, tmp_path, monkeypatch
+    ):
+        # An index line whose run id walks out of records/ must be refused
+        # before any file it names is opened.
+        outside = tmp_path / "outside.json"
+        outside.write_text(fixed_record().to_json(), encoding="utf-8")
+        ledger = RunLedger(tmp_path / "ledger")
+        line = {
+            "seq": 0,
+            "run_id": "../../outside",
+            "kind": "benchmark",
+            "label": "fixed",
+            "seed": 1,
+            "config_hash": "",
+            "provenance_id": "",
+        }
+        ledger.index_path.write_text(canonical_json(line) + "\n", encoding="utf-8")
+        read = []
+        real_read_text = type(outside).read_text
+
+        def recording_read_text(path, *args, **kwargs):
+            read.append(path.resolve())
+            return real_read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(type(outside), "read_text", recording_read_text)
+        with pytest.raises(LedgerError, match="malformed run id"):
+            ledger.entries()
+        with pytest.raises(LedgerError, match="malformed run id"):
+            ledger.load("latest")
+        assert outside.resolve() not in read
+
+
 class TestCrawlRecordDeterminism:
     def test_worker_count_does_not_change_the_record(self, tmp_path):
         serial = RunLedger(tmp_path / "serial")

@@ -487,68 +487,61 @@ class TestAlertRecord:
 
 
 class TestWatchCli:
-    """``repro-obs watch`` monitors live crawls, stores, and gates CI."""
+    """``repro-obs watch`` monitors a stored crawl and gates CI."""
 
-    def _watch(self, tmp_path, *extra):
+    @pytest.fixture(scope="class")
+    def crawl(self, tmp_path_factory):
+        """A db and ledger that one ``repro crawl`` wrote."""
+        from repro.cli import main as repro_main
+
+        root = tmp_path_factory.mktemp("watch")
+        db, ledger = str(root / "crawl.sqlite"), str(root / "ledger")
+        assert repro_main(
+            ["crawl", "--db", db, "--seed", "7", "--sites-per-bucket", "1",
+             "--pages-per-site", "2", "--ledger", ledger]
+        ) == 0
+        return db, ledger
+
+    def _watch(self, crawl, *extra):
         from repro.obs.cli import main as obs_main
 
+        db, ledger = crawl
         return obs_main(
-            [
-                "watch",
-                "--seed",
-                "7",
-                "--sites-per-bucket",
-                "1",
-                "--pages-per-site",
-                "2",
-                "--fake-clock",
-                "--window",
-                "10",
-                "--ledger",
-                str(tmp_path / "ledger"),
-                *extra,
-            ]
+            ["watch", "--db", db, "--window", "10", "--ledger", ledger, *extra]
         )
 
-    def test_watch_without_gate_reports_and_exits_zero(self, tmp_path, capsys):
-        assert self._watch(tmp_path) == 0
+    def test_watch_without_gate_reports_and_exits_zero(self, crawl, capsys):
+        assert self._watch(crawl) == 0
         out = capsys.readouterr().out
         assert "events monitored" in out
-        entries = RunLedger(str(tmp_path / "ledger")).entries()
-        assert entries  # the watched crawl landed in the ledger
+        # The crawl landed in the ledger; reading its db records no run.
+        assert [entry.kind for entry in RunLedger(crawl[1]).entries()] == ["crawl"]
 
-    def test_gate_trips_on_critical_alerts(self, tmp_path, capsys):
-        assert self._watch(tmp_path, "--monitor-gate") == 1
+    def test_gate_trips_on_critical_alerts(self, crawl, capsys):
+        assert self._watch(crawl, "--monitor-gate") == 1
         out = capsys.readouterr().out
         assert "critical" in out
 
-    def test_gate_passes_with_generous_expectation(self, tmp_path, capsys):
+    def test_gate_passes_with_generous_expectation(self, crawl, capsys):
         code = self._watch(
-            tmp_path, "--monitor-gate", "--expected-failure-rate", "1.0"
+            crawl, "--monitor-gate", "--expected-failure-rate", "1.0"
         )
         assert code == 0
         capsys.readouterr()
 
-    def test_watch_replays_a_recorded_db(self, tmp_path, capsys):
+    def test_watch_replays_a_recorded_db(self, crawl, capsys):
         from repro.obs.cli import main as obs_main
 
-        db = str(tmp_path / "crawl.sqlite")
-        obs = ObsContext.create(seed=SEED, clock=FakeClock())
-        store = MeasurementStore(db)
-        Commander(WebGenerator(SEED), store, max_pages_per_site=2, obs=obs).run(
-            [1, 2]
-        )
-        store.close()
         code = obs_main(
-            ["watch", "--db", db, "--expected-failure-rate", "1.0"]
+            ["watch", "--db", crawl[0], "--expected-failure-rate", "1.0"]
         )
         assert code == 0
         assert "events monitored" in capsys.readouterr().out
 
-    def test_baseline_requires_ledger(self, capsys):
+    def test_baseline_requires_ledger(self, crawl, capsys):
         from repro.obs.cli import main as obs_main
 
-        assert obs_main(["watch", "--seed", "7", "--baseline", "latest"]) == 2
+        assert obs_main(["watch", "--db", crawl[0], "--baseline", "latest"]) == 2
         assert "--baseline needs --ledger" in capsys.readouterr().err
 
 

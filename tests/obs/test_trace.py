@@ -1,10 +1,10 @@
-"""Unit tests for span tracing: identity, nesting, export, rendering."""
+"""Unit tests for span tracing: identity, nesting, export."""
 
 import pytest
 
 from repro.devtools.clock import FakeClock
 from repro.errors import CrawlError, ObsError
-from repro.obs import NULL_OBS, ObsContext, render_trace
+from repro.obs import NULL_OBS, ObsContext
 from repro.obs.trace import SpanRecord, Tracer, read_jsonl, split_roots
 
 
@@ -176,30 +176,6 @@ class TestFailureLifecycle:
         with pytest.raises(CrawlError, match="dns gave up"):
             with tracer.span("site"):
                 raise CrawlError("dns gave up")
-
-
-class TestRender:
-    def test_tree_view_indents_children(self):
-        tracer = make_tracer()
-        with tracer.span("crawl", sites=2):
-            with tracer.span("plan"):
-                pass
-        text = render_trace(tracer.records)
-        lines = text.splitlines()
-        assert lines[0].startswith("- crawl")
-        assert "[sites=2]" in lines[0]
-        assert lines[1].startswith("  - plan")
-
-    def test_empty_trace(self):
-        assert render_trace([]) == "(empty trace)"
-
-    def test_max_depth_limits_output(self):
-        tracer = make_tracer()
-        with tracer.span("a"):
-            with tracer.span("b"):
-                pass
-        text = render_trace(tracer.records, max_depth=0)
-        assert "b" not in text
 
 
 class TestDisabledPath:

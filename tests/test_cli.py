@@ -6,6 +6,12 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.obs import RunLedger
+from repro.obs.cli import main as obs_main
+from repro.obs.trace import read_jsonl
+
+#: A small crawl (about 1 s).
+SMALL = ["--seed", "5", "--sites-per-bucket", "1", "--pages-per-site", "3"]
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +59,50 @@ class TestCrawl:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "duplicate visit id" in err
+
+
+class TestCrawlReportsAndRecordsItself:
+    """``repro crawl`` prints the report and alerts a later read of its db
+    prints, and writes its own trace, metrics and ledger record."""
+
+    def test_crawl_prints_the_report_health_prints(self, tmp_path, capsys):
+        db = str(tmp_path / "run.sqlite")
+        assert main(["crawl", "--db", db, *SMALL]) == 0
+        crawled = capsys.readouterr().out
+        assert obs_main(["health", "--db", db]) == 0
+        report = capsys.readouterr().out
+        assert "Per-profile outcomes" in report
+        assert crawled == report + f"\nstored in {db}\n"
+
+    def test_crawl_and_watch_print_the_same_alerts(self, tmp_path, capsys):
+        def alert_lines(out):
+            return [line for line in out.splitlines() if line.startswith("!")]
+
+        db = str(tmp_path / "run.sqlite")
+        probe = ["--expected-failure-rate", "0.01"]
+        assert main(["crawl", "--db", db, *SMALL, "--monitor", *probe]) == 0
+        live = alert_lines(capsys.readouterr().out)
+        assert obs_main(["watch", "--db", db, *probe]) == 0
+        assert live
+        assert alert_lines(capsys.readouterr().out) == live
+
+    def test_crawl_writes_trace_metrics_and_ledger(self, tmp_path, capsys):
+        ledger = tmp_path / "ledger"
+        for workers in (1, 2):
+            trace = tmp_path / f"trace{workers}.jsonl"
+            metrics = tmp_path / f"metrics{workers}.json"
+            assert main(
+                ["crawl", "--db", str(tmp_path / f"run{workers}.sqlite"), *SMALL,
+                 "--workers", str(workers), "--trace", str(trace),
+                 "--metrics-out", str(metrics), "--ledger", str(ledger)]
+            ) == 0
+            assert read_jsonl(str(trace))
+            assert json.loads(metrics.read_text())["counters"]
+        out = capsys.readouterr().out
+        entries = RunLedger(ledger).entries()
+        assert [entry.kind for entry in entries] == ["crawl", "crawl"]
+        assert entries[0].provenance_id == entries[1].provenance_id
+        assert f"ledger: run {entries[1].run_id[:12]} -> {ledger}" in out
 
 
 class TestAnalyze:
