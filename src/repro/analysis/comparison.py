@@ -11,6 +11,7 @@ node.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
@@ -147,18 +148,22 @@ class NodeComparison:
 
     # -- dependency chains -------------------------------------------------------
 
-    def chains(self) -> List[Tuple[str, ...]]:
-        return [view.chain() for view in self._present]
-
     def same_chain_everywhere(self) -> bool:
         """Identical dependency chain in every tree containing the node."""
-        chains = self.chains()
-        return len(set(chains)) == 1
+        return self._chain_measures[0]
 
     def unique_chain_count(self) -> int:
         """How many of the node's chains occur in exactly one tree."""
-        chains = self.chains()
-        return sum(1 for chain in set(chains) if chains.count(chain) == 1)
+        return self._chain_measures[1]
+
+    @cached_property
+    def _chain_measures(self) -> Tuple[bool, int]:
+        """Both chain measures, from one ``chain()`` walk per view.
+
+        Only the two answers are kept, not the chains.
+        """
+        counts = Counter(view.chain() for view in self._present)
+        return len(counts) == 1, sum(1 for count in counts.values() if count == 1)
 
 
 class PageComparison:

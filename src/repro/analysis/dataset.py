@@ -47,13 +47,14 @@ class AnalysisDataset:
 
     A built dataset is never mutated: experiments share it.  Its tracking
     flags are classified once, by the filter list it was built with; an
-    analysis under another list asks the trees for that list's
-    :meth:`~repro.trees.tree.DependencyTree.tracking_keys`, which write
-    nothing.  A dataset built from a store also keeps two facts about
-    that build: ``normalization``, the URL normalizer's counts over every
-    tree built (``None`` for :meth:`from_tree_sets`), and
-    ``include_partial``, whether salvaged partial visits could stand in
-    for successes.
+    analysis under another list reads that list's
+    :func:`~repro.trees.tree.tracking_keys` over a page's tree nodes,
+    which writes nothing.  A dataset built from a store also keeps two
+    facts about that build: ``normalization``, the URL normalizer's
+    counts over every tree built (``None`` for :meth:`from_tree_sets`),
+    and ``include_partial``, whether salvaged partial visits could stand
+    in for successes.  ``ablations`` reads ``normalization`` rather than
+    build this dataset's trees again.
     """
 
     def __init__(

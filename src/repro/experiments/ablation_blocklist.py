@@ -13,6 +13,9 @@ how the headline tracking statistics move:
 
 The dataset is classified once, when it is built; each list here is
 read as the keys it blocks in the built trees, which writes nothing.
+A page's trees are classified in one pass over all their nodes, which
+asks a list about each key's distinct (raw URL, resource type) pairs
+once, not once per tree.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from ..blocklist import FilterList, build_combined_list, generate_easylist
 from ..blocklist.parser import parse_filter_list
 from ..reporting import percent, render_table
 from ..stats.descriptive import ratio, safe_mean
+from ..trees.tree import tracking_keys
 from .runner import ExperimentContext
 
 
@@ -59,17 +63,20 @@ def _variants(ctx: ExperimentContext) -> Dict[str, FilterList]:
 def _point(name: str, filter_list: FilterList, dataset: AnalysisDataset) -> ListPoint:
     """The tracking share and tracking child similarity under ``filter_list``.
 
-    A page's tracking nodes are the union of what its trees'
-    :meth:`~repro.trees.tree.DependencyTree.tracking_keys` give: exactly
-    the nodes a dataset built under the list would flag.  The child
-    similarities are those of the tracking nodes with children, in the
-    order ``TrackingAnalyzer`` averages them.  ``dataset`` is only read.
+    A page's tracking nodes are what
+    :func:`~repro.trees.tree.tracking_keys` gives over all of its trees'
+    nodes: the union of each tree's tracking keys, exactly the nodes a
+    dataset built under the list would flag.  The child similarities
+    are those of the tracking nodes with children, in the order
+    ``TrackingAnalyzer`` averages them.  ``dataset`` is only read.
     """
     nodes = tracking = 0
     child_similarities: List[float] = []
     for comparison in dataset.comparisons():
-        keys = frozenset().union(
-            *(tree.tracking_keys(filter_list) for tree in comparison.tree_list())
+        keys = tracking_keys(
+            (node for tree in comparison.tree_list() for node in tree.nodes()),
+            filter_list,
+            comparison.page_url,
         )
         nodes += len(comparison)
         tracking += len(keys)

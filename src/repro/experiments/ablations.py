@@ -12,25 +12,25 @@ Three ablations, each matching a methodological argument in the paper:
   node-level comparison is more informative than one whole-tree score.
 
 The paper's own recipe is ``ctx.dataset``: its trees, and the URL counts
-of the build that made them, are read rather than built again.  Only
-the raw-URL and frames-only recipes are built here, both from one store
-read of each visit ``ctx.dataset`` kept, and neither is aligned: the
-statistics read only key sets, depths and root-child counts.  They are
-built one page at a time, and :func:`run` keeps a page's statistics and
-lets its recipe trees go before the next page is built, so no recipe
-tree outlives its page.
+of the build that made them, are read rather than built again.  The
+raw-URL and frames-only recipes build no tree.  Each visit ``ctx.dataset``
+kept is read from the store once, and both recipes fold
+:func:`~repro.trees.builder.resolve_parents` over that read into just
+what the statistics read: the raw-URL recipe's non-root key set, and the
+frames-only recipe's maximum depth (first parent wins, as in a tree) and
+root-child count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Sequence
 
 from ..analysis.treestats import data_variation, tree_keys
+from ..browser.network import RequestRecord
 from ..reporting import render_table
-from ..trees.builder import TreeBuilder
+from ..trees.builder import resolve_parents
 from ..trees.normalize import UrlNormalizer
-from ..trees.tree import DependencyTree
 from .runner import ExperimentContext
 
 
@@ -62,48 +62,57 @@ class AblationResult:
     granularity: SimilarityGranularityAblation
 
 
-class _FramesOnlyBuilder(TreeBuilder):
-    """Tree builder with call-stack/redirect attribution disabled."""
+class _RecipeStats(NamedTuple):
+    """What the ablations read of one visit under the two recipes."""
 
-    def _resolve_parent(self, request, resource_type, by_request_id, by_raw_url,
-                        frame_docs, frame_parents, tree):
-        from ..web.resources import ResourceType
-
-        if resource_type == ResourceType.SUB_FRAME:
-            parent_frame = request.parent_frame_id
-            if parent_frame is not None and parent_frame in frame_docs:
-                return frame_docs[parent_frame]
-        elif request.frame_id in frame_docs:
-            return frame_docs[request.frame_id]
-        return tree.root
+    raw_keys: FrozenSet[str]
+    frames_only_depth: int
+    frames_only_root_children: int
 
 
-def _recipe_tree_sets(
-    ctx: ExperimentContext,
-) -> Iterator[Tuple[Dict[str, DependencyTree], Dict[str, DependencyTree]]]:
-    """The raw-URL and the frames-only trees of each page ``ctx.dataset`` keeps.
+def _recipe_stats(
+    page_url: str,
+    requests: Sequence[RequestRecord],
+    raw: Callable[[str], str],
+    frames: Callable[[str], str],
+) -> _RecipeStats:
+    """Both recipes of one visit: ``raw`` and ``frames`` normalize URLs."""
+    raw_page = raw(page_url)
+    raw_keys = {raw_page}
+    for _, _, key, _ in resolve_parents(raw_page, requests, raw, raw_keys):
+        raw_keys.add(key)
+    raw_keys.discard(raw_page)
+    frames_page = frames(page_url)
+    depths = {frames_page: 0}
+    for _, _, key, parent in resolve_parents(
+        frames_page, requests, frames, depths, frames_only=True
+    ):
+        if key not in depths:
+            depths[key] = depths[parent] + 1
+    depth_list = list(depths.values())
+    return _RecipeStats(frozenset(raw_keys), max(depth_list), depth_list.count(1))
 
-    Yields one page's ``(raw, frames)`` profile → tree mappings at a
-    time, in dataset order.  Each of the dataset's trees names its
-    visit; the visit and its requests are read once and both recipes are
-    built from that read, with the dataset's partial-visit setting.  The
-    builders have no filter list: the statistics read no tracking flag.
+
+def _page_recipe_stats(ctx: ExperimentContext) -> Iterator[Dict[str, _RecipeStats]]:
+    """Profile → :class:`_RecipeStats` of each page ``ctx.dataset`` keeps.
+
+    Pages come in dataset order and profiles in each page's order.  Each
+    of the dataset's trees names its visit; the visit and its requests
+    are read once and both recipes fold that read.
     """
     store = ctx.store
-    allow_partial = ctx.dataset.include_partial
-    raw_builder = TreeBuilder(UrlNormalizer(strip_query_values=False))
-    frames_builder = _FramesOnlyBuilder()
+    raw = UrlNormalizer(strip_query_values=False).normalize
+    frames = UrlNormalizer().normalize
     for entry in ctx.dataset:
-        raw: Dict[str, DependencyTree] = {}
-        frames: Dict[str, DependencyTree] = {}
-        for profile, tree in entry.comparison.trees.items():
-            visit = store.visit(tree.visit_id)
-            requests = store.requests_for_visit(tree.visit_id)
-            raw[profile] = raw_builder.build(visit, requests, allow_partial=allow_partial)
-            frames[profile] = frames_builder.build(
-                visit, requests, allow_partial=allow_partial
+        yield {
+            profile: _recipe_stats(
+                store.visit(tree.visit_id).page_url,
+                store.requests_for_visit(tree.visit_id),
+                raw,
+                frames,
             )
-        yield raw, frames
+            for profile, tree in entry.comparison.trees.items()
+        }
 
 
 def _mean(values: List[int]) -> float:
@@ -112,14 +121,8 @@ def _mean(values: List[int]) -> float:
 
 def run(ctx: ExperimentContext) -> AblationResult:
     full = [tree for entry in ctx.dataset for tree in entry.comparison.tree_list()]
-    raw_keys: List[Dict[str, FrozenSet[str]]] = []
-    frames_depths: List[int] = []
-    frames_root_children: List[int] = []
-    for raw, frames in _recipe_tree_sets(ctx):
-        raw_keys.append(tree_keys(raw))
-        frames_depths.extend(tree.max_depth for tree in frames.values())
-        frames_root_children.extend(len(tree.root.children) for tree in frames.values())
-        del raw, frames  # the page's trees go before the next page is built
+    pages = list(_page_recipe_stats(ctx))
+    recipes = [stats for page in pages for stats in page.values()]
 
     whole_tree = [
         entry.comparison.whole_tree_similarity() for entry in ctx.dataset
@@ -130,14 +133,19 @@ def run(ctx: ExperimentContext) -> AblationResult:
             normalized_variation=data_variation(
                 [tree_keys(entry.comparison.trees) for entry in ctx.dataset]
             ),
-            raw_variation=data_variation(raw_keys),
+            raw_variation=data_variation(
+                [{profile: stats.raw_keys for profile, stats in page.items()}
+                 for page in pages]
+            ),
             normalized_changed_ratio=ctx.dataset.normalization.changed_ratio,
         ),
         attribution=AttributionAblation(
             full_mean_depth=_mean([tree.max_depth for tree in full]),
-            frames_only_mean_depth=_mean(frames_depths),
+            frames_only_mean_depth=_mean([stats.frames_only_depth for stats in recipes]),
             full_root_children=_mean([len(tree.root.children) for tree in full]),
-            frames_only_root_children=_mean(frames_root_children),
+            frames_only_root_children=_mean(
+                [stats.frames_only_root_children for stats in recipes]
+            ),
         ),
         granularity=SimilarityGranularityAblation(
             whole_tree_mean=sum(whole_tree) / len(whole_tree) if whole_tree else 0.0,

@@ -13,11 +13,27 @@ paper's three signals, in this order of precedence:
    parent frame's document.
 
 Everything else attaches to the root — the visited page itself.
+
+:func:`resolve_parents` applies this order (or, for the attribution
+ablation, frames alone) and yields each request's node key and parent
+key; :class:`TreeBuilder` turns what it yields into nodes, and the
+ablations fold it into statistics without building a tree.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from operator import attrgetter
+from typing import (
+    Callable,
+    Container,
+    Dict,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..blocklist.matcher import FilterList
 from ..browser.frames import MAIN_FRAME_ID
@@ -25,9 +41,75 @@ from ..browser.network import RequestRecord, VisitRecord
 from ..crawler.storage import MeasurementStore
 from ..errors import TreeConstructionError
 from ..web.resources import ResourceType
-from .node import TreeNode, node_resource_type
+from .node import node_resource_type
 from .normalize import UrlNormalizer
 from .tree import DependencyTree
+
+
+def resolve_parents(
+    page_key: str,
+    requests: Iterable[RequestRecord],
+    normalize: Callable[[str], str],
+    known: Container[str],
+    frames_only: bool = False,
+) -> Iterator[Tuple[RequestRecord, ResourceType, str, str]]:
+    """Each request's ``(request, resource type, key, parent key)``.
+
+    Requests are taken in request-id order.  A main-frame request of the
+    main frame is the visited page itself (``page_key``, the root) and is
+    not yielded.  The parent is the first of redirect → call stack →
+    frame → root that resolves; with ``frames_only`` only frame → root.
+
+    ``known`` is the caller's index of the keys placed so far, the root
+    included: a call-stack initiator that was never requested under its
+    raw URL still resolves when its key is there.  The caller records
+    each yielded key in ``known`` before it asks for the next request,
+    and a key already there keeps its place (first parent wins).  Every
+    parent key yielded is in ``known``.
+    """
+    # Read once: reading an enum member off its class costs about 0.1 µs.
+    main_frame, sub_frame = ResourceType.MAIN_FRAME, ResourceType.SUB_FRAME
+    by_request_id: Dict[int, str] = {}
+    by_raw_url: Dict[str, str] = {}
+    frame_docs: Dict[int, str] = {MAIN_FRAME_ID: page_key}
+    for request in sorted(requests, key=attrgetter("request_id")):
+        resource_type = node_resource_type(request.resource_type)
+        url = request.url
+        if resource_type is main_frame and request.frame_id == MAIN_FRAME_ID:
+            by_request_id[request.request_id] = page_key
+            by_raw_url[url] = page_key
+            continue
+        parent = None
+        if not frames_only:
+            # 1. Redirect chains take precedence: the previous hop.
+            if request.redirect_from is not None:
+                parent = by_request_id.get(request.redirect_from)
+            # 2. Call stacks: the latest entry issued the request.
+            if parent is None:
+                initiator = request.call_stack.initiating_script_url
+                if initiator is not None:
+                    parent = by_raw_url.get(initiator)
+                    if parent is None:
+                        normalized = normalize(initiator)
+                        if normalized in known:
+                            parent = normalized
+        if parent is None:
+            # 3. Frame structure: a frame document hangs under its parent
+            # frame's document, anything else under its own frame's; 4.
+            # unattributable resources hang off the visited page.
+            if resource_type is sub_frame:
+                frame = request.parent_frame_id
+            else:
+                frame = request.frame_id
+            parent = frame_docs.get(frame, page_key)
+        key = normalize(url)
+        yield request, resource_type, key, parent
+        by_request_id[request.request_id] = key
+        by_raw_url[url] = key
+        if resource_type is sub_frame:
+            # The (current) document of this frame; redirect hops
+            # overwrite so children attach to the final document.
+            frame_docs[request.frame_id] = key
 
 
 class TreeBuilder:
@@ -66,42 +148,25 @@ class TreeBuilder:
             raise TreeConstructionError(
                 f"cannot build a tree for failed visit {visit.visit_id}"
             )
+        normalize = self.normalizer.normalize
         tree = DependencyTree(
-            page_url=self.normalizer.normalize(visit.page_url),
+            page_url=normalize(visit.page_url),
             profile_name=visit.profile_name,
             visit_id=visit.visit_id,
         )
-        by_request_id: Dict[int, TreeNode] = {}
-        by_raw_url: Dict[str, TreeNode] = {}
-        frame_docs: Dict[int, TreeNode] = {MAIN_FRAME_ID: tree.root}
-        frame_parents: Dict[int, Optional[int]] = {MAIN_FRAME_ID: None}
-
-        for request in sorted(requests, key=lambda r: r.request_id):
-            resource_type = node_resource_type(request.resource_type)
-            if request.frame_id not in frame_parents:
-                frame_parents[request.frame_id] = request.parent_frame_id
-            if resource_type == ResourceType.MAIN_FRAME and request.frame_id == MAIN_FRAME_ID:
-                # The visited page itself: the tree root.
-                by_request_id[request.request_id] = tree.root
-                by_raw_url[request.url] = tree.root
-                continue
-            parent = self._resolve_parent(
-                request, resource_type, by_request_id, by_raw_url, frame_docs, frame_parents, tree
+        nodes = tree.index
+        attach = tree.attach
+        for request, resource_type, key, parent in resolve_parents(
+            tree.page_url, requests, normalize, nodes
+        ):
+            attach(
+                key,
+                resource_type,
+                nodes[parent],
+                request.url,
+                request.request_id,
+                request.during_interaction,
             )
-            node = tree.attach(
-                key=self.normalizer.normalize(request.url),
-                resource_type=resource_type,
-                parent=parent,
-                raw_url=request.url,
-                request_id=request.request_id,
-                during_interaction=request.during_interaction,
-            )
-            by_request_id[request.request_id] = node
-            by_raw_url[request.url] = node
-            if resource_type == ResourceType.SUB_FRAME:
-                # The (current) document of this frame; redirect hops
-                # overwrite so children attach to the final document.
-                frame_docs[request.frame_id] = node
         if self.filter_list is not None:
             tree.annotate_tracking(self.filter_list)
         return tree
@@ -124,46 +189,6 @@ class TreeBuilder:
             )
             for profile, visit in visits.items()
         }
-
-    # -- internals -----------------------------------------------------------
-
-    def _resolve_parent(
-        self,
-        request: RequestRecord,
-        resource_type: ResourceType,
-        by_request_id: Dict[int, TreeNode],
-        by_raw_url: Dict[str, TreeNode],
-        frame_docs: Dict[int, TreeNode],
-        frame_parents: Dict[int, Optional[int]],
-        tree: DependencyTree,
-    ) -> TreeNode:
-        # 1. Redirect chains take precedence: the previous hop is the parent.
-        if request.redirect_from is not None:
-            parent = by_request_id.get(request.redirect_from)
-            if parent is not None:
-                return parent
-        # 2. Call stacks: the latest entry issued the request.
-        initiator = request.call_stack.initiating_script_url
-        if initiator is not None:
-            parent = by_raw_url.get(initiator)
-            if parent is not None:
-                return parent
-            normalized = self.normalizer.normalize(initiator)
-            existing = tree.node(normalized)
-            if existing is not None:
-                return existing
-        # 3. Frame structure.
-        if resource_type == ResourceType.SUB_FRAME:
-            # A frame document hangs under the parent frame's document.
-            parent_frame = request.parent_frame_id
-            if parent_frame is not None and parent_frame in frame_docs:
-                return frame_docs[parent_frame]
-        elif request.frame_id in frame_docs:
-            doc = frame_docs[request.frame_id]
-            if doc is not None:
-                return doc
-        # 4. Unattributable resources hang off the visited page.
-        return tree.root
 
 
 def build_tree(

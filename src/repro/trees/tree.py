@@ -4,7 +4,17 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import islice
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from ..blocklist.matcher import FilterList
 from ..web import psl
@@ -79,6 +89,11 @@ class DependencyTree:
     def node(self, key: str) -> Optional[TreeNode]:
         return self._nodes.get(key)
 
+    @property
+    def index(self) -> Mapping[str, TreeNode]:
+        """The key → node map, the root included; only :meth:`attach` adds to it."""
+        return self._nodes
+
     def __contains__(self, key: str) -> bool:
         return key in self._nodes
 
@@ -124,24 +139,8 @@ class DependencyTree:
     # -- annotations -------------------------------------------------------
 
     def tracking_keys(self, filter_list: FilterList) -> FrozenSet[str]:
-        """The non-root keys ``filter_list`` blocks; writes nothing.
-
-        A node is a tracking node when any raw URL that mapped onto it is
-        on the list (the paper classifies by observed URL).  Raw URLs are
-        tried in their stored, sorted order and the first blocked one
-        decides, so the list is asked the same questions on every run.
-        """
-        page_url = self.page_url
-        return frozenset(
-            node.key
-            for node in self.nodes()
-            if any(
-                filter_list.is_tracking(
-                    raw, resource_type=node.resource_type, page_url=page_url
-                )
-                for raw in node.raw_urls
-            )
-        )
+        """The non-root keys ``filter_list`` blocks (:func:`tracking_keys`)."""
+        return tracking_keys(self.nodes(), filter_list, self.page_url)
 
     def annotate_tracking(self, filter_list: FilterList) -> int:
         """Mark tracking nodes via the filter list; returns how many matched."""
@@ -163,3 +162,39 @@ class DependencyTree:
             f"DependencyTree({self.page_url!r}, profile={self.profile_name!r}, "
             f"nodes={self.node_count}, depth={self.max_depth})"
         )
+
+
+def tracking_keys(
+    nodes: Iterable[TreeNode], filter_list: FilterList, page_url: str
+) -> FrozenSet[str]:
+    """The keys of ``nodes`` that ``filter_list`` blocks; writes nothing.
+
+    A node is a tracking node when any raw URL that mapped onto it is on
+    the list (the paper classifies by observed URL).  Raw URLs are tried
+    in their stored, sorted order and the first blocked one decides, so
+    the list is asked the same questions on every run.  ``page_url`` is
+    the page the nodes were loaded on.
+
+    No question is asked twice: a node whose key an earlier node showed
+    to track is skipped, and so is a (raw URL, resource type) pair the
+    list already let through.  Over the nodes of all of a page's trees
+    this gives the union of each tree's keys, and classifies each key's
+    distinct pairs once rather than once per tree.
+    """
+    is_tracking = filter_list.is_tracking
+    keys: Set[str] = set()
+    cleared: Set[Tuple[str, ResourceType]] = set()
+    for node in nodes:
+        key = node.key
+        if key in keys:
+            continue
+        resource_type = node.resource_type
+        for raw in node.raw_urls:
+            question = (raw, resource_type)
+            if question in cleared:
+                continue
+            if is_tracking(raw, resource_type, page_url):
+                keys.add(key)
+                break
+            cleared.add(question)
+    return frozenset(keys)

@@ -1,11 +1,19 @@
 """Tests for PageComparison / NodeComparison alignment."""
 
+from collections import Counter
+
 import pytest
 
-from repro.analysis import TrackingAnalyzer, comparison as comparison_module
+from repro.analysis import (
+    ResourceTypeAnalyzer,
+    TrackingAnalyzer,
+    VerticalAnalyzer,
+    comparison as comparison_module,
+)
 from repro.analysis.comparison import NodeComparison, PageComparison
 from repro.analysis.dataset import AnalysisDataset
 from repro.errors import AnalysisError
+from repro.export import export_node_comparisons_csv
 from repro.trees.node import TreeNode
 
 from ..helpers import make_tree, make_tree_set, node_measures
@@ -202,3 +210,23 @@ class TestMemo:
         reads[0] = 0
         assert TrackingAnalyzer().analyze(dataset) == first
         assert reads[0] == 0
+
+    def test_one_chain_walk_per_view(self, store, filter_list, tmp_path, monkeypatch):
+        dataset = AnalysisDataset.from_store(store, filter_list=filter_list)
+        walked = Counter()
+        chain = TreeNode.chain
+
+        def counted(view):
+            walked[id(view)] += 1
+            return chain(view)
+
+        monkeypatch.setattr(TreeNode, "chain", counted)
+        records = VerticalAnalyzer().all_records(dataset)
+        ResourceTypeAnalyzer().type_rows(dataset)
+        TrackingAnalyzer().analyze(dataset)
+        TrackingAnalyzer().same_chain_contrast(dataset)
+        export_node_comparisons_csv(dataset, tmp_path / "nodes.csv")
+        assert records == VerticalAnalyzer().all_records(dataset)
+        views = [view for node in dataset.iter_nodes() for view in node.present_views()]
+        assert len(views) > len(records)  # some nodes have several views
+        assert walked == Counter(id(view) for view in views)

@@ -1,7 +1,5 @@
 """Deeper assertions for the extension experiments (beyond the smoke run)."""
 
-import weakref
-
 import pytest
 
 from repro.analysis import AnalysisDataset, PageComparison, TrackingAnalyzer
@@ -25,7 +23,9 @@ from repro.experiments import (
     study_comparability,
     variance_metric,
 )
-from repro.trees import TreeBuilder
+from repro.stats.descriptive import ratio, safe_mean
+from repro.trees import DependencyTree, TreeBuilder
+from repro.trees.builder import resolve_parents
 from repro.trees.normalize import UrlNormalizer
 from repro.web import WebGenerator
 
@@ -148,6 +148,31 @@ class TestBlocklistAblation:
         monkeypatch.setattr(PageComparison, "__init__", refuse("PageComparison"))
         assert len(ablation_blocklist.run(ctx).points) == 4
 
+    def test_point_equals_the_per_tree_union(self, ctx):
+        for name, filter_list in ablation_blocklist._variants(ctx).items():
+            nodes = tracking = 0
+            child_similarities = []
+            for comparison in ctx.dataset.comparisons():
+                keys = frozenset().union(
+                    *(tree.tracking_keys(filter_list) for tree in comparison.tree_list())
+                )
+                nodes += len(comparison)
+                tracking += len(keys)
+                child_similarities.extend(
+                    node.child_similarity()
+                    for node in comparison.nodes()
+                    if node.key in keys and node.has_children
+                )
+            assert tracking
+            assert ablation_blocklist._point(
+                name, filter_list, ctx.dataset
+            ) == ablation_blocklist.ListPoint(
+                name=name,
+                filter_count=len(filter_list),
+                tracking_share=ratio(tracking, nodes),
+                tracking_child_similarity=safe_mean(child_similarities),
+            ), name
+
     def test_generic_only_weakest(self, ctx):
         result = ablation_blocklist.run(ctx)
         points = {point.name: point for point in result.points}
@@ -165,59 +190,47 @@ class TestBlocklistAblation:
         )
 
 
-def _tree_facts(trees):
-    """Everything a built tree holds, per profile, in profile order."""
-    return [
-        (
-            profile,
-            tree.page_url,
-            tree.visit_id,
-            tree.max_depth,
-            [
-                (
-                    node.key,
-                    node.parent_key(),
-                    node.depth,
-                    node.resource_type,
-                    sorted(node.raw_urls),
-                    node.request_ids,
-                    node.is_third_party,
-                    node.is_tracking,
-                    node.during_interaction,
-                )
-                for node in tree.nodes(include_root=True)
-            ],
-        )
-        for profile, tree in sorted(trees.items())
-    ]
+def _attached_tree(visit, requests, normalizer, frames_only):
+    """The tree ``DependencyTree.attach`` builds from the resolver's output."""
+    normalize = normalizer.normalize
+    tree = DependencyTree(normalize(visit.page_url), visit.profile_name, visit.visit_id)
+    for request, resource_type, key, parent in resolve_parents(
+        tree.page_url, requests, normalize, tree, frames_only=frames_only
+    ):
+        tree.attach(key, resource_type, tree.node(parent), request.url, request.request_id)
+    return tree
 
 
 def _assert_recipes_equal_a_page_build(ctx):
-    """Both ablation recipes equal ``build_visits`` of each vetted page."""
+    """Both recipes' statistics, for each vetted page, equal those read off
+    trees that ``attach`` builds from the resolver's output; the raw-URL
+    key sets also equal a raw-URL ``TreeBuilder`` build."""
     include_partial = ctx.dataset.include_partial
     profiles = ctx.dataset.profiles
-    pages = ctx.store.pages_crawled_by_all(profiles, include_partial=include_partial)
-    recipes = list(ablations._recipe_tree_sets(ctx))
-    raw_sets = [raw for raw, _ in recipes]
-    frames_sets = [frames for _, frames in recipes]
-    builders = (
-        TreeBuilder(UrlNormalizer(strip_query_values=False)),
-        ablations._FramesOnlyBuilder(),
-    )
-    for sets, builder in zip((raw_sets, frames_sets), builders):
-        built = [
-            builder.build_visits(
-                ctx.store,
-                ctx.store.successful_visits_for_page(
-                    page, profiles, include_partial=include_partial
-                ),
-                allow_partial=include_partial,
+    store = ctx.store
+    raw_builder = TreeBuilder(UrlNormalizer(strip_query_values=False))
+    expected = []
+    for page in store.pages_crawled_by_all(profiles, include_partial=include_partial):
+        visits = store.successful_visits_for_page(
+            page, profiles, include_partial=include_partial
+        )
+        built = raw_builder.build_visits(store, visits, allow_partial=include_partial)
+        stats = {}
+        for profile, visit in visits.items():
+            requests = store.requests_for_visit(visit.visit_id)
+            raw = _attached_tree(
+                visit, requests, UrlNormalizer(strip_query_values=False), False
             )
-            for page in pages
-        ]
-        assert [_tree_facts(trees) for trees in sets] == [
-            _tree_facts(trees) for trees in built
-        ]
+            frames = _attached_tree(visit, requests, UrlNormalizer(), True)
+            assert raw.keys() == built[profile].keys()
+            stats[profile] = (
+                frozenset(raw.keys()),
+                frames.max_depth,
+                len(frames.root.children),
+            )
+        expected.append(stats)
+    assert len(expected) == len(ctx.dataset) > 1
+    assert list(ablations._page_recipe_stats(ctx)) == expected
 
 
 class TestAblationsReadEachVisitOnce:
@@ -239,25 +252,18 @@ class TestAblationsReadEachVisitOnce:
     def test_recipes_equal_a_page_build(self, ctx):
         _assert_recipes_equal_a_page_build(ctx)
 
-    def test_recipe_trees_die_with_their_page(self, ctx, monkeypatch):
-        built = []  # (page, weak reference) of every recipe tree
-        most_pages_alive = [0]
-        build = TreeBuilder.build
+    def test_builds_no_tree(self, ctx, monkeypatch):
+        expected = ablations.render(ablations.run(ctx))
 
-        def spy(builder, *args, **kwargs):
-            alive = {page for page, ref in built if ref() is not None}
-            most_pages_alive[0] = max(most_pages_alive[0], len(alive))
-            tree = build(builder, *args, **kwargs)
-            built.append((tree.page_url, weakref.ref(tree)))
-            return tree
+        def refuse(what):
+            def raiser(*args, **kwargs):
+                raise AssertionError(f"{what} called")
 
-        monkeypatch.setattr(TreeBuilder, "build", spy)
-        ablations.run(ctx)
-        trees = sum(len(entry.comparison.trees) for entry in ctx.dataset)
-        assert len(built) == 2 * trees  # a raw-URL and a frames-only tree each
-        assert len(ctx.dataset) > 1
-        assert most_pages_alive[0] == 1  # only the page being built
-        assert all(ref() is None for _, ref in built)
+            return raiser
+
+        monkeypatch.setattr(TreeBuilder, "build", refuse("TreeBuilder.build"))
+        monkeypatch.setattr(DependencyTree, "__init__", refuse("DependencyTree"))
+        assert ablations.render(ablations.run(ctx)) == expected
 
 
 class TestAblationsFollowIncludePartial:

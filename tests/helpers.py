@@ -131,4 +131,6 @@ def node_measures(node) -> tuple:
         node.child_similarity(),
         node.has_children,
         node.mean_child_count,
+        node.same_chain_everywhere(),
+        node.unique_chain_count(),
     )

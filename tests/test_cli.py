@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.obs import RunLedger
 from repro.obs.cli import main as obs_main
@@ -354,3 +359,30 @@ class TestEasylist:
         out = tmp_path / "list.txt"
         assert main(["easylist", "--seed", "5", "--out", str(out)]) == 0
         assert out.read_text().startswith("[Adblock Plus 2.0]")
+
+
+class TestModuleEntryPoints:
+    """``python -m`` runs each command line's ``main`` and exits with its code."""
+
+    @pytest.mark.parametrize(
+        "module, prog", [("repro.cli", "repro"), ("repro.bundle.cli", "repro-bundle")]
+    )
+    def test_help_and_unknown_subcommand(self, module, prog):
+        source_root = str(Path(repro.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", module, *argv],
+                env={**os.environ, "PYTHONPATH": path},
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+
+        helped = run("--help")
+        assert helped.returncode == 0, helped.stderr
+        assert helped.stdout.startswith(f"usage: {prog} ")
+        unknown = run("no-such-command")
+        assert unknown.returncode == 2
+        assert "invalid choice: 'no-such-command'" in unknown.stderr

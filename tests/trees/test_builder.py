@@ -6,7 +6,8 @@ from repro.analysis import AnalysisDataset
 from repro.browser.callstack import CallStack, EMPTY_STACK
 from repro.browser.network import RequestRecord, VisitRecord
 from repro.errors import TreeConstructionError
-from repro.trees.builder import TreeBuilder, build_tree
+from repro.trees.builder import TreeBuilder, build_tree, resolve_parents
+from repro.trees.normalize import UrlNormalizer
 from repro.web.resources import ResourceType
 
 PAGE = "https://site.com/"
@@ -137,6 +138,75 @@ class TestAttributionOrder:
         ]
         tree = build_tree(make_visit(), records)
         assert tree.node("https://x.com/y.js").parent is tree.root
+
+
+def resolved_parents(records, frames_only):
+    """Request id → (key, parent key), each yielded key recorded as placed."""
+    normalize = UrlNormalizer().normalize
+    known = {PAGE}
+    parents = {}
+    for request, _, key, parent in resolve_parents(
+        PAGE, records, normalize, known, frames_only=frames_only
+    ):
+        assert parent in known
+        known.add(key)
+        parents[request.request_id] = (key, parent)
+    return parents
+
+
+class TestResolveParents:
+    """Every record kind under both attribution orders; records arrive
+    out of order and are resolved in request-id order."""
+
+    STACK = CallStack.for_initiator("https://site.com/a.js")
+
+    def records(self):
+        return list(reversed([
+            main_request(),
+            request(2, "https://site.com/a.js"),
+            request(3, "https://trk.com/first", ResourceType.BEACON, stack=self.STACK),
+            request(4, "https://sync.com/second", ResourceType.BEACON, redirect_from=3),
+            request(5, "https://a.com/outer.html", ResourceType.SUB_FRAME,
+                    frame_id=1, parent_frame_id=0, stack=self.STACK),
+            request(6, "https://b.com/inner.html", ResourceType.SUB_FRAME,
+                    frame_id=2, parent_frame_id=1),
+            request(7, "https://b.com/img.png", ResourceType.IMAGE,
+                    frame_id=2, parent_frame_id=1, stack=self.STACK),
+            request(8, "https://c.com/lost.png", ResourceType.IMAGE,
+                    frame_id=9, parent_frame_id=8),
+            request(9, "https://c.com/lost.html", ResourceType.SUB_FRAME,
+                    frame_id=10, parent_frame_id=9),
+        ]))
+
+    def test_frames_only(self):
+        assert resolved_parents(self.records(), frames_only=True) == {
+            2: ("https://site.com/a.js", PAGE),
+            3: ("https://trk.com/first", PAGE),  # stack ignored: own frame
+            4: ("https://sync.com/second", PAGE),  # redirect ignored
+            5: ("https://a.com/outer.html", PAGE),  # parent frame: main
+            6: ("https://b.com/inner.html", "https://a.com/outer.html"),
+            7: ("https://b.com/img.png", "https://b.com/inner.html"),
+            8: ("https://c.com/lost.png", PAGE),  # unknown frame
+            9: ("https://c.com/lost.html", PAGE),  # unknown parent frame
+        }
+
+    def test_paper_order(self):
+        assert resolved_parents(self.records(), frames_only=False) == {
+            2: ("https://site.com/a.js", PAGE),
+            3: ("https://trk.com/first", "https://site.com/a.js"),
+            4: ("https://sync.com/second", "https://trk.com/first"),
+            5: ("https://a.com/outer.html", "https://site.com/a.js"),
+            6: ("https://b.com/inner.html", "https://a.com/outer.html"),
+            7: ("https://b.com/img.png", "https://site.com/a.js"),
+            8: ("https://c.com/lost.png", PAGE),
+            9: ("https://c.com/lost.html", PAGE),
+        }
+
+    def test_builder_places_what_the_resolver_yields(self):
+        tree = build_tree(make_visit(), self.records())
+        assert {
+            node.request_ids[0]: (node.key, node.parent_key()) for node in tree.nodes()
+        } == resolved_parents(self.records(), frames_only=False)
 
 
 class TestNormalizationInBuilder:

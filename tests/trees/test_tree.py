@@ -6,7 +6,7 @@ import pytest
 
 from repro.blocklist.matcher import FilterList
 from repro.trees.node import host_of
-from repro.trees.tree import DependencyTree
+from repro.trees.tree import DependencyTree, tracking_keys
 from repro.web.resources import ResourceType
 
 from ..helpers import make_tree
@@ -149,6 +149,40 @@ class TestTrackingAnnotation:
         assert tree.tracking_nodes() == []
         assert tree.annotate_tracking(filter_list) == len(keys)
         assert {node.key for node in tree.tracking_nodes()} == keys
+
+    def test_one_pass_over_a_pages_trees_is_their_union(self, monkeypatch):
+        filter_list = FilterList.from_text("||trk.com^\n||ads.com^$image\n")
+        other = make_tree(
+            PAGE,
+            {
+                "https://trk.com/pixel.gif": {"https://ads.com/creative.jpg": None},
+                "https://ads.com/banner.jpg": None,
+                "https://site.com/b.png": None,  # let through in the first tree
+                # Blocked here only: the first tree loads it as a frame.
+                "https://ads.com/frame.html": ResourceType.IMAGE,
+            },
+            profile="Other",
+        )
+        trees = [sample_tree(), other]
+        union = trees[0].tracking_keys(filter_list) | other.tracking_keys(filter_list)
+        asked = []
+        match = FilterList.match
+
+        def counted(self, url, context=None):
+            asked.append(url)
+            return match(self, url, context)
+
+        monkeypatch.setattr(FilterList, "match", counted)
+        nodes = [node for tree in trees for node in tree.nodes()]
+        assert tracking_keys(nodes, filter_list, PAGE) == union
+        assert "https://ads.com/frame.html" in union and len(union) == 4
+        # The second tree asks nothing about a key shown to track, nor
+        # about a URL the list let through as the same type.
+        assert asked.count("https://trk.com/pixel.gif") == 1
+        assert asked.count("https://ads.com/creative.jpg") == 1
+        assert asked.count("https://site.com/b.png") == 1
+        assert asked.count("https://ads.com/frame.html") == 2  # frame, image
+        assert len(asked) == len(nodes) - 3
 
     def test_node_host_and_site(self):
         tree = sample_tree()
